@@ -5,8 +5,6 @@ verifies its three invariants (separation, covering, count window), then
 shows the angular-ring partition, first-fit coloring of a dense synthetic
 cluster, and the four-out-of-six selection pigeonhole.
 """
-import math
-
 import numpy as np
 
 from decolab import caps, phase
@@ -46,16 +44,9 @@ def ring_partition():
 
 def dense_coloring():
     s = derive(256.0)
-    rng = keyed_rng(SEED, "cluster")
-    axis = np.array([0.0, 0.0, 1.0])
-    dirs = [axis]
-    for _ in range(63):
-        t = rng.normal(size=3)
-        t -= t @ axis * axis
-        t /= np.linalg.norm(t)
-        theta = 3.0 * s.alpha * rng.random()
-        dirs.append(math.cos(theta) * axis + math.sin(theta) * t)
-    fam = caps.CapFamily(scale=s, centers=np.array(dirs))
+    dirs = caps.clustered_dirs(keyed_rng(SEED, "cluster"),
+                               np.array([0.0, 0.0, 1.0]), 64, 3.0 * s.alpha)
+    fam = caps.CapFamily(scale=s, centers=dirs)
     colored = caps.greedy_color(fam)
     deg = caps.conflict_degrees(fam)
     print(f"\nfirst-fit coloring of a 64-direction sub-alpha cluster:")

@@ -65,16 +65,9 @@ def pair_overlaps():
 
 def multiplicity():
     s = derive(256.0)
-    rng = keyed_rng(SEED, "mult-dirs")
-    axis = np.array([0.0, 0.0, 1.0])
-    dirs = [axis]
-    for _ in range(23):
-        t = rng.normal(size=3)
-        t -= t @ axis * axis
-        t /= np.linalg.norm(t)
-        theta = 0.5 * s.alpha * rng.random()
-        dirs.append(math.cos(theta) * axis + math.sin(theta) * t)
-    fam = caps.CapFamily(scale=s, centers=np.array(dirs))
+    dirs = caps.clustered_dirs(keyed_rng(SEED, "mult-dirs"),
+                               np.array([0.0, 0.0, 1.0]), 24, 0.5 * s.alpha)
+    fam = caps.CapFamily(scale=s, centers=dirs)
     res = tubes.multiplicity_experiment(fam, samples=10_000, seed=SEED)
     print(f"\nmultiplicity over a 24-tube dense family (union measure):")
     print(f"  M range [{res.m_min}, {res.m_max}], weighted mean "

@@ -24,12 +24,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.spatial import cKDTree
 
+from .errors import DegenerateScaleError
 from .geometry import angle_between
 from .scale import ScaleParams
-
-
-class DegenerateScaleError(ValueError):
-    """Cap radius at or above sphere scale; no lattice exists."""
 
 
 def chord(angle: float) -> float:
@@ -47,6 +44,24 @@ def fibonacci_sphere(n: int) -> np.ndarray:
     rad = np.sqrt(np.clip(1.0 - y * y, 0.0, None))
     phi = i * (math.pi * (3.0 - math.sqrt(5.0)))
     return np.stack([np.cos(phi) * rad, y, np.sin(phi) * rad], axis=-1)
+
+
+def clustered_dirs(rng: np.random.Generator, axis: np.ndarray, n: int,
+                   radius: float) -> np.ndarray:
+    """The unit ``axis`` and n - 1 unit vectors within angle ``radius`` of it.
+
+    Each further direction tilts the axis toward a random tangent by an
+    angle uniform in [0, radius).  Per direction the stream is read as
+    normal(3) then random(), in that order: seeded families depend on it.
+    """
+    out = [axis]
+    for _ in range(n - 1):
+        tang = rng.normal(size=3)
+        tang -= axis * float(np.dot(tang, axis))
+        tang /= np.linalg.norm(tang)
+        ang = radius * rng.random()
+        out.append(math.cos(ang) * axis + math.sin(ang) * tang)
+    return np.asarray(out)
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,14 @@
 """Command line front end.
 
-Subcommands map onto the experiment registry:
+Subcommands; each experiment group runs the experiments that declare it
+in the registry, in registry order:
 
 * ledger          exact exponent bookkeeping; nonzero exit on any mismatch
 * geometry-audit  normals, angle distortion, Gram identities
 * caps            cap lattice, rings, coloring, four-of-six selection
 * tubes           volumes, overlaps, multiplicity
-* shell           anisotropic box, polynomial bands
 * phase           sextuple classifications
+* shell           anisotropic box, polynomial bands
 * probe           sampled-field L6 ratios (lam <= 64)
 * ladder NAME     one experiment across a frequency ladder, rate fit
 
@@ -22,19 +23,7 @@ import json
 import sys
 
 from . import lab, ledger
-from .tubes import ConfigError
-
-GROUPS: dict[str, tuple[str, ...]] = {
-    "geometry-audit": ("geometry-residual", "bilipschitz", "gram-identity",
-                       "broad3-identity", "mixed-minor"),
-    "caps": ("cap-lattice", "annulus-partition", "greedy-coloring",
-             "select-four"),
-    "tubes": ("tube-volume", "nested-ball", "boundary-layer", "pair-overlap",
-              "multiplicity", "l2-sum"),
-    "shell": ("anisotropic-roundtrip", "hyperplane-shell", "shell-ensemble"),
-    "phase": ("phase-coverage", "paired-identities"),
-    "probe": ("probe-single-cap", "probe-curve"),
-}
+from .errors import DecolabError
 
 CONFIG_KEYS = ("lambda", "seed", "samples", "format", "out")
 
@@ -60,7 +49,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     p = sub.add_parser("ledger", help="exact exponent bookkeeping")
     _add_common(p)
-    for name in GROUPS:
+    for name in dict.fromkeys(exp.group for exp in lab.REGISTRY.values()
+                              if exp.group is not None):
         p = sub.add_parser(name, help=f"run the {name} experiment group")
         _add_common(p)
     p = sub.add_parser("ladder", help="rate fit across a frequency ladder")
@@ -156,20 +146,15 @@ def main(argv=None) -> int:
                                     samples=samples)
             reports = [report]
         else:
-            reports = []
-            for name in GROUPS[args.command]:
-                exp = lab.REGISTRY[name]
-                if not exp.needs_lam:
-                    reports.append(lab.run_experiment(name, None, seed,
-                                                      samples))
-                    continue
-                for lam in (lams or [exp.default_lam]):
-                    reports.append(lab.run_experiment(name, lam, seed,
-                                                      samples))
+            # lam None runs at the registered default, or without a lam
+            reports = [lab.run_experiment(name, lam, seed, samples)
+                       for name, exp in lab.REGISTRY.items()
+                       if exp.group == args.command
+                       for lam in (lams if lams and exp.needs_lam else [None])]
     except lab.UnknownExperimentError as exc:
         print(f"decolab: unknown experiment {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, ValueError) as exc:
+    except (DecolabError, ValueError) as exc:
         print(f"decolab: {exc}", file=sys.stderr)
         return 2
 

@@ -16,14 +16,12 @@ import itertools
 
 import numpy as np
 
+from .errors import DegenerateGeometryError
+
 #: the 20 unordered triples out of six indices, in lexicographic order
 TRIPLES: tuple[tuple[int, int, int], ...] = tuple(
     itertools.combinations(range(6), 3)
 )
-
-
-class DegenerateGeometryError(ValueError):
-    """Raised when a configuration carries no usable transversality."""
 
 
 def _norm(v: np.ndarray) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Experiment harness: reports, the experiment registry, scale ladders.
 
-Every experiment is a deterministic function of (lam, seed, samples) plus
-explicit options, and returns an ExperimentReport.  Reports carry three
+Every experiment is declared once, by the @experiment decorator on its
+body: a deterministic function of (lam, seed, samples) whose results and
+verdicts the harness wraps in an ExperimentReport.  Reports carry three
 kinds of verdicts:
 
 * PASS / FAIL for exact identities and closed-form oracles,
@@ -13,7 +14,6 @@ re-run cannot reproduce; the human-readable text format still shows it).
 """
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import time
@@ -24,9 +24,9 @@ from typing import Callable
 import numpy as np
 
 from . import caps, geometry, ledger, phase, shell, tubes
+from .errors import ConfigError, UnknownExperimentError
 from .rng import keyed_rng
 from .scale import LAMBDA_EXPONENTS, ScaleParams, derive
-from .tubes import ConfigError
 
 DEFAULT_SEED = 7
 DEFAULT_LAM = 256.0
@@ -37,13 +37,12 @@ LADDER_LAMS = tuple(float(2 ** k) for k in range(6, 13))
 #: shorter ladder for the sampled-field probe, which is guarded to lam <= 64
 PROBE_LAMS = (4.0, 8.0, 16.0, 32.0, 64.0)
 
+#: probe grid points per axis, per sqrt(lam)
+PROBE_GRID_FACTOR = 6
+
 PASS = "PASS"
 FAIL = "FAIL"
 OBSERVATIONAL = "OBSERVATIONAL"
-
-
-class UnknownExperimentError(KeyError):
-    """Requested experiment name is not in the registry."""
 
 
 @dataclass(frozen=True)
@@ -201,26 +200,68 @@ def _unit_vectors(rng: np.random.Generator, n: int, dim: int = 3) -> np.ndarray:
     return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
-def _clustered_dirs(rng: np.random.Generator, n: int, radius: float
-                    ) -> np.ndarray:
-    """n unit vectors within angular ``radius`` of a random axis."""
-    axis = _unit_vectors(rng, 1)[0]
-    out = [axis]
-    for _ in range(n - 1):
-        tang = rng.normal(size=3)
-        tang -= axis * float(np.dot(tang, axis))
-        tang /= np.linalg.norm(tang)
-        ang = radius * rng.random()
-        out.append(math.cos(ang) * axis + math.sin(ang) * tang)
-    return np.asarray(out)
+# ---------------------------------------------------------------------------
+# registry
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Experiment:
+    name: str
+    fn: Callable
+    group: str | None
+    needs_lam: bool
+    default_lam: float
+    default_samples: int
+    ladder_metric: str | None
+    ladder_lams: tuple[float, ...]
+    params: dict
+    summary: str
+
+
+REGISTRY: dict[str, Experiment] = {}
+
+
+def experiment(name: str, *, group: str | None = None, samples: int = 0,
+               ladder: str | None = None, lam: float = DEFAULT_LAM,
+               ladder_lams=LADDER_LAMS, needs_lam: bool = True,
+               params: dict | None = None):
+    """Register a body mapping a Run to (results, verdicts), in file order.
+
+    ``group`` names the CLI subcommand that runs it; ``params`` are constants
+    its reports record; the docstring's first line is its summary.
+    """
+    def register(fn: Callable) -> Callable:
+        REGISTRY[name] = Experiment(
+            name=name, fn=fn, group=group, needs_lam=needs_lam,
+            default_lam=lam, default_samples=samples, ladder_metric=ladder,
+            ladder_lams=tuple(ladder_lams), params=dict(params or {}),
+            summary=fn.__doc__.strip().splitlines()[0])
+        return fn
+    return register
+
+
+@dataclass(frozen=True)
+class Run:
+    """An experiment body's inputs, and the scale derived from lam once."""
+    name: str
+    lam: float | None
+    seed: int
+    samples: int
+    scale: ScaleParams | None
+
+    def rng(self, label: str | None = None) -> np.random.Generator:
+        """Fresh stream keyed by (seed, label or the name, lam): call once."""
+        return keyed_rng(self.seed, label or self.name, repr(float(self.lam)))
 
 
 # ---------------------------------------------------------------------------
 # experiments
 # ---------------------------------------------------------------------------
 
-def _exp_scale_table(lam, seed, samples):
-    s = derive(lam)
+@experiment("scale-table")
+def _exp_scale_table(run):
+    """derived lengths against their closed forms"""
+    s, lam = run.scale, run.lam
     dev_alpha = abs(s.alpha - s.c0 * lam ** -0.625) / s.alpha
     dev_height = abs(2.0 * s.t_half - lam ** -1.5) / (2.0 * s.t_half)
     dev_d = abs(s.D ** 12 - lam) / lam
@@ -238,11 +279,12 @@ def _exp_scale_table(lam, seed, samples):
         _ok("cell_height", dev_height <= 1e-12, f"rel dev {dev_height:.2e}"),
         _ok("d_twelfth_power", dev_d <= 1e-12, f"rel dev {dev_d:.2e}"),
     )
-    return ExperimentReport("scale-table", lam, seed, {"samples": samples},
-                            results, verdicts)
+    return results, verdicts
 
 
-def _exp_ledger_goldens(lam, seed, samples):
+@experiment("ledger-goldens", needs_lam=False)
+def _exp_ledger_goldens(run):
+    """re-derive every exponent checkpoint"""
     rows = ledger.checkpoint_table()
     ok = all(r.match for r in rows)
     scs = ledger.scenarios()
@@ -276,14 +318,15 @@ def _exp_ledger_goldens(lam, seed, samples):
     verdicts = (
         _ok("all_checkpoints_match", ok, f"{n_match}/{len(rows)} rows match"),
     )
-    return ExperimentReport("ledger-goldens", None, seed,
-                            {"samples": samples}, results, verdicts)
+    return results, verdicts
 
 
-def _exp_geometry_residual(lam, seed, samples):
-    s = derive(lam)
-    rng = keyed_rng(seed, "geometry-residual", repr(float(lam)))
-    xi = lam * _unit_vectors(rng, samples)
+@experiment("geometry-residual", group="geometry-audit", samples=20_000,
+            ladder="mean_residual")
+def _exp_geometry_residual(run):
+    """normal vs its large-frequency limit"""
+    lam, samples = run.lam, run.samples
+    xi = lam * _unit_vectors(run.rng(), samples)
     res = geometry.normal_residual(xi)
     u = 1.0 / (4.0 * lam * lam)
     closed = u / (math.sqrt(1.0 + u) + 1.0)   # sqrt(1+u) - 1, stable form
@@ -306,13 +349,15 @@ def _exp_geometry_residual(lam, seed, samples):
         _obs("second_order_size",
              f"residual * 8 lam^2 = {closed * 8 * lam * lam:.8f}"),
     )
-    return ExperimentReport("geometry-residual", lam, seed,
-                            {"samples": samples}, results, verdicts)
+    return results, verdicts
 
 
-def _exp_bilipschitz(lam, seed, samples):
-    s = derive(lam)
-    rng = keyed_rng(seed, "bilipschitz", repr(float(lam)))
+@experiment("bilipschitz", group="geometry-audit", samples=100_000,
+            ladder="max_ratio_fixed")
+def _exp_bilipschitz(run):
+    """normal-map angle distortion on the sphere of one radius"""
+    lam, samples = run.lam, run.samples
+    rng = run.rng()
     u = _unit_vectors(rng, samples)
     v = _unit_vectors(rng, samples)
     fixed = geometry.bilipschitz_ratio(lam * u, lam * v)
@@ -335,13 +380,14 @@ def _exp_bilipschitz(lam, seed, samples):
              f"[{results['min_ratio_band']:.3f}, "
              f"{results['max_ratio_band']:.3f}] over the shell annulus"),
     )
-    return ExperimentReport("bilipschitz", lam, seed, {"samples": samples},
-                            results, verdicts)
+    return results, verdicts
 
 
-def _exp_gram_identity(lam, seed, samples):
-    s = derive(lam)
-    rng = keyed_rng(seed, "gram-identity", repr(float(lam)))
+@experiment("gram-identity", group="geometry-audit", samples=50_000)
+def _exp_gram_identity(run):
+    """cosine-form Gram determinant vs brute determinant"""
+    s, lam, samples = run.scale, run.lam, run.samples
+    rng = run.rng()
     # generic unit 4-vectors
     v = rng.normal(size=(samples, 3, 4))
     v /= np.linalg.norm(v, axis=-1, keepdims=True)
@@ -369,17 +415,17 @@ def _exp_gram_identity(lam, seed, samples):
         _ok("cosine_form_equals_det", worst <= 1e-12,
             f"worst abs diff {worst:.2e} over {2 * samples} triples"),
     )
-    return ExperimentReport("gram-identity", lam, seed, {"samples": samples},
-                            results, verdicts)
+    return results, verdicts
 
 
 _TRIPLE_IDX = np.asarray(geometry.TRIPLES)
 
 
-def _exp_broad3_identity(lam, seed, samples):
-    s = derive(lam)
-    rng = keyed_rng(seed, "broad3-identity", repr(float(lam)))
-    mags = np.exp(rng.normal(size=(samples, 6)))
+@experiment("broad3-identity", group="geometry-audit", samples=50_000)
+def _exp_broad3_identity(run):
+    """geometric-mean bound for the minimal amplitude triple"""
+    rng = run.rng()
+    mags = np.exp(rng.normal(size=(run.samples, 6)))
     prods = (mags[:, _TRIPLE_IDX[:, 0]]
              * mags[:, _TRIPLE_IDX[:, 1]]
              * mags[:, _TRIPLE_IDX[:, 2]])
@@ -388,7 +434,7 @@ def _exp_broad3_identity(lam, seed, samples):
     ok_rows = mt <= geo * (1.0 + 1e-12)
     margin = float(np.min(geo / mt))
     # consistency of the scalar helper against the vectorized path
-    check = min(200, samples)
+    check = min(200, run.samples)
     helper_dev = max(
         abs(geometry.min_triple(mags[i]) - float(mt[i])) for i in range(check)
     )
@@ -406,19 +452,21 @@ def _exp_broad3_identity(lam, seed, samples):
     }
     verdicts = (
         _ok("min_triple_leq_geometric_mean", bool(np.all(ok_rows)),
-            f"min margin {margin:.6f} over {samples} draws"),
+            f"min margin {margin:.6f} over {run.samples} draws"),
         _ok("helper_matches_vectorized", helper_dev <= 1e-12,
             f"max dev {helper_dev:.2e}"),
         _ok("functional_finite_positive", finite,
             f"{check} sextuples evaluated"),
     )
-    return ExperimentReport("broad3-identity", lam, seed,
-                            {"samples": samples}, results, verdicts)
+    return results, verdicts
 
 
-def _exp_mixed_minor(lam, seed, samples):
-    s = derive(lam)
-    rng = keyed_rng(seed, "mixed-minor", repr(float(lam)))
+@experiment("mixed-minor", group="geometry-audit", samples=20_000,
+            ladder="max_abs_det")
+def _exp_mixed_minor(run):
+    """clustered 4-column minors with one defect column"""
+    s, lam, samples = run.scale, run.lam, run.samples
+    rng = run.rng()
     base = _unit_vectors(rng, samples)
     dirs = []
     for _ in range(4):
@@ -457,17 +505,17 @@ def _exp_mixed_minor(lam, seed, samples):
              f"max |det| * lam^(10/3) = "
              f"{results['det_times_lam_10_3']:.3e}"),
     )
-    return ExperimentReport("mixed-minor", lam, seed, {"samples": samples},
-                            results, verdicts)
+    return results, verdicts
 
 
-def _exp_cap_lattice(lam, seed, samples):
-    s = derive(lam)
+@experiment("cap-lattice", group="caps", samples=20_000, ladder="n_caps")
+def _exp_cap_lattice(run):
+    """separated cap family: separation, covering, count"""
+    s, lam, samples = run.scale, run.lam, run.samples
     fam = caps.build_lattice(s)
     n = len(fam)
     sep = caps.min_separation(fam)
-    rng = keyed_rng(seed, "cap-lattice-probes", repr(float(lam)))
-    probes = _unit_vectors(rng, samples)
+    probes = _unit_vectors(run.rng("cap-lattice-probes"), samples)
     cov = caps.covering_probe(fam, probes)
     lo, hi = lam ** (4.0 / 3.0), 16.0 * lam ** (4.0 / 3.0)
     results = {
@@ -486,16 +534,15 @@ def _exp_cap_lattice(lam, seed, samples):
         _ok("count_in_window", lo <= n <= hi,
             f"{n} caps vs [{lo:.0f}, {hi:.0f}]"),
     )
-    return ExperimentReport("cap-lattice", lam, seed, {"samples": samples},
-                            results, verdicts)
+    return results, verdicts
 
 
-def _exp_annulus_partition(lam, seed, samples):
-    s = derive(lam)
-    fam = caps.build_lattice(s)
+@experiment("annulus-partition", group="caps")
+def _exp_annulus_partition(run):
+    """thin angular rings partition the family"""
+    fam = caps.build_lattice(run.scale)
     n = len(fam)
-    rng = keyed_rng(seed, "annulus-partition", repr(float(lam)))
-    indices = sorted({0, int(rng.integers(n))})
+    indices = sorted({0, int(run.rng().integers(n))})
     partition_ok = True
     spot_ok = True
     heads = {}
@@ -515,16 +562,18 @@ def _exp_annulus_partition(lam, seed, samples):
             f"histogram sums equal n-1 = {n - 1}"),
         _ok("ring_counts_agree", spot_ok, "bincount vs direct ring count"),
     )
-    return ExperimentReport("annulus-partition", lam, seed,
-                            {"samples": samples}, results, verdicts)
+    return results, verdicts
 
 
-def _exp_greedy_coloring(lam, seed, samples):
-    s = derive(lam)
-    rng = keyed_rng(seed, "greedy-coloring", repr(float(lam)))
+@experiment("greedy-coloring", group="caps", samples=64)
+def _exp_greedy_coloring(run):
+    """first-fit coloring of a sub-alpha cluster"""
+    s, samples = run.scale, run.samples
+    rng = run.rng()
     # a synthetic sub-alpha cluster: the lattice itself is r-separated with
     # r >> alpha, so its conflict graph is empty and proves nothing
-    dirs = _clustered_dirs(rng, samples, 3.0 * s.alpha)
+    dirs = caps.clustered_dirs(rng, _unit_vectors(rng, 1)[0], samples,
+                               3.0 * s.alpha)
     fam = caps.CapFamily(scale=s, centers=dirs)
     colored = caps.greedy_color(fam)
     pairs = caps.conflict_pairs(fam)
@@ -547,12 +596,13 @@ def _exp_greedy_coloring(lam, seed, samples):
         _ok("nontrivial_graph", pairs.shape[0] > 0,
             "cluster produced conflict edges"),
     )
-    return ExperimentReport("greedy-coloring", lam, seed,
-                            {"samples": samples}, results, verdicts)
+    return results, verdicts
 
 
-def _exp_select_four(lam, seed, samples):
-    s = derive(lam)
+@experiment("select-four", group="caps", samples=200)
+def _exp_select_four(run):
+    """four separated directions out of six"""
+    s, seed, samples = run.scale, run.seed, run.samples
     rows = []
     ok_recheck = True
     generic_found = 0
@@ -594,12 +644,13 @@ def _exp_select_four(lam, seed, samples):
         _ok("five_cluster_blocks_selection", cluster_blocked == samples,
             f"{cluster_blocked}/{samples} clustered draws blocked"),
     )
-    return ExperimentReport("select-four", lam, seed, {"samples": samples},
-                            results, verdicts)
+    return results, verdicts
 
 
-def _exp_tube_volume(lam, seed, samples):
-    s = derive(lam)
+@experiment("tube-volume", group="tubes", samples=200_000, ladder="volume")
+def _exp_tube_volume(run):
+    """Monte Carlo tube volume in the cell"""
+    s, lam, seed, samples = run.scale, run.lam, run.seed, run.samples
     fam = caps.build_lattice(s)
     tube = tubes.tube_for_cap(fam, 0)
     est = tubes.mc_volume(tube, samples, seed)
@@ -624,12 +675,13 @@ def _exp_tube_volume(lam, seed, samples):
         _obs("normalized_volume",
              f"volume * lam^3 = {est.value * lam ** 3:.4f}"),
     )
-    return ExperimentReport("tube-volume", lam, seed, {"samples": samples},
-                            results, verdicts)
+    return results, verdicts
 
 
-def _exp_nested_ball(lam, seed, samples):
-    s = derive(lam)
+@experiment("nested-ball", group="tubes", samples=200_000)
+def _exp_nested_ball(run):
+    """static tube against its closed-form volume"""
+    s, seed, samples = run.scale, run.seed, run.samples
     tube = tubes.Tube(scale=s, xi=np.zeros(3))
     est = tubes.mc_volume(tube, samples, seed)
     exact = tubes.nested_ball_volume(s)
@@ -644,12 +696,13 @@ def _exp_nested_ball(lam, seed, samples):
     verdicts = (
         _ok("matches_closed_form", abs(z) <= 3.0, f"z = {z:.3f}"),
     )
-    return ExperimentReport("nested-ball", lam, seed, {"samples": samples},
-                            results, verdicts)
+    return results, verdicts
 
 
-def _exp_boundary_layer(lam, seed, samples):
-    s = derive(lam)
+@experiment("boundary-layer", group="tubes", samples=200_000)
+def _exp_boundary_layer(run):
+    """exact 1/8 time-layer fraction of the cell"""
+    s, seed, samples = run.scale, run.seed, run.samples
     est = tubes.boundary_layer_mc(s, samples, seed)
     exact = tubes.BOUNDARY_LAYER_FRACTION
     z = (est.value - exact) / est.stderr if est.stderr > 0 else math.inf
@@ -662,12 +715,13 @@ def _exp_boundary_layer(lam, seed, samples):
     verdicts = (
         _ok("matches_exact_fraction", abs(z) <= 3.0, f"z = {z:.3f}"),
     )
-    return ExperimentReport("boundary-layer", lam, seed, {"samples": samples},
-                            results, verdicts)
+    return results, verdicts
 
 
-def _exp_pair_overlap(lam, seed, samples):
-    s = derive(lam)
+@experiment("pair-overlap", group="tubes", samples=100_000)
+def _exp_pair_overlap(run):
+    """pairwise tube overlap against the analytic bound"""
+    s, lam, seed, samples = run.scale, run.lam, run.seed, run.samples
     fam = caps.build_lattice(s)
     ang = fam.angles_from(0)
     ang[0] = math.inf                      # exclude the anchor itself
@@ -707,12 +761,13 @@ def _exp_pair_overlap(lam, seed, samples):
         _ok("branch_continuity", branch_dev <= 1e-12,
             f"relative branch gap at delta=1: {branch_dev:.2e}"),
     )
-    return ExperimentReport("pair-overlap", lam, seed, {"samples": samples},
-                            results, verdicts)
+    return results, verdicts
 
 
-def _exp_l2_sum(lam, seed, samples):
-    s = derive(lam)
+@experiment("l2-sum", group="tubes", samples=2_048)
+def _exp_l2_sum(run):
+    """overlap sum over a family, dyadic bands"""
+    s, lam, seed, samples = run.scale, run.lam, run.seed, run.samples
     fam = caps.build_lattice(s)
     if len(fam) > 8000:
         theta = 2.0 * math.sqrt(2000.0 / len(fam))
@@ -748,15 +803,17 @@ def _exp_l2_sum(lam, seed, samples):
         _obs("overlap_sum",
              f"S = {res.total:.6e} over {res.n_caps} caps"),
     )
-    return ExperimentReport("l2-sum", lam, seed, {"samples": samples},
-                            results, verdicts)
+    return results, verdicts
 
 
-def _exp_multiplicity(lam, seed, samples):
-    s = derive(lam)
-    rng = keyed_rng(seed, "multiplicity-family", repr(float(lam)))
+@experiment("multiplicity", group="tubes", samples=20_000)
+def _exp_multiplicity(run):
+    """covering multiplicity over a dense family's union"""
+    s, seed, samples = run.scale, run.seed, run.samples
+    rng = run.rng("multiplicity-family")
     n_caps = 24
-    dirs = _clustered_dirs(rng, n_caps, 0.5 * s.alpha)
+    dirs = caps.clustered_dirs(rng, _unit_vectors(rng, 1)[0], n_caps,
+                               0.5 * s.alpha)
     fam = caps.CapFamily(scale=s, centers=dirs)
     res = tubes.multiplicity_experiment(fam, samples, seed)
     # fat-tube fact: at t = 0 every tube of the family contains the whole
@@ -788,19 +845,19 @@ def _exp_multiplicity(lam, seed, samples):
              f"fraction with M < {res.threshold:.3f}: {res.fraction_below}"),
         _obs("union_ratio", f"D * mean(1/M) = {res.union_ratio:.6f}"),
     )
-    return ExperimentReport("multiplicity", lam, seed, {"samples": samples},
-                            results, verdicts)
+    return results, verdicts
 
 
-def _exp_phase_coverage(lam, seed, samples):
-    s = derive(lam)
-    rng = keyed_rng(seed, "phase-family", repr(float(lam)))
-    dense_fam = caps.CapFamily(scale=s,
-                               centers=_clustered_dirs(rng, 16, 0.5 * s.alpha))
+@experiment("phase-coverage", group="phase", samples=100)
+def _exp_phase_coverage(run):
+    """sextuple classifications across sampler kinds"""
+    s, seed, samples = run.scale, run.seed, run.samples
+    rng = run.rng("phase-family")
+    dense_fam = caps.CapFamily(scale=s, centers=caps.clustered_dirs(
+        rng, _unit_vectors(rng, 1)[0], 16, 0.5 * s.alpha))
     rows = []
     paired_exact = True
     cluster_narrow = True
-    robust_seen = True
     for kind in ("generic", "paired", "perturbed", "clustered5"):
         for rep in range(samples):
             sx = phase.sample_sextuple(s, seed, rep, kind)
@@ -849,13 +906,14 @@ def _exp_phase_coverage(lam, seed, samples):
             f"max alpha-cap count {rn_dense.max_alpha_count} "
             f"> {rn_dense.density_threshold:.3f}"),
     )
-    return ExperimentReport("phase-coverage", lam, seed, {"samples": samples},
-                            results, verdicts)
+    return results, verdicts
 
 
-def _exp_paired_identities(lam, seed, samples):
-    s = derive(lam)
-    rng = keyed_rng(seed, "paired-identities", repr(float(lam)))
+@experiment("paired-identities", group="phase", samples=2_000)
+def _exp_paired_identities(run):
+    """exact vanishing and permutation invariance of the block sums"""
+    s, seed, samples = run.scale, run.seed, run.samples
+    rng = run.rng()
     exact_zero = True
     perm_invariant = True
     for rep in range(samples):
@@ -883,14 +941,14 @@ def _exp_paired_identities(lam, seed, samples):
         _ok("mu6_permutation_invariant", perm_invariant,
             "within-block shuffles and block swap leave mu6 bit-identical"),
     )
-    return ExperimentReport("paired-identities", lam, seed,
-                            {"samples": samples}, results, verdicts)
+    return results, verdicts
 
 
-def _exp_anisotropic_roundtrip(lam, seed, samples):
-    s = derive(lam)
-    rng = keyed_rng(seed, "anisotropic", repr(float(lam)))
-    pts = rng.uniform(-0.5, 0.5, size=(samples, 4))
+@experiment("anisotropic-roundtrip", group="shell", samples=50_000)
+def _exp_anisotropic_roundtrip(run):
+    """box-to-frequency scaling roundtrip and Jacobian"""
+    s, lam, samples = run.scale, run.lam, run.samples
+    pts = run.rng("anisotropic").uniform(-0.5, 0.5, size=(samples, 4))
     back = shell.anisotropic_inverse(s, shell.anisotropic_forward(s, pts))
     dev = float(np.max(np.abs(back - pts) / (1.0 + np.abs(pts))))
     jac = shell.jacobian(s)
@@ -906,12 +964,13 @@ def _exp_anisotropic_roundtrip(lam, seed, samples):
         _ok("jacobian_consistent", jac_dev <= 1e-12,
             f"lam^3 vs factor product: rel dev {jac_dev:.2e}"),
     )
-    return ExperimentReport("anisotropic-roundtrip", lam, seed,
-                            {"samples": samples}, results, verdicts)
+    return results, verdicts
 
 
-def _exp_hyperplane_shell(lam, seed, samples):
-    s = derive(lam)
+@experiment("hyperplane-shell", group="shell", samples=200_000)
+def _exp_hyperplane_shell(run):
+    """band of a hyperplane against the exact fraction"""
+    s, lam, seed, samples = run.scale, run.lam, run.seed, run.samples
     rows = []
     all_ok = True
     for tau in (0.0, 0.3, 0.45):
@@ -937,12 +996,13 @@ def _exp_hyperplane_shell(lam, seed, samples):
         _ok("matches_exact_fraction", all_ok,
             f"{len(rows)} offsets, all within 3 sigma of min(1, 2 beta)"),
     )
-    return ExperimentReport("hyperplane-shell", lam, seed,
-                            {"samples": samples}, results, verdicts)
+    return results, verdicts
 
 
-def _exp_shell_ensemble(lam, seed, samples):
-    s = derive(lam)
+@experiment("shell-ensemble", group="shell", samples=40_000)
+def _exp_shell_ensemble(run):
+    """band fractions for random low-degree polynomials"""
+    s, lam, seed, samples = run.scale, run.lam, run.seed, run.samples
     rows = []
     sane = True
     for degree in range(1, shell.max_degree(s) + 1):
@@ -971,8 +1031,7 @@ def _exp_shell_ensemble(lam, seed, samples):
         _obs("band_occupancy",
              f"mean fraction by degree: {mean_by_deg}"),
     )
-    return ExperimentReport("shell-ensemble", lam, seed,
-                            {"samples": samples}, results, verdicts)
+    return results, verdicts
 
 
 # ---------------------------------------------------------------------------
@@ -990,7 +1049,8 @@ class ProbeResult:
     ratio_focusing: float
 
 
-def decoupling_probe(scale: ScaleParams, seed: int, grid_factor: int = 6,
+def decoupling_probe(scale: ScaleParams, seed: int,
+                     grid_factor: int = PROBE_GRID_FACTOR,
                      t_points: int = 8,
                      family: caps.CapFamily | None = None) -> ProbeResult:
     """Sampled L6 size of a random superposition of on-shell waves.
@@ -1045,10 +1105,13 @@ def decoupling_probe(scale: ScaleParams, seed: int, grid_factor: int = 6,
                        ratio_focusing=ratios["focusing"])
 
 
-def _exp_probe_single_cap(lam, seed, samples, grid_factor=6):
-    s = derive(lam)
+@experiment("probe-single-cap", group="probe", lam=64.0,
+            params={"grid_factor": PROBE_GRID_FACTOR})
+def _exp_probe_single_cap(run):
+    """one-cap sanity: sampled L6 ratio is exactly one"""
+    s, seed = run.scale, run.seed
     one = caps.CapFamily(scale=s, centers=np.asarray([[0.0, 0.0, 1.0]]))
-    res = decoupling_probe(s, seed, grid_factor=grid_factor, family=one)
+    res = decoupling_probe(s, seed, family=one)
     dev = max(abs(res.ratio_random - 1.0), abs(res.ratio_focusing - 1.0))
     results = {
         "ratio_random": res.ratio_random,
@@ -1060,14 +1123,15 @@ def _exp_probe_single_cap(lam, seed, samples, grid_factor=6):
         _ok("single_cap_ratio_is_one", dev <= 1e-13,
             f"max |ratio - 1| = {dev:.2e}"),
     )
-    return ExperimentReport("probe-single-cap", lam, seed,
-                            {"samples": samples, "grid_factor": grid_factor},
-                            results, verdicts)
+    return results, verdicts
 
 
-def _exp_probe_curve(lam, seed, samples, grid_factor=6):
-    s = derive(lam)
-    res = decoupling_probe(s, seed, grid_factor=grid_factor)
+@experiment("probe-curve", group="probe", lam=64.0, ladder="ratio_random",
+            ladder_lams=PROBE_LAMS, params={"grid_factor": PROBE_GRID_FACTOR})
+def _exp_probe_curve(run):
+    """sampled L6 ratio of a full superposition"""
+    s, seed = run.scale, run.seed
+    res = decoupling_probe(s, seed)
     d_half = s.D ** 0.5
     results = {
         "n_caps": res.n_caps,
@@ -1085,130 +1149,55 @@ def _exp_probe_curve(lam, seed, samples, grid_factor=6):
              f"{res.ratio_focusing:.4f}; / sqrt(D) = "
              f"{res.ratio_focusing / d_half:.4f}"),
     )
-    return ExperimentReport("probe-curve", lam, seed,
-                            {"samples": samples, "grid_factor": grid_factor},
-                            results, verdicts)
+    return results, verdicts
 
 
 # ---------------------------------------------------------------------------
-# registry and runners
+# runners
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Experiment:
-    name: str
-    fn: Callable
-    needs_lam: bool
-    default_lam: float
-    default_samples: int
-    ladder_metric: str | None
-    ladder_lams: tuple[float, ...]
-    summary: str
-
-
-REGISTRY: dict[str, Experiment] = {}
-
-
-def _register(name, fn, default_samples, summary, needs_lam=True,
-              default_lam=DEFAULT_LAM, ladder_metric=None,
-              ladder_lams=LADDER_LAMS):
-    REGISTRY[name] = Experiment(name=name, fn=fn, needs_lam=needs_lam,
-                                default_lam=default_lam,
-                                default_samples=default_samples,
-                                ladder_metric=ladder_metric,
-                                ladder_lams=tuple(ladder_lams),
-                                summary=summary)
-
-
-_register("scale-table", _exp_scale_table, 0,
-          "derived lengths against their closed forms")
-_register("ledger-goldens", _exp_ledger_goldens, 0,
-          "re-derive every exponent checkpoint", needs_lam=False)
-_register("geometry-residual", _exp_geometry_residual, 20_000,
-          "normal vs its large-frequency limit",
-          ladder_metric="mean_residual")
-_register("bilipschitz", _exp_bilipschitz, 100_000,
-          "normal-map angle distortion on the sphere of one radius",
-          ladder_metric="max_ratio_fixed")
-_register("gram-identity", _exp_gram_identity, 50_000,
-          "cosine-form Gram determinant vs brute determinant")
-_register("broad3-identity", _exp_broad3_identity, 50_000,
-          "geometric-mean bound for the minimal amplitude triple")
-_register("mixed-minor", _exp_mixed_minor, 20_000,
-          "clustered 4-column minors with one defect column",
-          ladder_metric="max_abs_det")
-_register("cap-lattice", _exp_cap_lattice, 20_000,
-          "separated cap family: separation, covering, count",
-          ladder_metric="n_caps")
-_register("annulus-partition", _exp_annulus_partition, 0,
-          "thin angular rings partition the family")
-_register("greedy-coloring", _exp_greedy_coloring, 64,
-          "first-fit coloring of a sub-alpha cluster")
-_register("select-four", _exp_select_four, 200,
-          "four separated directions out of six")
-_register("tube-volume", _exp_tube_volume, 200_000,
-          "Monte Carlo tube volume in the cell",
-          ladder_metric="volume")
-_register("nested-ball", _exp_nested_ball, 200_000,
-          "static tube against its closed-form volume")
-_register("boundary-layer", _exp_boundary_layer, 200_000,
-          "exact 1/8 time-layer fraction of the cell")
-_register("pair-overlap", _exp_pair_overlap, 100_000,
-          "pairwise tube overlap against the analytic bound")
-_register("l2-sum", _exp_l2_sum, 2_048,
-          "overlap sum over a family, dyadic bands")
-_register("multiplicity", _exp_multiplicity, 20_000,
-          "covering multiplicity over a dense family's union")
-_register("phase-coverage", _exp_phase_coverage, 100,
-          "sextuple classifications across sampler kinds")
-_register("paired-identities", _exp_paired_identities, 2_000,
-          "exact vanishing and permutation invariance of the block sums")
-_register("anisotropic-roundtrip", _exp_anisotropic_roundtrip, 50_000,
-          "box-to-frequency scaling roundtrip and Jacobian")
-_register("hyperplane-shell", _exp_hyperplane_shell, 200_000,
-          "band of a hyperplane against the exact fraction")
-_register("shell-ensemble", _exp_shell_ensemble, 40_000,
-          "band fractions for random low-degree polynomials")
-_register("probe-single-cap", _exp_probe_single_cap, 0,
-          "one-cap sanity: sampled L6 ratio is exactly one",
-          default_lam=64.0)
-_register("probe-curve", _exp_probe_curve, 0,
-          "sampled L6 ratio of a full superposition",
-          default_lam=64.0, ladder_metric="ratio_random",
-          ladder_lams=PROBE_LAMS)
-
 
 def experiment_names() -> tuple[str, ...]:
     return tuple(REGISTRY)
 
 
-def run_experiment(name: str, lam: float | None = None,
-                   seed: int = DEFAULT_SEED, samples: int | None = None,
-                   **opts) -> ExperimentReport:
-    """Run one registered experiment and stamp the measured wall time."""
+def _lookup(name: str) -> Experiment:
     try:
-        exp = REGISTRY[name]
+        return REGISTRY[name]
     except KeyError:
         raise UnknownExperimentError(name) from None
+
+
+def run_experiment(name: str, lam: float | None = None,
+                   seed: int = DEFAULT_SEED, samples: int | None = None
+                   ) -> ExperimentReport:
+    """Run one registered experiment and stamp the measured wall time.
+
+    An experiment that samples by default needs samples >= 1, so that no
+    verdict rests on zero draws; any other needs samples >= 0.
+    """
+    exp = _lookup(name)
+    n = int(samples if samples is not None else exp.default_samples)
+    floor = 1 if exp.default_samples > 0 else 0
+    if n < floor:
+        raise ConfigError(f"{name} needs samples >= {floor}, got {n}")
     if exp.needs_lam:
         lam = float(lam if lam is not None else exp.default_lam)
     else:
         lam = None
-    n = int(samples if samples is not None else exp.default_samples)
     t0 = time.perf_counter()
-    rep = exp.fn(lam=lam, seed=seed, samples=n, **opts)
-    return dataclasses.replace(rep, wall_time_s=time.perf_counter() - t0)
+    run = Run(name, lam, seed, n, None if lam is None else derive(lam))
+    results, verdicts = exp.fn(run)
+    return ExperimentReport(name, lam, seed, {"samples": n, **exp.params},
+                            results, verdicts,
+                            wall_time_s=time.perf_counter() - t0)
 
 
 def run_ladder(name: str, lams=None, seed: int = DEFAULT_SEED,
                samples: int | None = None,
-               slope_window: tuple[float, float] | None = None,
-               **opts) -> ExperimentReport:
+               slope_window: tuple[float, float] | None = None
+               ) -> ExperimentReport:
     """Run an experiment across a frequency ladder and fit the rate."""
-    try:
-        exp = REGISTRY[name]
-    except KeyError:
-        raise UnknownExperimentError(name) from None
+    exp = _lookup(name)
     if exp.ladder_metric is None:
         raise ValueError(f"experiment {name} declares no ladder metric")
     if lams is None:
@@ -1218,7 +1207,7 @@ def run_ladder(name: str, lams=None, seed: int = DEFAULT_SEED,
     rows = []
     failures = 0
     for lam in lams:
-        rep = run_experiment(name, lam, seed, samples, **opts)
+        rep = run_experiment(name, lam, seed, samples)
         failures += sum(1 for v in rep.verdicts if v.status == FAIL)
         val = float(rep.results[exp.ladder_metric])
         values.append(val)
@@ -1242,11 +1231,9 @@ def run_ladder(name: str, lams=None, seed: int = DEFAULT_SEED,
                             f"slope {fit.slope:.4f} vs [{lo}, {hi}]"))
     else:
         verdicts.append(_obs("fitted_slope", f"{fit.slope:.4f}"))
-    report = ExperimentReport(
+    return ExperimentReport(
         experiment=f"ladder:{name}", lam=None, seed=seed,
-        params={"lams": [float(x) for x in lams],
-                "samples": samples, **_jsonify(opts)},
+        params={"lams": [float(x) for x in lams], "samples": samples},
         results=results, verdicts=tuple(verdicts),
+        wall_time_s=time.perf_counter() - t0,
     )
-    return dataclasses.replace(report,
-                               wall_time_s=time.perf_counter() - t0)

@@ -17,6 +17,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import ScenarioError
 from .scale import effective_lambda_exponent
 
 REGIMES = ("always", "robust_kakeya", "tube_packing", "narrow")
@@ -30,10 +31,6 @@ UNUSED_EXPONENTS: dict[str, Fraction] = {
 EPSILON_POLICY = (
     "no epsilon is ever added to an exponent; constants stay uniform in lam"
 )
-
-
-class ScenarioError(ValueError):
-    """A scenario mixes regimes or double-counts a mechanism."""
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .caps import CapFamily, conflict_degrees
+from .caps import CapFamily, clustered_dirs, conflict_degrees
 from .rng import keyed_rng
 from .scale import ScaleParams
 
@@ -250,17 +250,9 @@ def sample_sextuple(scale: ScaleParams, seed: int, replicate: int,
         pts = np.vstack([half, half + 0.3 * jitter])
     elif kind == "clustered5":
         base = _shell_points(scale, rng, 1)[0]
-        u = base / np.linalg.norm(base)
-        pts = [base]
-        for _ in range(4):
-            tangent = rng.normal(size=3)
-            tangent -= u * np.dot(tangent, u)
-            tangent /= np.linalg.norm(tangent)
-            ang = 0.2 * scale.alpha * rng.random()
-            radius = np.linalg.norm(base)
-            pts.append(radius * (math.cos(ang) * u + math.sin(ang) * tangent))
-        pts.append(_shell_points(scale, rng, 1)[0])
-        pts = np.asarray(pts)
+        radius = np.linalg.norm(base)
+        near = clustered_dirs(rng, base / radius, 5, 0.2 * scale.alpha)[1:]
+        pts = np.vstack([base, radius * near, _shell_points(scale, rng, 1)])
     else:
         raise ValueError(f"unknown sextuple kind {kind!r}")
     return Sextuple(scale=scale, xi=pts)

@@ -20,13 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ConfigError
 from .rng import keyed_rng
 from .scale import ScaleParams
-
-
-class ConfigError(ValueError):
-    """Degree outside the admissible range for this scale."""
-
 
 DEFAULT_BAND_C = 0.25
 

@@ -22,16 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .caps import CapFamily, conflict_degrees
+from .errors import ConfigError, DensityError
 from .rng import keyed_rng
 from .scale import ScaleParams
-
-
-class ConfigError(ValueError):
-    """Experiment configuration outside its supported envelope."""
-
-
-class DensityError(ValueError):
-    """Density precondition for a multiplicity experiment failed."""
 
 
 #: exact fraction of the cell taken by the layer |t| <= lam**(-3/2)/16

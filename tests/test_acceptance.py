@@ -25,16 +25,8 @@ def _criterion(num, desc, ok, extra=""):
 
 
 def _cluster_dirs(s, n, spread, key):
-    rng = keyed_rng(SEED, key, n)
-    axis = np.array([0.0, 0.0, 1.0])
-    out = [axis]
-    for _ in range(n - 1):
-        t = rng.normal(size=3)
-        t -= t @ axis * axis
-        t /= np.linalg.norm(t)
-        theta = spread * s.alpha * rng.random()
-        out.append(math.cos(theta) * axis + math.sin(theta) * t)
-    return np.array(out)
+    return caps.clustered_dirs(keyed_rng(SEED, key, n),
+                               np.array([0.0, 0.0, 1.0]), n, spread * s.alpha)
 
 
 def test_1_ledger_goldens_exact():

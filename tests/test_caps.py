@@ -105,16 +105,9 @@ def test_annulus_count_rejects_inner_ring(family64):
 def _clustered_family(lam=256.0, n=40, spread=0.3):
     """Synthetic family whose directions all sit in a small alpha-cone."""
     s = scale.derive(lam)
-    rng = keyed_rng(9, "caps-cluster", n)
-    axis = np.array([0.0, 0.0, 1.0])
-    out = [axis]
-    for _ in range(n - 1):
-        t = rng.normal(size=3)
-        t -= t @ axis * axis
-        t /= np.linalg.norm(t)
-        theta = spread * s.alpha * rng.random()
-        out.append(math.cos(theta) * axis + math.sin(theta) * t)
-    return caps.CapFamily(scale=s, centers=np.array(out))
+    dirs = caps.clustered_dirs(keyed_rng(9, "caps-cluster", n),
+                               np.array([0.0, 0.0, 1.0]), n, spread * s.alpha)
+    return caps.CapFamily(scale=s, centers=dirs)
 
 
 def test_conflict_graph_on_dense_cluster():

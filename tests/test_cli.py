@@ -130,3 +130,17 @@ def test_usage_error_without_subcommand(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main([])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("group,samples", [
+    ("phase", "0"), ("phase", "-5"),
+    ("shell", "0"), ("shell", "-5"),
+    ("geometry-audit", "0"), ("geometry-audit", "-5"),
+    ("caps", "0"), ("caps", "-5"),
+    ("probe", "-5"),
+])
+def test_samples_below_the_evidence_floor_are_usage_errors(group, samples,
+                                                           capsys):
+    code = cli.main([group, "--lambda", "16", "--samples", samples])
+    assert code == 2
+    assert "samples" in capsys.readouterr().err

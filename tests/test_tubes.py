@@ -10,16 +10,9 @@ from decolab.rng import keyed_rng
 def _clustered_family(lam=256.0, n=24, spread=0.5, key="tubes-cluster"):
     """Synthetic dense family: n directions inside a spread*alpha cone."""
     s = scale.derive(lam)
-    rng = keyed_rng(11, key, n)
-    axis = np.array([0.0, 0.0, 1.0])
-    out = [axis]
-    for _ in range(n - 1):
-        t = rng.normal(size=3)
-        t -= t @ axis * axis
-        t /= np.linalg.norm(t)
-        theta = spread * s.alpha * rng.random()
-        out.append(math.cos(theta) * axis + math.sin(theta) * t)
-    return caps.CapFamily(scale=s, centers=np.array(out))
+    dirs = caps.clustered_dirs(keyed_rng(11, key, n),
+                               np.array([0.0, 0.0, 1.0]), n, spread * s.alpha)
+    return caps.CapFamily(scale=s, centers=dirs)
 
 
 @pytest.fixture(scope="module")
