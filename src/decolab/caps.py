@@ -9,6 +9,8 @@ construction rather than by the spiral's favourable constants.
 
 Angular bookkeeping on a family:
 
+* min_separation / covering_probe / conflict_pairs: nearest-neighbour
+  geometry on the family's one KD-tree (Bentley, CACM 18, 1975),
 * ring_histogram / annulus_count: occupancy of the thin rings
   [k*alpha, (k+1)*alpha) around a chosen cap,
 * greedy_color: first-fit colouring of the angle < alpha conflict graph,
@@ -20,11 +22,12 @@ import csv
 import itertools
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import DegenerateScaleError
+from .errors import ConfigError, DegenerateScaleError
 from .geometry import angle_between
 from .scale import ScaleParams
 
@@ -93,6 +96,15 @@ class CapFamily:
             raise ValueError("family is not coloured yet")
         return int(self.colors.max(initial=-1)) + 1
 
+    @cached_property
+    def tree(self) -> cKDTree:
+        """KD-tree over the centers, built on first use.
+
+        A family derived by ``replace`` or ``restrict_to_cone`` is a new
+        object, so it never sees the tree of the family it came from.
+        """
+        return cKDTree(self.centers, balanced_tree=False)
+
     def xi(self) -> np.ndarray:
         """On-shell frequency centers lam * center, shape (N, 3)."""
         return self.scale.lam * self.centers
@@ -125,43 +137,66 @@ class CapFamily:
 # r-separation keeps the covering radius of the pruned set under 2r
 _DENSITY_FACTOR = 8.0
 
+#: largest spiral build_lattice lays down: 2^22 points are 96 MiB of
+#: coordinates before the KD-tree (lam 2^14 asks for 3.3M, lam 2^15 for 8.4M)
+MAX_SPIRAL_POINTS = 2 ** 22
 
-def build_lattice(scale: ScaleParams) -> CapFamily:
-    """Deterministic maximal r-separated cap family for ``scale``."""
+
+def spiral_size(scale: ScaleParams) -> int:
+    """Points of the Fibonacci spiral that build_lattice prunes at ``scale``.
+
+    Raises before anything is allocated when the cap radius is degenerate
+    or the spiral would exceed MAX_SPIRAL_POINTS.
+    """
     r = scale.r
     if r >= 1.0:
         raise DegenerateScaleError(f"cap radius {r} >= 1, sphere degenerates")
-    n_fib = max(16, int(round(_DENSITY_FACTOR / (r * r))))
-    pts = fibonacci_sphere(n_fib)
+    n = max(16, int(round(_DENSITY_FACTOR / (r * r))))
+    if n > MAX_SPIRAL_POINTS:
+        raise ConfigError(
+            f"lam {scale.lam:g} needs a spiral of {n} points, over the "
+            f"{MAX_SPIRAL_POINTS} the lattice supports")
+    return n
 
-    tree = cKDTree(pts)
-    close = tree.query_pairs(chord(r), output_type="ndarray")
+
+def build_lattice(scale: ScaleParams) -> CapFamily:
+    """Deterministic maximal r-separated cap family for ``scale``."""
+    n_fib = spiral_size(scale)
+    spiral = CapFamily(scale=scale, centers=fibonacci_sphere(n_fib))
+    close = spiral.tree.query_pairs(chord(scale.r), output_type="ndarray")
+    if not close.size:
+        return spiral                       # keeps the tree it was checked on
+    # greedy in spiral order: j goes if an earlier neighbour was kept, and
+    # every earlier point's fate is settled before j's is decided
+    close = close[np.argsort(close[:, 1], kind="stable")]
+    later, starts = np.unique(close[:, 1], return_index=True)
     keep = np.ones(n_fib, dtype=bool)
-    if close.size:
-        # earlier-spiral neighbours of each point among the violating pairs
-        earlier: dict[int, list[int]] = {}
-        for i, j in close:
-            earlier.setdefault(int(j), []).append(int(i))
-        for j in sorted(earlier):
-            if any(keep[i] for i in earlier[j]):
-                keep[j] = False
-    return CapFamily(scale=scale, centers=pts[keep])
+    for j, earlier in zip(later, np.split(close[:, 0], starts[1:])):
+        if keep[earlier].any():
+            keep[j] = False
+    return CapFamily(scale=scale, centers=spiral.centers[keep])
+
+
+def first_cap(scale: ScaleParams) -> np.ndarray:
+    """Center of cap 0 of ``build_lattice(scale)``, without building it.
+
+    Greedy pruning in spiral order never drops spiral point 0.
+    """
+    return fibonacci_sphere(spiral_size(scale))[0]
 
 
 def min_separation(family: CapFamily) -> float:
     """Smallest pairwise angle in the family (via nearest neighbours)."""
     if len(family) < 2:
         return math.pi
-    tree = cKDTree(family.centers)
-    dist, _ = tree.query(family.centers, k=2)
+    dist, _ = family.tree.query(family.centers, k=2, workers=-1)
     nearest_chord = float(np.min(dist[:, 1]))
     return 2.0 * math.asin(min(1.0, 0.5 * nearest_chord))
 
 
 def covering_probe(family: CapFamily, probes: np.ndarray) -> float:
     """Largest angular distance from the probe directions to the family."""
-    tree = cKDTree(family.centers)
-    dist, _ = tree.query(np.asarray(probes, float), k=1)
+    dist, _ = family.tree.query(np.asarray(probes, float), k=1, workers=-1)
     worst = float(np.max(dist))
     return 2.0 * math.asin(min(1.0, 0.5 * worst))
 
@@ -200,18 +235,14 @@ def annulus_count(family: CapFamily, center_index: int, k: int) -> int:
 
 def conflict_pairs(family: CapFamily) -> np.ndarray:
     """Pairs (i < j) of caps closer than alpha, as an (m, 2) int array."""
-    tree = cKDTree(family.centers)
-    pairs = tree.query_pairs(chord(family.scale.alpha), output_type="ndarray")
+    pairs = family.tree.query_pairs(chord(family.scale.alpha),
+                                    output_type="ndarray")
     return pairs.reshape(-1, 2)
 
 
 def conflict_degrees(family: CapFamily) -> np.ndarray:
     """Degree of each cap in the angle < alpha conflict graph."""
-    deg = np.zeros(len(family), dtype=np.int64)
-    for i, j in conflict_pairs(family):
-        deg[i] += 1
-        deg[j] += 1
-    return deg
+    return np.bincount(conflict_pairs(family).ravel(), minlength=len(family))
 
 
 def greedy_color(family: CapFamily) -> CapFamily:

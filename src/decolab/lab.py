@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable
 
@@ -651,11 +651,10 @@ def _exp_select_four(run):
 def _exp_tube_volume(run):
     """Monte Carlo tube volume in the cell"""
     s, lam, seed, samples = run.scale, run.lam, run.seed, run.samples
-    fam = caps.build_lattice(s)
-    tube = tubes.tube_for_cap(fam, 0)
+    # the tube of lattice cap 0: its center is known without the lattice
+    tube = tubes.Tube(scale=s, xi=s.lam * caps.first_cap(s), cap_index=0)
     est = tubes.mc_volume(tube, samples, seed)
-    est_tr = tubes.mc_volume(tubes.tube_for_cap(fam, 0, truncated=True),
-                             samples, seed)
+    est_tr = tubes.mc_volume(replace(tube, truncated=True), samples, seed)
     env = tubes.cylinder_volume(s)
     results = {
         "volume": est.value,
@@ -1173,13 +1172,16 @@ def run_experiment(name: str, lam: float | None = None,
     """Run one registered experiment and stamp the measured wall time.
 
     An experiment that samples by default needs samples >= 1, so that no
-    verdict rests on zero draws; any other needs samples >= 0.
+    verdict rests on zero draws; any other needs samples >= 0, and runs and
+    records samples 0 whatever it was given.
     """
     exp = _lookup(name)
     n = int(samples if samples is not None else exp.default_samples)
     floor = 1 if exp.default_samples > 0 else 0
     if n < floor:
         raise ConfigError(f"{name} needs samples >= {floor}, got {n}")
+    if not exp.default_samples:
+        n = 0                   # it draws nothing, so its report says so
     if exp.needs_lam:
         lam = float(lam if lam is not None else exp.default_lam)
     else:

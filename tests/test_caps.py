@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from decolab import caps, scale
+from decolab import caps, lab, scale
 from decolab.rng import keyed_rng
 
 
@@ -58,6 +58,94 @@ def test_degenerate_scale_rejected():
                             alpha=s.alpha, t_half=s.t_half, x_half=s.x_half)
     with pytest.raises(caps.DegenerateScaleError):
         caps.build_lattice(bad)
+
+
+def test_spiral_size_guard_fires_past_lam_2_14():
+    assert caps.spiral_size(scale.derive(2.0 ** 14)) <= caps.MAX_SPIRAL_POINTS
+    with pytest.raises(caps.ConfigError):
+        caps.spiral_size(scale.derive(2.0 ** 15))
+
+
+def test_build_lattice_beyond_the_guard_allocates_nothing(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("allocated before the guard")
+
+    monkeypatch.setattr(caps, "fibonacci_sphere", forbidden)
+    monkeypatch.setattr(caps, "cKDTree", forbidden)
+    for build in (caps.build_lattice, caps.first_cap):
+        with pytest.raises(caps.ConfigError, match="134217728 points"):
+            build(scale.derive(2.0 ** 18))
+
+
+def _greedy_oracle(pts, r):
+    """Greedy r-separation in spiral order, by dense pairwise angles."""
+    kept = []
+    for j in range(pts.shape[0]):
+        if all(np.arccos(np.clip(pts[i] @ pts[j], -1.0, 1.0)) >= r
+               for i in kept):
+            kept.append(j)
+    return pts[kept]
+
+
+def test_pruning_matches_dense_greedy_oracle(monkeypatch):
+    # at the real density the pruning keeps everything; a denser spiral
+    # makes it drop most points
+    monkeypatch.setattr(caps, "_DENSITY_FACTOR", 24.0)
+    s = scale.derive(16.0)
+    fam = caps.build_lattice(s)
+    assert len(fam) < caps.spiral_size(s)
+    oracle = _greedy_oracle(caps.fibonacci_sphere(caps.spiral_size(s)), s.r)
+    assert np.array_equal(fam.centers, oracle)
+    assert caps.min_separation(fam) >= s.r
+
+
+def _dense_chords(a, b):
+    return np.linalg.norm(a[:, None, :] - b[None, :, :], axis=-1)
+
+
+def _oracle_families():
+    for lam in (16.0, 64.0):
+        yield caps.build_lattice(scale.derive(lam))
+    fam = caps.build_lattice(scale.derive(64.0))
+    fam.tree                          # the parent's tree exists first
+    yield fam.restrict_to_cone(fam.centers[5], 0.6)
+
+
+@pytest.mark.parametrize("fam", list(_oracle_families()),
+                         ids=["lam16", "lam64", "lam64-cone"])
+def test_tree_queries_match_dense_oracle(fam):
+    chords = _dense_chords(fam.centers, fam.centers)
+    np.fill_diagonal(chords, np.inf)
+    sep = 2.0 * math.asin(min(1.0, 0.5 * float(chords.min())))
+    assert caps.min_separation(fam) == pytest.approx(sep, abs=1e-12)
+
+    rng = keyed_rng(3, "caps-oracle-probes")
+    probes = rng.normal(size=(3000, 3))
+    probes /= np.linalg.norm(probes, axis=1, keepdims=True)
+    worst = float(_dense_chords(probes, fam.centers).min(axis=1).max())
+    cov = 2.0 * math.asin(min(1.0, 0.5 * worst))
+    assert caps.covering_probe(fam, probes) == pytest.approx(cov, abs=1e-12)
+
+
+def test_one_kdtree_per_cap_lattice_run(monkeypatch):
+    built = []
+    real = caps.cKDTree
+
+    def counting(*args, **kwargs):
+        built.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(caps, "cKDTree", counting)
+    lab.run_experiment("cap-lattice", 64.0, 7, 500)
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("lam", [2.0 ** k for k in range(2, 11)])
+def test_cap_zero_is_spiral_point_zero(lam):
+    s = scale.derive(lam)
+    spiral0 = caps.fibonacci_sphere(caps.spiral_size(s))[0]
+    assert caps.build_lattice(s).centers[0].tobytes() == spiral0.tobytes()
+    assert caps.first_cap(s).tobytes() == spiral0.tobytes()
 
 
 def test_family_iteration_and_xi(family64):
@@ -117,6 +205,17 @@ def test_conflict_graph_on_dense_cluster():
     assert pairs.shape[0] == len(fam) * (len(fam) - 1) // 2
     deg = caps.conflict_degrees(fam)
     assert np.all(deg == len(fam) - 1)
+
+
+def test_conflict_degrees_count_each_pair_end():
+    fam = _clustered_family(n=30, spread=1.5)
+    pairs = caps.conflict_pairs(fam)
+    assert 0 < pairs.shape[0] < 30 * 29 // 2
+    deg = np.zeros(len(fam), dtype=np.int64)
+    for i, j in pairs:
+        deg[i] += 1
+        deg[j] += 1
+    assert np.array_equal(caps.conflict_degrees(fam), deg)
 
 
 def test_greedy_color_proper_and_bounded():

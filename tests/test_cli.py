@@ -144,3 +144,17 @@ def test_samples_below_the_evidence_floor_are_usage_errors(group, samples,
     code = cli.main([group, "--lambda", "16", "--samples", samples])
     assert code == 2
     assert "samples" in capsys.readouterr().err
+
+
+def test_experiments_that_draw_nothing_record_zero_samples(capsys):
+    code = cli.main(["probe", "--lambda", "16", "--samples", "5",
+                     "--format", "json"])
+    assert code == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [r["params"]["samples"] for r in doc["reports"]] == [0, 0]
+
+
+def test_lattice_beyond_its_memory_guard_is_usage_error(capsys):
+    code = cli.main(["caps", "--lambda", "262144"])
+    assert code == 2
+    assert "spiral" in capsys.readouterr().err
