@@ -2,10 +2,11 @@
 
 For each small lam, superpose one unit wave per cap of the lattice with
 either random phases or all-equal phases, sample the field on a grid over
-the unit ball times a short time window, and compare its L6 average to the
-flat-count reference sqrt(number of caps).  A single cap gives ratio 1
-exactly; random phases sit near the Gaussian sixth-moment constant; equal
-phases focus and pay a large factor.
+the unit ball at t = 0, and compare its L6 average to the flat-count
+reference sqrt(number of caps).  Every lattice cap has |xi| = lam, so time
+only adds one phase shared by all caps and leaves |field| unchanged.  A
+single cap gives ratio 1 exactly; random phases sit near the Gaussian
+sixth-moment constant; equal phases focus and pay a large factor.
 """
 import numpy as np
 

@@ -80,8 +80,7 @@ def multiplicity():
 def overlap_sum():
     s = derive(64.0)
     fam = caps.build_lattice(s)
-    res = tubes.l2_sum(fam, SEED, samples_per_pair=1024, n_anchors=16,
-                       max_pairs_per_annulus=16)
+    res = tubes.l2_sum(fam, SEED, samples_per_pair=1024)
     print(f"\noverlap sum over the lam = 64 family ({res.n_caps} caps):")
     print(f"  diagonal {res.diagonal:.3e}, off-diagonal {res.off_diagonal:.3e}"
           f", total {res.total:.3e}")

@@ -109,9 +109,13 @@ class CapFamily:
         """On-shell frequency centers lam * center, shape (N, 3)."""
         return self.scale.lam * self.centers
 
-    def angles_from(self, index: int) -> np.ndarray:
-        """Angles from cap ``index`` to every cap (self included, angle 0)."""
-        return angle_between(self.centers[index], self.centers)
+    def angles_from(self, index) -> np.ndarray:
+        """Angles from cap ``index`` to every cap (self included, angle 0).
+
+        An array of k indices gives the k rows stacked, shape (k, N).
+        """
+        return angle_between(self.centers[index][..., np.newaxis, :],
+                             self.centers)
 
     def restrict_to_cone(self, axis: np.ndarray, radius: float) -> "CapFamily":
         """Sub-family of caps within angular ``radius`` of ``axis``."""

@@ -212,6 +212,7 @@ class Experiment:
     needs_lam: bool
     default_lam: float
     default_samples: int
+    min_samples: int
     ladder_metric: str | None
     ladder_lams: tuple[float, ...]
     params: dict
@@ -222,18 +223,24 @@ REGISTRY: dict[str, Experiment] = {}
 
 
 def experiment(name: str, *, group: str | None = None, samples: int = 0,
-               ladder: str | None = None, lam: float = DEFAULT_LAM,
-               ladder_lams=LADDER_LAMS, needs_lam: bool = True,
-               params: dict | None = None):
+               min_samples: int | None = None, ladder: str | None = None,
+               lam: float = DEFAULT_LAM, ladder_lams=LADDER_LAMS,
+               needs_lam: bool = True, params: dict | None = None):
     """Register a body mapping a Run to (results, verdicts), in file order.
 
-    ``group`` names the CLI subcommand that runs it; ``params`` are constants
-    its reports record; the docstring's first line is its summary.
+    ``group`` names the CLI subcommand that runs it; ``min_samples`` is the
+    fewest samples its verdicts can rest on (default 1 if it samples, else
+    0); ``params`` are constants its reports record; the docstring's first
+    line is its summary.
     """
+    if min_samples is None:
+        min_samples = 1 if samples > 0 else 0
+
     def register(fn: Callable) -> Callable:
         REGISTRY[name] = Experiment(
             name=name, fn=fn, group=group, needs_lam=needs_lam,
-            default_lam=lam, default_samples=samples, ladder_metric=ladder,
+            default_lam=lam, default_samples=samples,
+            min_samples=min_samples, ladder_metric=ladder,
             ladder_lams=tuple(ladder_lams), params=dict(params or {}),
             summary=fn.__doc__.strip().splitlines()[0])
         return fn
@@ -565,7 +572,8 @@ def _exp_annulus_partition(run):
     return results, verdicts
 
 
-@experiment("greedy-coloring", group="caps", samples=64)
+# a conflict edge needs two directions
+@experiment("greedy-coloring", group="caps", samples=64, min_samples=2)
 def _exp_greedy_coloring(run):
     """first-fit coloring of a sub-alpha cluster"""
     s, samples = run.scale, run.samples
@@ -647,7 +655,8 @@ def _exp_select_four(run):
     return results, verdicts
 
 
-@experiment("tube-volume", group="tubes", samples=200_000, ladder="volume")
+@experiment("tube-volume", group="tubes", samples=200_000,
+            min_samples=tubes.MIN_SAMPLES, ladder="volume")
 def _exp_tube_volume(run):
     """Monte Carlo tube volume in the cell"""
     s, lam, seed, samples = run.scale, run.lam, run.seed, run.samples
@@ -677,7 +686,8 @@ def _exp_tube_volume(run):
     return results, verdicts
 
 
-@experiment("nested-ball", group="tubes", samples=200_000)
+@experiment("nested-ball", group="tubes", samples=200_000,
+            min_samples=tubes.MIN_SAMPLES)
 def _exp_nested_ball(run):
     """static tube against its closed-form volume"""
     s, seed, samples = run.scale, run.seed, run.samples
@@ -698,7 +708,8 @@ def _exp_nested_ball(run):
     return results, verdicts
 
 
-@experiment("boundary-layer", group="tubes", samples=200_000)
+@experiment("boundary-layer", group="tubes", samples=200_000,
+            min_samples=tubes.MIN_SAMPLES)
 def _exp_boundary_layer(run):
     """exact 1/8 time-layer fraction of the cell"""
     s, seed, samples = run.scale, run.seed, run.samples
@@ -717,7 +728,8 @@ def _exp_boundary_layer(run):
     return results, verdicts
 
 
-@experiment("pair-overlap", group="tubes", samples=100_000)
+@experiment("pair-overlap", group="tubes", samples=100_000,
+            min_samples=tubes.MIN_SAMPLES)
 def _exp_pair_overlap(run):
     """pairwise tube overlap against the analytic bound"""
     s, lam, seed, samples = run.scale, run.lam, run.seed, run.samples
@@ -763,7 +775,8 @@ def _exp_pair_overlap(run):
     return results, verdicts
 
 
-@experiment("l2-sum", group="tubes", samples=2_048)
+@experiment("l2-sum", group="tubes", samples=2_048,
+            min_samples=tubes.MIN_SAMPLES)
 def _exp_l2_sum(run):
     """overlap sum over a family, dyadic bands"""
     s, lam, seed, samples = run.scale, run.lam, run.seed, run.samples
@@ -805,7 +818,8 @@ def _exp_l2_sum(run):
     return results, verdicts
 
 
-@experiment("multiplicity", group="tubes", samples=20_000)
+@experiment("multiplicity", group="tubes", samples=20_000,
+            min_samples=tubes.MIN_SAMPLES)
 def _exp_multiplicity(run):
     """covering multiplicity over a dense family's union"""
     s, seed, samples = run.scale, run.seed, run.samples
@@ -1042,6 +1056,7 @@ class ProbeResult:
     lam: float
     n_caps: int
     grid_per_axis: int
+    # always 1 (t = 0 only); perfbench/spans.py counts probe MACs with it
     t_points: int
     n_points: int
     ratio_random: float
@@ -1050,15 +1065,16 @@ class ProbeResult:
 
 def decoupling_probe(scale: ScaleParams, seed: int,
                      grid_factor: int = PROBE_GRID_FACTOR,
-                     t_points: int = 8,
                      family: caps.CapFamily | None = None) -> ProbeResult:
     """Sampled L6 size of a random superposition of on-shell waves.
 
-    The field is F(t, x) = sum over caps of a_n exp(i(t |xi_n|^2 + x.xi_n)),
-    sampled on a midpoint grid over the unit spatial box (ball-masked) times
-    a short time window.  The reference is the flat count (sum |a_n|^2)^1/2,
-    exact for a single cap since each summand has constant modulus.  Guarded
-    to lam <= 64: the grid and matrix sizes grow quickly beyond that.
+    The field is F(t, x) = sum over caps of a_n exp(i(t |xi_n|^2 + x.xi_n)).
+    Every cap has |xi_n| = lam, so t |xi_n|^2 is one phase shared by all
+    caps and |F| does not depend on t: the probe samples t = 0 only, on a
+    midpoint grid over the unit spatial box (ball-masked).  The reference is
+    the flat count (sum |a_n|^2)^1/2, exact for a single cap since each
+    summand has constant modulus.  Guarded to lam <= 64: the grid and
+    matrix sizes grow quickly beyond that.
     """
     if scale.lam > 64:
         raise ConfigError("probe supports lam <= 64 only")
@@ -1073,15 +1089,14 @@ def decoupling_probe(scale: ScaleParams, seed: int,
 
     n_axis = max(4, int(round(grid_factor * math.sqrt(scale.lam))))
     ax = (np.arange(n_axis) + 0.5) / n_axis - 0.5
-    t_ax = ((np.arange(t_points) + 0.5) / t_points - 0.5) / scale.lam
-    mods2 = np.sum(xis * xis, axis=-1)
 
-    # tensor split: (t, x1) against (x2, x3), joined by one matmul per panel
-    ph1 = (t_ax[:, np.newaxis, np.newaxis] * mods2
-           + ax[np.newaxis, :, np.newaxis] * xis[:, 0])
+    # tensor split: x1 against (x2, x3), joined by one matmul per panel
+    ph1 = ax[:, np.newaxis] * xis[:, 0]                   # (nx, n)
     ph2 = (ax[:, np.newaxis, np.newaxis] * xis[:, 1]
            + ax[np.newaxis, :, np.newaxis] * xis[:, 2])
-    m2 = np.exp(1j * ph2).reshape(-1, n).T                # (n, nx^2)
+    m2 = 1j * ph2
+    np.exp(m2, out=m2)              # in place: the probe's largest buffer
+    m2 = m2.reshape(-1, n).T                              # (n, nx^2)
 
     # spatial ball mask |x| <= 1/2, flattened in (x1, x2, x3) order
     r2 = (ax[:, None, None] ** 2 + ax[None, :, None] ** 2
@@ -1091,15 +1106,12 @@ def decoupling_probe(scale: ScaleParams, seed: int,
     ratios = {}
     for tag, amps in (("random", np.exp(1j * phases)),
                       ("focusing", np.ones(n, dtype=complex))):
-        m1 = (np.exp(1j * ph1) * amps).reshape(-1, n)     # (nt*nx, n)
-        field = m1 @ m2                                   # (nt*nx, nx^2)
+        field = (np.exp(1j * ph1) * amps) @ m2            # (nx, nx^2)
         p6 = (field.real ** 2 + field.imag ** 2) ** 3
-        p6 = p6.reshape(t_points, n_axis, -1)
-        masked_mean = float(np.mean(p6[:, mask]))
+        masked_mean = float(np.mean(p6[mask]))
         ratios[tag] = masked_mean ** (1.0 / 6.0) / math.sqrt(n)
-    n_points = t_points * int(np.count_nonzero(mask))
     return ProbeResult(lam=scale.lam, n_caps=n, grid_per_axis=n_axis,
-                       t_points=t_points, n_points=n_points,
+                       t_points=1, n_points=int(np.count_nonzero(mask)),
                        ratio_random=ratios["random"],
                        ratio_focusing=ratios["focusing"])
 
@@ -1171,15 +1183,16 @@ def run_experiment(name: str, lam: float | None = None,
                    ) -> ExperimentReport:
     """Run one registered experiment and stamp the measured wall time.
 
-    An experiment that samples by default needs samples >= 1, so that no
-    verdict rests on zero draws; any other needs samples >= 0, and runs and
-    records samples 0 whatever it was given.
+    Samples below the experiment's declared minimum are rejected before it
+    runs, so that no verdict rests on too few draws.  An experiment that
+    draws nothing by default runs and records samples 0 whatever it was
+    given.
     """
     exp = _lookup(name)
     n = int(samples if samples is not None else exp.default_samples)
-    floor = 1 if exp.default_samples > 0 else 0
-    if n < floor:
-        raise ConfigError(f"{name} needs samples >= {floor}, got {n}")
+    if n < exp.min_samples:
+        raise ConfigError(
+            f"{name} needs samples >= {exp.min_samples}, got {n}")
     if not exp.default_samples:
         n = 0                   # it draws nothing, so its report says so
     if exp.needs_lam:

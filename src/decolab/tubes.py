@@ -32,6 +32,17 @@ BOUNDARY_LAYER_FRACTION = 0.125
 
 MIN_SAMPLES = 1000
 
+#: multiplicity threshold c * D, and the density precondition's c_star * D
+MULTIPLICITY_C = 0.5
+DENSITY_C_STAR = 0.5
+
+#: tubes per block in multiplicity_counts, which bounds its memory
+COUNT_CHUNK = 256
+
+#: anchors of l2_sum's sampled panel, and the most pairs it draws per band
+L2_ANCHORS = 32
+L2_PAIRS_PER_BAND = 48
+
 
 @dataclass(frozen=True)
 class Tube:
@@ -152,8 +163,7 @@ def mc_pair_overlap(t1: Tube, t2: Tube, samples: int, seed: int) -> MCEstimate:
 # ---------------------------------------------------------------------------
 
 def multiplicity_counts(scale: ScaleParams, xis: np.ndarray, truncated: bool,
-                        t: np.ndarray, x: np.ndarray,
-                        chunk: int = 256) -> np.ndarray:
+                        t: np.ndarray, x: np.ndarray) -> np.ndarray:
     """M(t, x): how many of the family's tubes contain each sample point.
 
     The cell and core constraints are tube-independent, so M factors into an
@@ -169,8 +179,8 @@ def multiplicity_counts(scale: ScaleParams, xis: np.ndarray, truncated: bool,
         cell &= r_x > 0.25 * scale.rho
     counts = np.zeros(n, dtype=np.int64)
     rho2 = scale.rho ** 2
-    for lo in range(0, xis.shape[0], chunk):
-        block = xis[lo:lo + chunk]                      # (B, 3)
+    for lo in range(0, xis.shape[0], COUNT_CHUNK):
+        block = xis[lo:lo + COUNT_CHUNK]                # (B, 3)
         diff = x[:, np.newaxis, :] - 2.0 * t[:, np.newaxis, np.newaxis] * block
         counts += np.count_nonzero(
             np.sum(diff * diff, axis=-1) <= rho2, axis=1
@@ -178,17 +188,17 @@ def multiplicity_counts(scale: ScaleParams, xis: np.ndarray, truncated: bool,
     return np.where(cell, counts, 0)
 
 
-def density_check(family: CapFamily, c_star: float = 0.5) -> bool:
-    """Every cap must have more than c_star * D neighbours within alpha."""
+def density_check(family: CapFamily) -> bool:
+    """Every cap needs more than DENSITY_C_STAR * D neighbours within alpha."""
     if len(family) == 0:
         raise ValueError("density check on an empty family")
     counts = conflict_degrees(family)
-    return bool(np.min(counts) > c_star * family.scale.D)
+    return bool(np.min(counts) > DENSITY_C_STAR * family.scale.D)
 
 
 @dataclass(frozen=True)
 class MultiplicityResult:
-    threshold: float              # c * D
+    threshold: float              # MULTIPLICITY_C * D
     fraction_below: float         # union-measure fraction with M < threshold
     union_ratio: float            # |union T| / (D^-1 sum |T|) = D * mean(1/M)
     m_min: int
@@ -197,22 +207,21 @@ class MultiplicityResult:
     samples: int
 
 
-def multiplicity_experiment(family: CapFamily, samples: int, seed: int,
-                            c: float = 0.5, c_star: float = 0.5,
-                            truncated: bool = True) -> MultiplicityResult:
-    """Multiplicity statistics over the union of the family's tubes.
+def multiplicity_experiment(family: CapFamily, samples: int,
+                            seed: int) -> MultiplicityResult:
+    """Multiplicity statistics over the union of the family's truncated tubes.
 
     Sampling is a uniform mixture over tubes with 1/M reweighting, which
     turns tube-uniform draws into union-uniform expectations.  Requires the
     angular density precondition; families of isolated caps are rejected.
     """
-    if not density_check(family, c_star):
+    if not density_check(family):
         raise DensityError("family fails the angular density precondition")
     if samples < MIN_SAMPLES:
         raise ConfigError(f"need >= {MIN_SAMPLES} samples, got {samples}")
     xis = family.xi()
     n_caps = len(family)
-    threshold = c * family.scale.D
+    threshold = MULTIPLICITY_C * family.scale.D
 
     collected_m: list[np.ndarray] = []
     total = 0
@@ -227,14 +236,13 @@ def multiplicity_experiment(family: CapFamily, samples: int, seed: int,
         axial = x - 2.0 * t[:, np.newaxis] * xis[idx]
         r_ax = np.sqrt(np.sum(axial * axial, axis=-1))
         r_x = np.sqrt(np.sum(x * x, axis=-1))
-        ok = (r_ax <= family.scale.rho) & (r_x <= family.scale.x_half)
-        if truncated:
-            ok &= r_x > 0.25 * family.scale.rho
+        ok = ((r_ax <= family.scale.rho) & (r_x <= family.scale.x_half)
+              & (r_x > 0.25 * family.scale.rho))
         t, x = t[ok], x[ok]
         if t.shape[0] == 0:
             replicate += 1
             continue
-        m = multiplicity_counts(family.scale, xis, truncated, t, x)
+        m = multiplicity_counts(family.scale, xis, True, t, x)
         collected_m.append(m[: samples - total])
         total += collected_m[-1].shape[0]
         replicate += 1
@@ -331,79 +339,75 @@ class L2SumResult:
     rows: tuple[AnnulusRow, ...]
 
 
-def l2_sum(family: CapFamily, seed: int, samples_per_pair: int = 2048,
-           n_anchors: int = 32, max_pairs_per_annulus: int = 48,
-           truncated: bool = True) -> L2SumResult:
+def band_pair_counts(family: CapFamily) -> np.ndarray:
+    """Unordered cap pairs per dyadic band [2^j, 2^(j+1)) alpha, j = 0..jmax.
+
+    Band 0 also takes every closer pair, band jmax every farther one; jmax
+    is one past the first band whose lower edge reaches pi.  One KD-tree
+    call counts the ordered pairs (self-pairs included) within the chord of
+    each edge 2^j alpha, j = 1..jmax.  It counts d <= r, so each radius
+    sits one float below its chord to keep the upper edges strict; an edge
+    past pi takes every pair.
+    """
+    n, alpha = len(family), family.scale.alpha
+    jmax = max(1, int(math.ceil(math.log(math.pi / alpha, 2.0))) + 1)
+    edges = alpha * 2.0 ** np.arange(1, jmax + 1)
+    chords = np.where(edges < math.pi, 2.0 * np.sin(0.5 * edges), np.inf)
+    within = family.tree.count_neighbors(family.tree, np.nextafter(chords, 0.0))
+    closer = np.append((within - n) // 2, n * (n - 1) // 2)
+    return np.diff(closer, prepend=0)
+
+
+def l2_sum(family: CapFamily, seed: int,
+           samples_per_pair: int = 2048) -> L2SumResult:
     """Overlap sum S = sum over ordered cap pairs of |T cap T'|.
 
     The diagonal uses one volume estimate (all on-shell tubes are congruent
     by rotation).  Off-diagonal pairs are grouped into dyadic angular bands;
     each band's mean overlap is estimated on a keyed-random panel of pairs
-    anchored at a fixed subset of caps, then extrapolated by the exact pair
-    count of the band.  Desk-scale families only.
+    anchored at L2_ANCHORS fixed caps, then extrapolated by the exact pair
+    count of the band.  Tubes are truncated.  Desk-scale families only.
     """
     n = len(family)
     if n < 2:
         raise ConfigError("overlap sum needs at least two caps")
     if n > 10_000:
         raise ConfigError("family too large; restrict to a local cone first")
-    alpha = family.scale.alpha
+    lam, alpha = family.scale.lam, family.scale.alpha
+    pair_counts = band_pair_counts(family)
+    jmax = len(pair_counts) - 1
 
-    vol = mc_volume(tube_for_cap(family, 0, truncated), max(20_000, samples_per_pair),
+    vol = mc_volume(tube_for_cap(family, 0, True), max(20_000, samples_per_pair),
                     seed)
 
-    # exact pair counts per dyadic band, chunked over rows
-    centers = family.centers
-    jmax = max(1, int(math.ceil(math.log(math.pi / alpha, 2.0))) + 1)
-    pair_counts = np.zeros(jmax + 1, dtype=np.int64)
-    for lo in range(0, n, 256):
-        blk = centers[lo:lo + 256]
-        cosang = np.clip(blk @ centers.T, -1.0, 1.0)
-        ang = np.arccos(cosang)
-        # count each unordered pair once: row gi against columns > gi
-        for bi in range(blk.shape[0]):
-            gi = lo + bi
-            row = ang[bi, gi + 1:]
-            if row.size == 0:
-                continue
-            idx = np.floor(np.log2(np.maximum(row, 1e-300) / alpha)).astype(int)
-            idx = np.clip(idx, 0, jmax)
-            pair_counts += np.bincount(idx, minlength=jmax + 1)
-
-    # panel of sampled pairs per band
-    rng = keyed_rng(seed, "l2-anchors", repr(family.scale.lam))
-    anchors = rng.choice(n, size=min(n, n_anchors), replace=False)
-    band_pairs: dict[int, list[tuple[int, int]]] = {}
-    for a in anchors:
-        ang = family.angles_from(int(a))
-        for j_idx in np.nonzero(ang > 0)[0]:
-            band = int(np.clip(math.floor(math.log2(ang[j_idx] / alpha)), 0, jmax))
-            band_pairs.setdefault(band, []).append((int(a), int(j_idx)))
+    # sampled panel: (anchor, cap) pairs in anchor order, then cap order
+    rng = keyed_rng(seed, "l2-anchors", repr(lam))
+    anchors = rng.choice(n, size=min(n, L2_ANCHORS), replace=False)
+    ang = family.angles_from(anchors)
+    a_idx, c_idx = np.nonzero(ang > 0)
+    bands = np.clip(np.floor(np.log2(ang[a_idx, c_idx] / alpha)), 0, jmax)
 
     rows = []
     off_total = 0.0
-    for j in range(jmax + 1):
+    for j in np.nonzero(pair_counts)[0].tolist():
+        cand = np.nonzero(bands == j)[0]
+        if not cand.size:
+            continue
+        pick = keyed_rng(seed, "l2-band", repr(lam), j)
+        take = min(cand.size, L2_PAIRS_PER_BAND)
+        chosen = cand[pick.choice(cand.size, size=take, replace=False)]
+        # one keyed Monte Carlo stream per pair
+        mean_ov = float(np.mean([
+            mc_pair_overlap(tube_for_cap(family, anchors[a], True),
+                            tube_for_cap(family, c, True),
+                            samples_per_pair, seed).value
+            for a, c in zip(a_idx[chosen], c_idx[chosen])]))
         count = int(pair_counts[j])
-        if count == 0:
-            continue
-        cand = band_pairs.get(j, [])
-        if not cand:
-            continue
-        pick = keyed_rng(seed, "l2-band", repr(family.scale.lam), j)
-        take = min(len(cand), max_pairs_per_annulus)
-        chosen = [cand[i] for i in pick.choice(len(cand), size=take, replace=False)]
-        overlaps = []
-        for (i1, i2) in chosen:
-            est = mc_pair_overlap(tube_for_cap(family, i1, truncated),
-                                  tube_for_cap(family, i2, truncated),
-                                  samples_per_pair, seed)
-            overlaps.append(est.value)
-        mean_ov = float(np.mean(overlaps))
         delta = (2.0 ** j) * alpha
         rows.append(AnnulusRow(
             j=j, delta=delta, pair_count=count, sampled_pairs=take,
             mean_overlap=mean_ov,
-            analytic_bound=family.scale.rho ** 4 / (family.scale.lam * delta),
+            analytic_bound=family.scale.rho ** 4 / (lam * delta),
         ))
         off_total += mean_ov * count
 

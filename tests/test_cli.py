@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from decolab import cli
+from decolab import caps, cli, lab, tubes
+from decolab.errors import DecolabError
 
 
 def test_ledger_subcommand_passes(capsys):
@@ -138,12 +139,27 @@ def test_usage_error_without_subcommand(capsys):
     ("geometry-audit", "0"), ("geometry-audit", "-5"),
     ("caps", "0"), ("caps", "-5"),
     ("probe", "-5"),
+    ("caps", "1"), ("tubes", "1"), ("tubes", "999"),
 ])
 def test_samples_below_the_evidence_floor_are_usage_errors(group, samples,
                                                            capsys):
     code = cli.main([group, "--lambda", "16", "--samples", samples])
     assert code == 2
-    assert "samples" in capsys.readouterr().err
+    assert "needs samples >=" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", [
+    "tube-volume", "nested-ball", "boundary-layer", "pair-overlap", "l2-sum",
+    "multiplicity",
+])
+def test_tubes_floor_is_checked_before_any_lattice(name, monkeypatch):
+    def no_lattice(*args):
+        raise AssertionError("lattice built before the samples check")
+    monkeypatch.setattr(caps, "build_lattice", no_lattice)
+    monkeypatch.setattr(caps, "first_cap", no_lattice)
+    with pytest.raises(DecolabError, match=f"{name} needs samples >= "
+                       f"{tubes.MIN_SAMPLES}"):
+        lab.run_experiment(name, 64.0, samples=tubes.MIN_SAMPLES - 1)
 
 
 def test_experiments_that_draw_nothing_record_zero_samples(capsys):

@@ -202,10 +202,36 @@ def test_l2_sum_guards():
         tubes.l2_sum(huge, seed=0)
 
 
+def _dense_band_counts(family):
+    """Oracle: unordered pairs per dyadic band from blocked arccos angles."""
+    n, alpha = len(family), family.scale.alpha
+    centers = family.centers
+    jmax = max(1, int(math.ceil(math.log(math.pi / alpha, 2.0))) + 1)
+    pair_counts = np.zeros(jmax + 1, dtype=np.int64)
+    for lo in range(0, n, 256):
+        blk = centers[lo:lo + 256]
+        ang = np.arccos(np.clip(blk @ centers.T, -1.0, 1.0))
+        # count each unordered pair once: row gi against columns > gi
+        for bi in range(blk.shape[0]):
+            row = ang[bi, lo + bi + 1:]
+            idx = np.floor(np.log2(np.maximum(row, 1e-300) / alpha)).astype(int)
+            pair_counts += np.bincount(np.clip(idx, 0, jmax),
+                                       minlength=jmax + 1)
+    return pair_counts
+
+
+def _lab_family(lam):
+    """The family the l2-sum experiment sums over: a cone past 8000 caps."""
+    fam = caps.build_lattice(scale.derive(lam))
+    if len(fam) > 8000:
+        fam = fam.restrict_to_cone(fam.centers[0],
+                                   2.0 * math.sqrt(2000.0 / len(fam)))
+    return fam
+
+
 def test_l2_sum_bookkeeping():
     fam = caps.build_lattice(scale.derive(8.0))
-    res = tubes.l2_sum(fam, seed=23, samples_per_pair=1024, n_anchors=8,
-                       max_pairs_per_annulus=8)
+    res = tubes.l2_sum(fam, seed=23, samples_per_pair=1024)
     assert res.n_caps == len(fam)
     assert res.diagonal == res.n_caps * res.tube_volume.value
     assert res.total == res.diagonal + res.off_diagonal
@@ -214,10 +240,19 @@ def test_l2_sum_bookkeeping():
     assert sum(row.pair_count for row in res.rows) <= total_pairs
     js = [row.j for row in res.rows]
     assert js == sorted(js)
+    counts = _dense_band_counts(fam)
     for row in res.rows:
-        assert row.sampled_pairs <= 8
+        assert row.pair_count == counts[row.j]
+        assert row.sampled_pairs <= tubes.L2_PAIRS_PER_BAND
         assert row.analytic_bound == pytest.approx(
             fam.scale.rho ** 4 / (fam.scale.lam * row.delta), rel=1e-13)
-    again = tubes.l2_sum(fam, seed=23, samples_per_pair=1024, n_anchors=8,
-                         max_pairs_per_annulus=8)
+    again = tubes.l2_sum(fam, seed=23, samples_per_pair=1024)
     assert res == again
+
+
+@pytest.mark.parametrize("lam", [8.0, 16.0, 64.0, 256.0, 4096.0])
+def test_band_pair_counts_match_dense_oracle(lam):
+    fam = _lab_family(lam)
+    counts = tubes.band_pair_counts(fam)
+    assert counts.tolist() == _dense_band_counts(fam).tolist()
+    assert counts.sum() == len(fam) * (len(fam) - 1) // 2
