@@ -57,14 +57,10 @@ def dense_coloring():
 
 def four_of_six():
     s = derive(256.0)
-    found = blocked = 0
-    for rep in range(100):
-        gen = phase.sample_sextuple(s, SEED, rep, "generic")
-        if caps.select_separated(gen.directions(), s.alpha).subset:
-            found += 1
-        cl = phase.sample_sextuple(s, SEED, rep, "clustered5")
-        if caps.select_separated(cl.directions(), s.alpha).subset is None:
-            blocked += 1
+    gen = phase.directions(phase.sample_sextuple(s, SEED, 100, "generic"))
+    found = int(caps.select_separated(gen, s.alpha).found.sum())
+    cl = phase.directions(phase.sample_sextuple(s, SEED, 100, "clustered5"))
+    blocked = 100 - int(caps.select_separated(cl, s.alpha).found.sum())
     print(f"\nfour separated directions out of six, 100 draws each:")
     print(f"  generic sextuples: subset found {found}/100")
     print(f"  five-in-a-cluster sextuples: correctly blocked {blocked}/100")

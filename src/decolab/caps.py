@@ -274,28 +274,41 @@ def greedy_color(family: CapFamily) -> CapFamily:
 # four separated directions out of six
 # ---------------------------------------------------------------------------
 
+_SIX_PAIRS = tuple(itertools.combinations(range(6), 2))
+_PAIR_I, _PAIR_J = np.asarray(_SIX_PAIRS).T
+#: the 15 four-subsets of six indices, lexicographic, and the indices into
+#: _SIX_PAIRS of the six pairs inside each
+_FOUR_SUBSETS = np.asarray(list(itertools.combinations(range(6), 4)))
+_SUBSET_PAIRS = np.asarray([[_SIX_PAIRS.index(p)
+                             for p in itertools.combinations(sub, 2)]
+                            for sub in _FOUR_SUBSETS.tolist()])
+
+
 @dataclass(frozen=True)
 class SeparationResult:
-    subset: tuple[int, int, int, int] | None
-    dense_pairs: int
+    subset: np.ndarray        # (n, 4) first separated subset; -1 if none
+    dense_pairs: np.ndarray   # (n,)
+
+    @property
+    def found(self) -> np.ndarray:
+        return self.subset[:, 0] >= 0
 
 
 def select_separated(dirs: np.ndarray, alpha: float) -> SeparationResult:
-    """First 4-subset of six directions that is pairwise >= alpha separated.
+    """First 4-subset of each six directions that is pairwise >= alpha apart.
 
-    Subsets are scanned in lexicographic order, so the result is
-    deterministic.  dense_pairs counts the strictly-closer-than-alpha pairs
-    among all fifteen, whatever the search outcome.
+    ``dirs`` is a stack of shape (n, 6, 3).  Subsets are scanned in
+    lexicographic order, so the result is deterministic.  dense_pairs counts
+    the strictly-closer-than-alpha pairs among all fifteen, whatever the
+    search outcome.
     """
     d = np.asarray(dirs, dtype=float)
-    if d.shape != (6, 3):
-        raise ValueError("expected six 3-vectors")
-    ang = {}
-    for i, j in itertools.combinations(range(6), 2):
-        ang[(i, j)] = float(angle_between(d[i], d[j]))
-    dense = sum(1 for v in ang.values() if v < alpha)
-    for sub in itertools.combinations(range(6), 4):
-        if all(ang[(i, j)] >= alpha
-               for i, j in itertools.combinations(sub, 2)):
-            return SeparationResult(subset=sub, dense_pairs=dense)
-    return SeparationResult(subset=None, dense_pairs=dense)
+    if d.ndim != 3 or d.shape[1:] != (6, 3):
+        raise ValueError(f"expected a stack of six 3-vectors, shape (n, 6, 3),"
+                         f" got {d.shape}")
+    ang = angle_between(d[:, _PAIR_I], d[:, _PAIR_J])          # (n, 15)
+    fits = (ang >= alpha)[:, _SUBSET_PAIRS].all(axis=2)       # (n, 15)
+    subset = np.where(fits.any(axis=1)[:, np.newaxis],
+                      _FOUR_SUBSETS[fits.argmax(axis=1)], -1)
+    return SeparationResult(subset=subset,
+                            dense_pairs=np.count_nonzero(ang < alpha, axis=1))

@@ -572,8 +572,10 @@ def _exp_annulus_partition(run):
     return results, verdicts
 
 
-# a conflict edge needs two directions
-@experiment("greedy-coloring", group="caps", samples=64, min_samples=2)
+# a conflict edge needs two directions, and each direction past the axis
+# tilts less than alpha (tilt uniform in [0, 3 alpha)) with probability 1/3,
+# so at 20 directions P(no conflict edge) <= (2/3)^19 ~ 4.5e-4
+@experiment("greedy-coloring", group="caps", samples=64, min_samples=20)
 def _exp_greedy_coloring(run):
     """first-fit coloring of a sub-alpha cluster"""
     s, samples = run.scale, run.samples
@@ -613,31 +615,29 @@ def _exp_select_four(run):
     s, seed, samples = run.scale, run.seed, run.samples
     rows = []
     ok_recheck = True
-    generic_found = 0
-    cluster_blocked = 0
+    found = {}
     for kind in ("generic", "clustered5"):
-        for rep in range(samples):
-            sx = phase.sample_sextuple(s, seed, rep, kind)
-            res = caps.select_separated(sx.directions(), s.alpha)
-            if res.subset is not None:
-                d = sx.directions()
-                for i in res.subset:
-                    for j in res.subset:
-                        if i < j:
-                            ang = float(geometry.angle_between(d[i], d[j]))
-                            ok_recheck &= ang >= s.alpha
-                if kind == "generic":
-                    generic_found += 1
-            elif kind == "clustered5":
-                cluster_blocked += 1
+        d = phase.directions(phase.sample_sextuple(s, seed, samples, kind))
+        res = caps.select_separated(d, s.alpha)
+        found[kind] = int(np.count_nonzero(res.found))
+        # re-verify every returned subset, all six of its pairs at once
+        hit = np.flatnonzero(res.found)[:, np.newaxis]
+        sub = res.subset[res.found]
+        i, j = np.triu_indices(4, 1)
+        ang = geometry.angle_between(d[hit, sub[:, i]], d[hit, sub[:, j]])
+        ok_recheck &= bool(np.all(ang >= s.alpha))
+        for rep, subset, dense in zip(range(samples), res.subset.tolist(),
+                                      res.dense_pairs.tolist()):
             rows.append({
                 "kind": kind,
                 "replicate": rep,
-                "found": res.subset is not None,
-                "subset": "" if res.subset is None
-                else "-".join(map(str, res.subset)),
-                "dense_pairs": res.dense_pairs,
+                "found": subset[0] >= 0,
+                "subset": "-".join(map(str, subset)) if subset[0] >= 0
+                else "",
+                "dense_pairs": dense,
             })
+    generic_found = found["generic"]
+    cluster_blocked = samples - found["clustered5"]
     results = {
         "rows": rows,
         "generic_found": generic_found,
@@ -871,36 +871,37 @@ def _exp_phase_coverage(run):
     rows = []
     paired_exact = True
     cluster_narrow = True
-    for kind in ("generic", "paired", "perturbed", "clustered5"):
-        for rep in range(samples):
-            sx = phase.sample_sextuple(s, seed, rep, kind)
-            m6 = phase.mu6(sx)
-            basket = phase.classify_basket(sx)
-            tp = phase.tp_dichotomy(sx)
-            rn = phase.rn_classify(sx, None)
-            if kind == "paired":
-                g = phase.grad_xprime(sx)
-                paired_exact &= (m6 == 0.0 and float(g[0]) == 0.0
-                                 and float(g[1]) == 0.0
-                                 and tp.label == "paired")
-            if kind == "clustered5":
-                cluster_narrow &= rn.label == "narrow"
+    for kind in phase.SAMPLER_KINDS:
+        xi = phase.sample_sextuple(s, seed, samples, kind)
+        m6 = phase.mu6(xi)
+        tp = phase.tp_dichotomy(xi, s)
+        rn = phase.rn_classify(xi, s, None)
+        if kind == "paired":
+            paired_exact = (not np.any(m6) and not np.any(phase.grad_xprime(xi))
+                            and bool(np.all(tp.label == "paired")))
+        if kind == "clustered5":
+            cluster_narrow = bool(np.all(rn.label == "narrow"))
+        for rep, mu, basket, label, witness, rn_label, sizes in zip(
+                range(samples), m6.tolist(),
+                phase.classify_basket(m6, s).tolist(), tp.label.tolist(),
+                tp.witness.tolist(), rn.label.tolist(),
+                rn.cluster_sizes.tolist()):
             rows.append({
                 "seed": seed,
                 "kind": kind,
                 "replicate": rep,
-                "mu6": m6,
+                "mu6": mu,
                 "basket": basket,
-                "label": tp.label,
-                "witness": "" if tp.witness is None
-                else "-".join(map(str, tp.witness)),
-                "rn_label": rn.label,
-                "cluster_sizes": "/".join(map(str, rn.cluster_sizes)),
+                "label": label,
+                "witness": "-".join(map(str, witness)) if witness[0] >= 0
+                else "",
+                "rn_label": rn_label,
+                "cluster_sizes": "/".join(str(n) for n in sizes if n),
             })
     # a dense family flips the first branch of the dichotomy
-    sx = phase.sample_sextuple(s, seed, 0, "generic")
-    rn_dense = phase.rn_classify(sx, dense_fam)
-    robust_seen = rn_dense.label == "robust"
+    rn_dense = phase.rn_classify(phase.sample_sextuple(s, seed, [0]), s,
+                                 dense_fam)
+    robust_seen = rn_dense.label[0] == "robust"
     label_counts: dict[str, int] = {}
     for r in rows:
         key = f"{r['kind']}:{r['label']}"
@@ -927,23 +928,19 @@ def _exp_paired_identities(run):
     """exact vanishing and permutation invariance of the block sums"""
     s, seed, samples = run.scale, run.seed, run.samples
     rng = run.rng()
-    exact_zero = True
-    perm_invariant = True
-    for rep in range(samples):
-        sx = phase.sample_sextuple(s, seed, rep, "paired")
-        exact_zero &= phase.mu6(sx) == 0.0
-        g = phase.grad_xprime(sx)
-        exact_zero &= float(g[0]) == 0.0 and float(g[1]) == 0.0
-        gen = phase.sample_sextuple(s, seed, rep, "generic")
-        base = phase.mu6(gen)
-        p1 = rng.permutation(3)
-        p2 = rng.permutation(3) + 3
-        shuffled = np.vstack([gen.xi[p1], gen.xi[p2]])
-        perm_invariant &= phase.mu6(
-            phase.Sextuple(scale=s, xi=shuffled)) == base
-        swapped = np.vstack([gen.xi[3:], gen.xi[:3]])
-        perm_invariant &= phase.mu6(
-            phase.Sextuple(scale=s, xi=swapped)) == base
+    paired = phase.sample_sextuple(s, seed, samples, "paired")
+    exact_zero = (not np.any(phase.mu6(paired))
+                  and not np.any(phase.grad_xprime(paired)))
+    gen = phase.sample_sextuple(s, seed, samples, "generic")
+    base = phase.mu6(gen)
+    # per draw a within-block shuffle of each block (the draws of 2 * samples
+    # successive rng.permutation(3) calls); then the block swap
+    order = rng.permuted(np.tile(np.arange(3), (2 * samples, 1)), axis=1)
+    order = order.reshape(samples, 6) + [0, 0, 0, 3, 3, 3]
+    shuffled = np.take_along_axis(gen, order[:, :, np.newaxis], axis=1)
+    swapped = gen[:, [3, 4, 5, 0, 1, 2]]
+    perm_invariant = (np.array_equal(phase.mu6(shuffled), base)
+                      and np.array_equal(phase.mu6(swapped), base))
     results = {
         "n_paired": samples,
         "n_permutation_checks": 2 * samples,

@@ -1,17 +1,19 @@
-"""Resonance bookkeeping for sextuples of on-shell frequencies.
+"""Resonance bookkeeping for stacks of sextuples of on-shell frequencies.
 
 A sextuple is two blocks of three frequency centers, each with modulus in
-[lam/2, 2*lam].  The time-resonance defect is
+[lam/2, 2*lam]; a stack ``xi`` of n sextuples has shape (n, 6, 3) and every
+kernel here works on the whole stack at once.  The time-resonance defect is
 
     mu6 = | sum_{m<=3} |xi_m|^2  -  sum_{m>3} |xi_m|^2 |
 
 and the transverse gradient is the same signed block sum of the last two
 frequency coordinates.  Both are computed with exact compensated summation
-(math.fsum), so the advertised identities hold to the last bit: mu6 and the
-gradient vanish identically when the second block is a permutation of the
-first, and mu6 is invariant under within-block permutations and block swap.
+(math.fsum, one call per sextuple), so the advertised identities hold to the
+last bit: mu6 and the gradient vanish identically when the second block is a
+permutation of the first, and mu6 is invariant under within-block
+permutations and block swap.
 
-Two classifications act on a sextuple:
+Two classifications act on each sextuple:
 
 * paired / transversal / neither: search the six block pairings for angular
   and radial proximity, else ask for a large transverse gradient;
@@ -23,194 +25,213 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
 from .caps import CapFamily, clustered_dirs, conflict_degrees
-from .rng import keyed_rng
+from .geometry import angle_between
+# keyed_rng is re-exported: replicate rep of sample_sextuple draws exactly
+# keyed_rng(seed, "sextuple", kind, repr(lam), rep)
+from .rng import keyed_rng, keyed_rngs  # noqa: F401
 from .scale import ScaleParams
 
-_PERMS = tuple(itertools.permutations((3, 4, 5)))
+#: the six block pairings, lexicographic: pairing p sends m to PAIRINGS[p][m]
+PAIRINGS = tuple(itertools.permutations((3, 4, 5)))
+_PAIRING_COLS = np.asarray(PAIRINGS) - 3
+
+SAMPLER_KINDS = ("generic", "paired", "perturbed", "clustered5")
 
 
-def _sq(row: np.ndarray) -> float:
-    x, y, z = float(row[0]), float(row[1]), float(row[2])
+def _stack(xi: np.ndarray) -> np.ndarray:
+    arr = np.asarray(xi, dtype=float)
+    if arr.ndim != 3 or arr.shape[1:] != (6, 3):
+        raise ValueError(f"expected a stack of shape (n, 6, 3), got {arr.shape}")
+    return arr
+
+
+def _sq(xi: np.ndarray) -> np.ndarray:
+    """Squared moduli, summed x*x + y*y + z*z in that order."""
+    x, y, z = xi[..., 0], xi[..., 1], xi[..., 2]
     return x * x + y * y + z * z
 
 
-@dataclass(frozen=True)
-class Sextuple:
-    scale: ScaleParams
-    xi: np.ndarray    # (6, 3)
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.xi, dtype=float)
-        if arr.shape != (6, 3):
-            raise ValueError(f"sextuple needs shape (6, 3), got {arr.shape}")
-        object.__setattr__(self, "xi", arr)
-        lam = self.scale.lam
-        for m in range(6):
-            s = math.sqrt(_sq(arr[m]))
-            if not (0.5 * lam <= s <= 2.0 * lam):
-                raise ValueError(
-                    f"|xi_{m}| = {s} outside the shell [{lam / 2}, {2 * lam}]"
-                )
-
-    def moduli(self) -> list[float]:
-        return [math.sqrt(_sq(self.xi[m])) for m in range(6)]
-
-    def directions(self) -> np.ndarray:
-        return self.xi / np.linalg.norm(self.xi, axis=1, keepdims=True)
+def check_shell(xi: np.ndarray, scale: ScaleParams) -> np.ndarray:
+    """``xi`` as a float (n, 6, 3) stack, every modulus in [lam/2, 2*lam]."""
+    arr = _stack(xi)
+    mods = np.sqrt(_sq(arr))
+    lam = scale.lam
+    bad = np.argwhere(~((0.5 * lam <= mods) & (mods <= 2.0 * lam)))
+    if bad.size:
+        i, m = bad[0]
+        raise ValueError(f"|xi_{m}| = {mods[i, m]} of sextuple {i} outside "
+                         f"the shell [{lam / 2}, {2 * lam}]")
+    return arr
 
 
-def mu6(s: Sextuple) -> float:
-    """Time-resonance defect; exact cancellation on paired blocks."""
-    q = [_sq(s.xi[m]) for m in range(6)]
-    return abs(math.fsum(q[:3] + [-v for v in q[3:]]))
+def moduli(xi: np.ndarray) -> np.ndarray:
+    """|xi_m| of every center, shape (n, 6)."""
+    return np.sqrt(_sq(_stack(xi)))
 
 
-def classify_basket(s: Sextuple, c: float = 1.0) -> str:
-    """'B_ge' when mu6 >= c * sqrt(lam) (boundary included), else 'B_lt'."""
-    return "B_ge" if mu6(s) >= c * math.sqrt(s.scale.lam) else "B_lt"
+def directions(xi: np.ndarray) -> np.ndarray:
+    """Unit directions xi_m / |xi_m|, shape (n, 6, 3)."""
+    arr = _stack(xi)
+    return arr / np.linalg.norm(arr, axis=-1, keepdims=True)
 
 
-def grad_xprime(s: Sextuple) -> np.ndarray:
-    """Signed block sum of the transverse frequency components (2-vector)."""
-    comps = []
-    for axis in (1, 2):
-        terms = [float(s.xi[m][axis]) for m in range(3)]
-        terms += [-float(s.xi[m][axis]) for m in range(3, 6)]
-        comps.append(math.fsum(terms))
-    return np.asarray(comps)
+def _block_fsum(cols: np.ndarray) -> np.ndarray:
+    """Exact sum of each row of first-block minus second-block terms."""
+    signed = np.concatenate([cols[:, :3], -cols[:, 3:]], axis=1)
+    return np.fromiter(map(math.fsum, signed.tolist()), dtype=float,
+                       count=signed.shape[0])
 
 
-def transverse_dirs(s: Sextuple) -> np.ndarray:
+def mu6(xi: np.ndarray) -> np.ndarray:
+    """Time-resonance defect per sextuple; exact cancellation on paired
+    blocks."""
+    return np.abs(_block_fsum(_sq(_stack(xi))))
+
+
+def classify_basket(mu: np.ndarray, scale: ScaleParams,
+                    c: float = 1.0) -> np.ndarray:
+    """'B_ge' where mu6 >= c * sqrt(lam) (boundary included), else 'B_lt'."""
+    return np.where(np.asarray(mu) >= c * math.sqrt(scale.lam),
+                    "B_ge", "B_lt")
+
+
+def grad_xprime(xi: np.ndarray) -> np.ndarray:
+    """Signed block sums of the transverse components, shape (n, 2)."""
+    arr = _stack(xi)
+    return np.stack([_block_fsum(arr[:, :, 1]), _block_fsum(arr[:, :, 2])],
+                    axis=-1)
+
+
+def transverse_dirs(xi: np.ndarray) -> np.ndarray:
     """u_m = xi'_m / |xi_m|: transverse parts scaled by the full modulus."""
-    mods = np.asarray(s.moduli())
-    return s.xi[:, 1:3] / mods[:, np.newaxis]
+    arr = _stack(xi)
+    return arr[:, :, 1:3] / moduli(arr)[:, :, np.newaxis]
 
 
-def _angle2(u: np.ndarray, v: np.ndarray) -> float:
-    """Angle between 2-vectors; zero vectors pair only with zero vectors."""
-    nu = math.hypot(float(u[0]), float(u[1]))
-    nv = math.hypot(float(v[0]), float(v[1]))
-    if nu == 0.0 or nv == 0.0:
-        return 0.0 if nu == nv else math.pi
-    dot = float(u[0] * v[0] + u[1] * v[1])
-    cross = float(u[0] * v[1] - u[1] * v[0])
-    return math.atan2(abs(cross), dot)
+def _angle2(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Angles between 2-vectors (broadcast over leading axes).
+
+    A zero vector is at angle 0 from a zero vector and pi from any other.
+    The angle is math.atan2(|cross|, dot), the libm value, which numpy's
+    SIMD arctan2 can miss by an ulp.
+    """
+    dot = u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1]
+    cross = u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+    ang = np.fromiter(map(math.atan2, np.abs(cross).ravel().tolist(),
+                          dot.ravel().tolist()),
+                      dtype=float, count=dot.size).reshape(dot.shape)
+    zu = (u[..., 0] == 0.0) & (u[..., 1] == 0.0)
+    zv = (v[..., 0] == 0.0) & (v[..., 1] == 0.0)
+    return np.where(zu | zv, np.where(zu & zv, 0.0, math.pi), ang)
 
 
 @dataclass(frozen=True)
 class TPResult:
-    label: str                                    # paired|transversal|neither
-    witness: tuple[int, int, int] | None          # block-2 image of (0, 1, 2)
-    grad_norm: float
-    angular_threshold: float                      # C * alpha
-    radial_threshold: float                       # C * mu6 / lam
-    grad_threshold: float                         # c1 * lam * alpha
+    label: np.ndarray               # (n,) paired|transversal|neither
+    witness: np.ndarray             # (n, 3) block-2 image of (0, 1, 2); -1
+    grad_norm: np.ndarray           # (n,)
+    angular_threshold: float        # C * alpha
+    radial_threshold: np.ndarray    # (n,) C * mu6 / lam
+    grad_threshold: float           # c1 * lam * alpha
 
 
-def pairing_holds(s: Sextuple, perm: tuple[int, int, int],
-                  C: float = 4.0) -> bool:
-    """Does the block pairing m -> perm[m] pass both proximity tests?"""
-    u = transverse_dirs(s)
-    mods = s.moduli()
-    ang_thr = C * s.scale.alpha
-    rad_thr = C * mu6(s) / s.scale.lam
-    for m in range(3):
-        if _angle2(u[m], u[perm[m]]) > ang_thr:
-            return False
-        if abs(mods[m] - mods[perm[m]]) > rad_thr:
-            return False
-    return True
-
-
-def tp_dichotomy(s: Sextuple, C: float = 4.0,
+def tp_dichotomy(xi: np.ndarray, scale: ScaleParams, C: float = 4.0,
                  c1: float | None = None) -> TPResult:
-    """Paired / transversal / neither trichotomy for one sextuple.
+    """Paired / transversal / neither trichotomy for each sextuple.
 
-    All six pairings of the blocks are tried in lexicographic order; the
-    first that matches wins and is returned as a witness.  Failing that, a
-    transverse gradient of at least c1 * lam * alpha (c1 defaults to c0/2)
-    makes the sextuple transversal.
+    A block pairing m -> p[m] holds when, for m = 0, 1, 2, the transverse
+    angle and the modulus gap to the partner are within C * alpha and
+    C * mu6 / lam.  The first pairing that holds, in lexicographic order,
+    is the witness.  Failing every pairing, a transverse gradient of at
+    least c1 * lam * alpha (c1 defaults to c0/2) makes the sextuple
+    transversal.
     """
+    arr = _stack(xi)
     if c1 is None:
-        c1 = 0.5 * s.scale.c0
-    g = grad_xprime(s)
-    gnorm = math.hypot(float(g[0]), float(g[1]))
-    common = dict(
-        grad_norm=gnorm,
-        angular_threshold=C * s.scale.alpha,
-        radial_threshold=C * mu6(s) / s.scale.lam,
-        grad_threshold=c1 * s.scale.lam * s.scale.alpha,
-    )
-    for perm in _PERMS:
-        if pairing_holds(s, perm, C):
-            return TPResult(label="paired", witness=perm, **common)
-    if gnorm >= common["grad_threshold"]:
-        return TPResult(label="transversal", witness=None, **common)
-    return TPResult(label="neither", witness=None, **common)
+        c1 = 0.5 * scale.c0
+    g = grad_xprime(arr)
+    gnorm = np.fromiter(map(math.hypot, g[:, 0].tolist(), g[:, 1].tolist()),
+                        dtype=float, count=g.shape[0])
+    ang_thr = C * scale.alpha
+    rad_thr = C * mu6(arr) / scale.lam
+    grad_thr = c1 * scale.lam * scale.alpha
+    mods = moduli(arr)
+    u = transverse_dirs(arr)
+    # (n, 3, 3) tables: block-1 index m against block-2 index k - 3
+    close = ((_angle2(u[:, :3, np.newaxis], u[:, np.newaxis, 3:]) <= ang_thr)
+             & (np.abs(mods[:, :3, np.newaxis] - mods[:, np.newaxis, 3:])
+                <= rad_thr[:, np.newaxis, np.newaxis]))
+    holds = (close[:, 0, _PAIRING_COLS[:, 0]]
+             & close[:, 1, _PAIRING_COLS[:, 1]]
+             & close[:, 2, _PAIRING_COLS[:, 2]])           # (n, 6)
+    paired = holds.any(axis=1)
+    witness = np.where(paired[:, np.newaxis],
+                       np.asarray(PAIRINGS)[holds.argmax(axis=1)], -1)
+    label = np.where(paired, "paired",
+                     np.where(gnorm >= grad_thr, "transversal", "neither"))
+    return TPResult(label=label, witness=witness, grad_norm=gnorm,
+                    angular_threshold=ang_thr, radial_threshold=rad_thr,
+                    grad_threshold=grad_thr)
 
 
 # ---------------------------------------------------------------------------
 # robust / narrow dichotomy
 # ---------------------------------------------------------------------------
 
-def single_linkage_sizes(dirs: np.ndarray, alpha: float) -> tuple[int, ...]:
-    """Cluster sizes (descending) of single-linkage at threshold alpha.
+def single_linkage_sizes(dirs: np.ndarray, alpha: float) -> np.ndarray:
+    """Cluster sizes of single linkage at threshold alpha, per stack row.
 
-    Directions are linked when their angle is <= alpha; clusters are the
-    connected components of that graph.
+    ``dirs`` has shape (n, k, 3).  Directions are linked when their angle
+    is <= alpha; clusters are the connected components of that graph, found
+    as the boolean closure of the k x k adjacency.  Row i of the result
+    lists row i's cluster sizes in descending order, padded with zeros to
+    length k.
     """
     d = np.asarray(dirs, dtype=float)
-    n = d.shape[0]
-    parent = list(range(n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i, j in itertools.combinations(range(n), 2):
-        ci = d[i] / np.linalg.norm(d[i])
-        cj = d[j] / np.linalg.norm(d[j])
-        ang = 2.0 * math.atan2(float(np.linalg.norm(ci - cj)),
-                               float(np.linalg.norm(ci + cj)))
-        if ang <= alpha:
-            parent[find(i)] = find(j)
-    sizes: dict[int, int] = {}
-    for i in range(n):
-        root = find(i)
-        sizes[root] = sizes.get(root, 0) + 1
-    return tuple(sorted(sizes.values(), reverse=True))
+    if d.ndim != 3 or d.shape[2] != 3:
+        raise ValueError(f"expected a stack of shape (n, k, 3), got {d.shape}")
+    n, k = d.shape[:2]
+    i, j = np.triu_indices(k, 1)
+    linked = angle_between(d[:, i], d[:, j]) <= alpha
+    reach = np.zeros((n, k, k), dtype=np.int32)
+    reach[:, i, j] = reach[:, j, i] = linked
+    reach[:, np.arange(k), np.arange(k)] = 1
+    # after t squarings reach covers paths of up to 2^t links; k-1 suffice
+    for _ in range(max(0, k - 2).bit_length()):
+        reach = np.minimum(reach @ reach, 1)
+    # count each cluster once, at its lowest index
+    first = reach.argmax(axis=2) == np.arange(k)
+    sizes = np.where(first, reach.sum(axis=2), 0)
+    return -np.sort(-sizes, axis=1)
 
 
 @dataclass(frozen=True)
 class RNResult:
-    label: str                   # robust|narrow|neither
+    label: np.ndarray            # (n,) robust|narrow|neither
     max_alpha_count: int         # densest alpha-cap occupancy in the family
     density_threshold: float     # c_star * D
-    cluster_sizes: tuple[int, ...]
+    cluster_sizes: np.ndarray    # (n, 6) descending, zero padded
 
 
-def rn_classify(s: Sextuple, family: CapFamily | None,
-                c_star: float = 0.5) -> RNResult:
+def rn_classify(xi: np.ndarray, scale: ScaleParams,
+                family: CapFamily | None, c_star: float = 0.5) -> RNResult:
     """Robust when some alpha-cap of the active family is overfull, narrow
     when five of the six directions fall in one alpha-linkage cluster."""
     if family is not None and len(family) > 0:
         max_count = int(np.max(conflict_degrees(family)))
     else:
         max_count = 0
-    threshold = c_star * s.scale.D
-    clusters = single_linkage_sizes(s.directions(), s.scale.alpha)
+    threshold = c_star * scale.D
+    clusters = single_linkage_sizes(directions(xi), scale.alpha)
     if max_count > threshold:
-        label = "robust"
-    elif clusters[0] >= 5:
-        label = "narrow"
+        label = np.full(clusters.shape[0], "robust")
     else:
-        label = "neither"
+        label = np.where(clusters[:, 0] >= 5, "narrow", "neither")
     return RNResult(label=label, max_alpha_count=max_count,
                     density_threshold=threshold, cluster_sizes=clusters)
 
@@ -227,32 +248,62 @@ def _shell_points(scale: ScaleParams, rng: np.random.Generator, n: int,
     return v * radii[:, np.newaxis]
 
 
-def sample_sextuple(scale: ScaleParams, seed: int, replicate: int,
-                    kind: str = "generic") -> Sextuple:
-    """Seeded sextuple draws for the coverage tables.
+def sample_sextuple(scale: ScaleParams, seed: int,
+                    replicates: int | Iterable[int],
+                    kind: str = "generic") -> np.ndarray:
+    """Seeded sextuple draws for the coverage tables, shape (n, 6, 3).
+
+    ``replicates`` is a count n (replicates 0..n-1) or the replicate
+    indices.  Replicate ``rep`` reads only its own stream,
+    ``keyed_rng(seed, "sextuple", kind, repr(lam), rep)``, so a draw never
+    depends on which other replicates share the batch.
 
     generic: six independent shell points.
     paired: three points, second block an exact permuted copy.
     perturbed: paired, then the second block jittered at alpha scale.
     clustered5: five directions inside one alpha cluster, one far away.
     """
-    rng = keyed_rng(seed, "sextuple", kind, repr(scale.lam), replicate)
-    if kind == "generic":
-        pts = _shell_points(scale, rng, 6)
-    elif kind == "paired":
-        half = _shell_points(scale, rng, 3)
-        perm = rng.permutation(3)
-        pts = np.vstack([half, half[perm]])
-    elif kind == "perturbed":
-        # base drawn interior so the jitter cannot leave the shell
-        half = _shell_points(scale, rng, 3, lo=0.6, hi=1.9)
-        jitter = scale.alpha * scale.lam * rng.normal(size=(3, 3))
-        pts = np.vstack([half, half + 0.3 * jitter])
-    elif kind == "clustered5":
-        base = _shell_points(scale, rng, 1)[0]
-        radius = np.linalg.norm(base)
-        near = clustered_dirs(rng, base / radius, 5, 0.2 * scale.alpha)[1:]
-        pts = np.vstack([base, radius * near, _shell_points(scale, rng, 1)])
-    else:
+    if kind not in SAMPLER_KINDS:
         raise ValueError(f"unknown sextuple kind {kind!r}")
-    return Sextuple(scale=scale, xi=pts)
+    if isinstance(replicates, (int, np.integer)):
+        replicates = range(replicates)
+    reps = list(replicates)
+    n = len(reps)
+    streams = keyed_rngs(seed, ("sextuple", kind, repr(scale.lam)), reps)
+    lam = scale.lam
+    if kind == "clustered5":
+        pts = np.empty((n, 6, 3))
+        for i, rng in enumerate(streams):
+            base = _shell_points(scale, rng, 1)[0]
+            radius = np.linalg.norm(base)
+            near = clustered_dirs(rng, base / radius, 5, 0.2 * scale.alpha)
+            pts[i, 0] = base
+            pts[i, 1:5] = radius * near[1:]
+            pts[i, 5] = _shell_points(scale, rng, 1)[0]
+        return check_shell(pts, scale)
+    # the other kinds draw each replicate's raw numbers in stream order and
+    # share the arithmetic, which is elementwise and so the same per row
+    m = 6 if kind == "generic" else 3
+    # a perturbed base is drawn interior so the jitter cannot leave the shell
+    lo, hi = (0.6, 1.9) if kind == "perturbed" else (0.5, 2.0)
+    v = np.empty((n, m, 3))
+    radii = np.empty((n, m))
+    perm = np.empty((n, 3), dtype=np.int64)
+    jitter = np.empty((n, 3, 3))
+    for i, rng in enumerate(streams):
+        v[i] = rng.normal(size=(m, 3))
+        radii[i] = rng.uniform(lo * lam, hi * lam, size=m)
+        if kind == "paired":
+            perm[i] = rng.permutation(3)
+        elif kind == "perturbed":
+            jitter[i] = rng.normal(size=(3, 3))
+    v /= np.linalg.norm(v, axis=-1, keepdims=True)
+    pts = v * radii[:, :, np.newaxis]
+    if kind == "paired":
+        pts = np.concatenate(
+            [pts, np.take_along_axis(pts, perm[:, :, np.newaxis], axis=1)],
+            axis=1)
+    elif kind == "perturbed":
+        pts = np.concatenate(
+            [pts, pts + 0.3 * (scale.alpha * scale.lam * jitter)], axis=1)
+    return check_shell(pts, scale)

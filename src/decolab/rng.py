@@ -18,6 +18,7 @@ The hash is SHA-256 over a canonical text form of the label, never Python's
 from __future__ import annotations
 
 import hashlib
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -42,3 +43,22 @@ def philox_key(seed: int, *parts: object) -> int:
 def keyed_rng(seed: int, *parts: object) -> np.random.Generator:
     """Independent generator for the work item labelled by ``parts``."""
     return np.random.Generator(np.random.Philox(key=philox_key(seed, *parts)))
+
+
+def keyed_rngs(seed: int, parts: tuple,
+               items: Iterable[object]) -> Iterator[np.random.Generator]:
+    """``keyed_rng(seed, *parts, item)`` for each item in turn, same draws.
+
+    One Philox is re-keyed in place through its ``state`` setter (about
+    2 us, against about 17 us for a new Philox), so each generator yielded
+    is valid only until the next one is.
+    """
+    bitgen = np.random.Philox(key=0)
+    gen = np.random.Generator(bitgen)
+    fresh = bitgen.state            # counter and buffer of a new stream
+    for item in items:
+        key = philox_key(seed, *parts, item)
+        fresh["state"]["key"] = np.array([key & 0xFFFF_FFFF_FFFF_FFFF,
+                                          key >> 64], dtype=np.uint64)
+        bitgen.state = fresh
+        yield gen

@@ -21,8 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .caps import CapFamily, conflict_degrees
+from .caps import CapFamily, chord, conflict_degrees
 from .errors import ConfigError, DensityError
+from .geometry import angle_between
 from .rng import keyed_rng
 from .scale import ScaleParams
 
@@ -358,6 +359,44 @@ def band_pair_counts(family: CapFamily) -> np.ndarray:
     return np.diff(closer, prepend=0)
 
 
+def _dyadic_band(angles: np.ndarray, alpha: float, jmax: int) -> np.ndarray:
+    return np.clip(np.floor(np.log2(angles / alpha)), 0, jmax)
+
+
+def band_pairs(family: CapFamily, j: int,
+               pair_counts: np.ndarray) -> np.ndarray:
+    """Every unordered pair (i < k) of dyadic band j, as a sorted (m, 2) array.
+
+    Pairs are banded as l2_sum bands its panel, by the angle between the
+    centers.  The search takes the smaller side of the band, as the exact
+    ``pair_counts`` tell: the pairs below its upper edge 2^(j+1) alpha, or
+    the pairs at or above its lower edge 2^j alpha, which are the pairs
+    within chord(pi - 2^j alpha) of the negated centers.  Either radius is
+    widened by a relative 1e-9, and the angle filter then keeps band j.
+    """
+    alpha = family.scale.alpha
+    jmax = len(pair_counts) - 1
+    widen = 1.0 + 1e-9
+    if pair_counts[j:].sum() <= pair_counts[:j + 1].sum():
+        lo = (2.0 ** j) * alpha if j > 0 else 0.0
+        antipodes = CapFamily(scale=family.scale, centers=-family.centers)
+        near = family.tree.sparse_distance_matrix(
+            antipodes.tree, widen * chord(max(0.0, math.pi - lo)),
+            output_type="ndarray")
+        pairs = np.stack([near["i"], near["j"]], axis=1)
+    else:
+        hi = min(math.pi, (2.0 ** (j + 1)) * alpha)
+        pairs = family.tree.query_pairs(widen * chord(hi),
+                                        output_type="ndarray")
+    pairs = pairs.reshape(-1, 2)
+    pairs = pairs[pairs[:, 0] < pairs[:, 1]]
+    centers = family.centers
+    band = _dyadic_band(angle_between(centers[pairs[:, 0]],
+                                      centers[pairs[:, 1]]), alpha, jmax)
+    pairs = pairs[band == j]
+    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+
+
 def l2_sum(family: CapFamily, seed: int,
            samples_per_pair: int = 2048) -> L2SumResult:
     """Overlap sum S = sum over ordered cap pairs of |T cap T'|.
@@ -366,7 +405,9 @@ def l2_sum(family: CapFamily, seed: int,
     by rotation).  Off-diagonal pairs are grouped into dyadic angular bands;
     each band's mean overlap is estimated on a keyed-random panel of pairs
     anchored at L2_ANCHORS fixed caps, then extrapolated by the exact pair
-    count of the band.  Tubes are truncated.  Desk-scale families only.
+    count of the band.  A band the anchors miss draws its panel from its
+    own pairs (``band_pairs``), so every band with pairs is in the sum.
+    Tubes are truncated.  Desk-scale families only.
     """
     n = len(family)
     if n < 2:
@@ -385,23 +426,26 @@ def l2_sum(family: CapFamily, seed: int,
     anchors = rng.choice(n, size=min(n, L2_ANCHORS), replace=False)
     ang = family.angles_from(anchors)
     a_idx, c_idx = np.nonzero(ang > 0)
-    bands = np.clip(np.floor(np.log2(ang[a_idx, c_idx] / alpha)), 0, jmax)
+    bands = _dyadic_band(ang[a_idx, c_idx], alpha, jmax)
+    panel = np.stack([anchors[a_idx], c_idx], axis=1)
 
     rows = []
     off_total = 0.0
     for j in np.nonzero(pair_counts)[0].tolist():
-        cand = np.nonzero(bands == j)[0]
-        if not cand.size:
-            continue
+        cand = panel[bands == j]
+        if not len(cand):
+            cand = band_pairs(family, j, pair_counts)
+            if not len(cand):       # the band's pairs sit on an edge tie
+                continue
         pick = keyed_rng(seed, "l2-band", repr(lam), j)
-        take = min(cand.size, L2_PAIRS_PER_BAND)
-        chosen = cand[pick.choice(cand.size, size=take, replace=False)]
+        take = min(len(cand), L2_PAIRS_PER_BAND)
+        chosen = cand[pick.choice(len(cand), size=take, replace=False)]
         # one keyed Monte Carlo stream per pair
         mean_ov = float(np.mean([
-            mc_pair_overlap(tube_for_cap(family, anchors[a], True),
+            mc_pair_overlap(tube_for_cap(family, a, True),
                             tube_for_cap(family, c, True),
                             samples_per_pair, seed).value
-            for a, c in zip(a_idx[chosen], c_idx[chosen])]))
+            for a, c in chosen.tolist()]))
         count = int(pair_counts[j])
         delta = (2.0 ** j) * alpha
         rows.append(AnnulusRow(

@@ -110,15 +110,12 @@ def test_2_exact_invariants_bulk():
         failures.append(f"gram identity dev {gdev:.2e}")
 
     # block-permuted sextuples cancel to the last bit (20k draws)
-    for rep in range(20_000):
-        sx = phase.sample_sextuple(S256, SEED, rep, kind="paired")
-        if phase.mu6(sx) != 0.0:
-            failures.append(f"mu6 != 0 at replicate {rep}")
-            break
-        g = phase.grad_xprime(sx)
-        if g[0] != 0.0 or g[1] != 0.0:
-            failures.append(f"gradient != 0 at replicate {rep}")
-            break
+    xi = phase.sample_sextuple(S256, SEED, 20_000, kind="paired")
+    for name, bad in (("mu6", phase.mu6(xi) != 0.0),
+                      ("gradient", np.any(phase.grad_xprime(xi) != 0.0,
+                                          axis=1))):
+        if np.any(bad):
+            failures.append(f"{name} != 0 at replicate {np.argmax(bad)}")
     draws += 20_000
 
     elapsed = time.perf_counter() - t0
@@ -221,24 +218,23 @@ def test_5_combinatorial_invariants():
 
     # four-out-of-six selection, re-verified pair by pair
     s = scale.derive(256.0)
-    for rep in range(100):
-        sx = phase.sample_sextuple(s, SEED, rep, kind="generic")
-        sel = caps.select_separated(sx.directions(), s.alpha)
-        if sel.subset is None:
-            failures.append(f"generic sextuple {rep} found no subset")
-            break
-        for a in range(4):
-            for b in range(a + 1, 4):
-                ang = geometry.angle_between(
-                    sx.directions()[sel.subset[a]],
-                    sx.directions()[sel.subset[b]])
-                if ang < s.alpha:
-                    failures.append(f"subset pair too close at rep {rep}")
-    for rep in range(100):
-        sx = phase.sample_sextuple(s, SEED, rep, kind="clustered5")
-        if caps.select_separated(sx.directions(), s.alpha).subset is not None:
-            failures.append(f"clustered5 sextuple {rep} yielded a subset")
-            break
+    d = phase.directions(phase.sample_sextuple(s, SEED, 100, kind="generic"))
+    sel = caps.select_separated(d, s.alpha)
+    if not np.all(sel.found):
+        failures.append(f"generic sextuple {np.argmin(sel.found)} found no "
+                        f"subset")
+    else:
+        rows = np.arange(100)[:, np.newaxis]
+        a, b = np.triu_indices(4, 1)
+        ang = geometry.angle_between(d[rows, sel.subset[:, a]],
+                                     d[rows, sel.subset[:, b]])
+        for rep in np.flatnonzero(np.any(ang < s.alpha, axis=1)):
+            failures.append(f"subset pair too close at rep {rep}")
+    d = phase.directions(phase.sample_sextuple(s, SEED, 100, kind="clustered5"))
+    sel = caps.select_separated(d, s.alpha)
+    if np.any(sel.found):
+        failures.append(f"clustered5 sextuple {np.argmax(sel.found)} yielded "
+                        f"a subset")
 
     _criterion(
         5, "combinatorial invariants hold exactly on every desk scale",

@@ -243,8 +243,12 @@ def test_greedy_color_on_lattice_is_proper(family64):
 
 
 def _dirs_from_angles(pairs):
-    """Six unit vectors with prescribed polar angles in the xz-plane."""
-    return np.array([[math.sin(t), 0.0, math.cos(t)] for t in pairs])
+    """A stack of one: six unit vectors at polar angles in the xz-plane."""
+    return np.array([[[math.sin(t), 0.0, math.cos(t)] for t in pairs]])
+
+
+def _selected(res):
+    return [None if s[0] < 0 else tuple(s) for s in res.subset.tolist()]
 
 
 def test_select_separated_finds_spread_subset():
@@ -252,8 +256,8 @@ def test_select_separated_finds_spread_subset():
     dirs = _dirs_from_angles([0.0, 10 * alpha, 20 * alpha, 30 * alpha,
                               40 * alpha, 50 * alpha])
     res = caps.select_separated(dirs, alpha)
-    assert res.subset == (0, 1, 2, 3)
-    assert res.dense_pairs == 0
+    assert _selected(res) == [(0, 1, 2, 3)]
+    assert res.dense_pairs.tolist() == [0]
 
 
 def test_select_separated_blocked_by_five_cluster():
@@ -263,8 +267,9 @@ def test_select_separated_blocked_by_five_cluster():
     dirs = _dirs_from_angles([0.0, 0.01 * alpha, 0.02 * alpha, 0.03 * alpha,
                               0.04 * alpha, 0.5])
     res = caps.select_separated(dirs, alpha)
-    assert res.subset is None
-    assert res.dense_pairs == 10
+    assert _selected(res) == [None]
+    assert res.found.tolist() == [False]
+    assert res.dense_pairs.tolist() == [10]
 
 
 def test_select_separated_two_tight_triples():
@@ -272,8 +277,8 @@ def test_select_separated_two_tight_triples():
     dirs = _dirs_from_angles([0.0, 0.01 * alpha, 0.02 * alpha,
                               0.5, 0.5 + 0.01 * alpha, 0.5 + 0.02 * alpha])
     res = caps.select_separated(dirs, alpha)
-    assert res.subset is None
-    assert res.dense_pairs == 6
+    assert _selected(res) == [None]
+    assert res.dense_pairs.tolist() == [6]
 
 
 def test_select_separated_prefers_lexicographic_subset():
@@ -282,10 +287,25 @@ def test_select_separated_prefers_lexicographic_subset():
     dirs = _dirs_from_angles([0.0, 0.5 * alpha, 10 * alpha, 20 * alpha,
                               30 * alpha, 40 * alpha])
     res = caps.select_separated(dirs, alpha)
-    assert res.subset == (0, 2, 3, 4)
-    assert res.dense_pairs == 1
+    assert _selected(res) == [(0, 2, 3, 4)]
+    assert res.dense_pairs.tolist() == [1]
+
+
+def test_select_separated_stacks_rows_independently():
+    alpha = 1e-3
+    rows = [[0.0, 10 * alpha, 20 * alpha, 30 * alpha, 40 * alpha, 50 * alpha],
+            [0.0, 0.01 * alpha, 0.02 * alpha, 0.03 * alpha, 0.04 * alpha, 0.5],
+            [0.0, 0.5 * alpha, 10 * alpha, 20 * alpha, 30 * alpha, 40 * alpha]]
+    res = caps.select_separated(
+        np.concatenate([_dirs_from_angles(r) for r in rows]), alpha)
+    assert _selected(res) == [(0, 1, 2, 3), None, (0, 2, 3, 4)]
+    assert res.dense_pairs.tolist() == [0, 10, 1]
+    empty = caps.select_separated(np.zeros((0, 6, 3)), alpha)
+    assert empty.subset.shape == (0, 4) and empty.dense_pairs.shape == (0,)
 
 
 def test_select_separated_validates_shape():
     with pytest.raises(ValueError):
         caps.select_separated(np.zeros((5, 3)), 1e-3)
+    with pytest.raises(ValueError):
+        caps.select_separated(np.ones((2, 5, 3)), 1e-3)

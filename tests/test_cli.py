@@ -139,7 +139,7 @@ def test_usage_error_without_subcommand(capsys):
     ("geometry-audit", "0"), ("geometry-audit", "-5"),
     ("caps", "0"), ("caps", "-5"),
     ("probe", "-5"),
-    ("caps", "1"), ("tubes", "1"), ("tubes", "999"),
+    ("caps", "1"), ("caps", "19"), ("tubes", "1"), ("tubes", "999"),
 ])
 def test_samples_below_the_evidence_floor_are_usage_errors(group, samples,
                                                            capsys):

@@ -189,3 +189,13 @@ def test_probe_determinism():
     assert a == b
     assert a.ratio_random > 1.0
     assert a.ratio_focusing > a.ratio_random
+
+
+def test_greedy_coloring_floor_draws_a_conflict_edge():
+    # at the declared floor every seed 0-199 at lam 16, 64 and 256 draws at
+    # least one conflict edge (at 2 samples, 394 of these 600 runs did not)
+    floor = lab.REGISTRY["greedy-coloring"].min_samples
+    assert floor == 20
+    fails = [(lam, seed) for lam in (16.0, 64.0, 256.0) for seed in range(200)
+             if lab.run_experiment("greedy-coloring", lam, seed, floor).has_fail]
+    assert fails == []

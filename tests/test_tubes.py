@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -220,6 +221,7 @@ def _dense_band_counts(family):
     return pair_counts
 
 
+@functools.lru_cache(maxsize=None)
 def _lab_family(lam):
     """The family the l2-sum experiment sums over: a cone past 8000 caps."""
     fam = caps.build_lattice(scale.derive(lam))
@@ -256,3 +258,38 @@ def test_band_pair_counts_match_dense_oracle(lam):
     counts = tubes.band_pair_counts(fam)
     assert counts.tolist() == _dense_band_counts(fam).tolist()
     assert counts.sum() == len(fam) * (len(fam) - 1) // 2
+
+
+LADDER = [float(2 ** k) for k in range(3, 13)]
+
+
+@pytest.mark.parametrize("lam", LADDER)
+def test_l2_sum_has_a_row_for_every_band_with_pairs(lam):
+    fam = _lab_family(lam)
+    res = tubes.l2_sum(fam, seed=7, samples_per_pair=tubes.MIN_SAMPLES)
+    counts = tubes.band_pair_counts(fam)
+    assert [row.j for row in res.rows] == np.flatnonzero(counts).tolist()
+    assert [row.pair_count for row in res.rows] == counts[counts > 0].tolist()
+
+
+def test_band_missed_by_the_panel_draws_its_own_pairs():
+    # at lam 16, seed 7, no anchor pair falls in band 9, which has 2 pairs
+    fam = _lab_family(16.0)
+    res = tubes.l2_sum(fam, seed=7, samples_per_pair=tubes.MIN_SAMPLES)
+    row = res.rows[0]
+    assert (row.j, row.pair_count, row.sampled_pairs) == (9, 2, 2)
+    assert row.mean_overlap > 0.0
+
+
+@pytest.mark.parametrize("lam", [8.0, 16.0])
+def test_band_pairs_match_dense_oracle(lam):
+    fam = _lab_family(lam)
+    counts = tubes.band_pair_counts(fam)
+    ang = fam.angles_from(np.arange(len(fam)))
+    i, k = np.triu_indices(len(fam), 1)
+    band = np.clip(np.floor(np.log2(ang[i, k] / fam.scale.alpha)), 0,
+                   len(counts) - 1)
+    for j in np.flatnonzero(counts).tolist():
+        pairs = tubes.band_pairs(fam, j, counts)
+        expect = np.stack([i[band == j], k[band == j]], axis=1)
+        assert pairs.tolist() == expect.tolist(), j
