@@ -18,7 +18,6 @@ Angular bookkeeping on a family:
 """
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -68,13 +67,6 @@ def clustered_dirs(rng: np.random.Generator, axis: np.ndarray, n: int,
 
 
 @dataclass(frozen=True)
-class Cap:
-    index: int
-    center: np.ndarray
-    color: int | None = None
-
-
-@dataclass(frozen=True)
 class CapFamily:
     """Finite set of unit direction vectors at a common scale."""
 
@@ -84,11 +76,6 @@ class CapFamily:
 
     def __len__(self) -> int:
         return self.centers.shape[0]
-
-    def __iter__(self):
-        for i in range(len(self)):
-            color = None if self.colors is None else int(self.colors[i])
-            yield Cap(i, self.centers[i], color)
 
     @property
     def n_colors(self) -> int:
@@ -122,19 +109,6 @@ class CapFamily:
         keep = angle_between(np.asarray(axis, float), self.centers) <= radius
         colors = None if self.colors is None else self.colors[keep]
         return replace(self, centers=self.centers[keep], colors=colors)
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["index", "ux", "uy", "uz", "color"])
-            for cap in self:
-                writer.writerow([
-                    cap.index,
-                    repr(float(cap.center[0])),
-                    repr(float(cap.center[1])),
-                    repr(float(cap.center[2])),
-                    "" if cap.color is None else cap.color,
-                ])
 
 
 # a spiral of ~8/r^2 points has covering radius just under r, so pruning to

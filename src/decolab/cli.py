@@ -1,9 +1,10 @@
 """Command line front end.
 
-Subcommands; each experiment group runs the experiments that declare it
-in the registry, in registry order:
+Every subcommand renders ExperimentReports, as text, canonical JSON or
+CSV.  Each experiment group runs the experiments that declare it in the
+registry, in registry order:
 
-* ledger          exact exponent bookkeeping; nonzero exit on any mismatch
+* ledger          exact exponent checkpoints, scenario blocks, derivations
 * geometry-audit  normals, angle distortion, Gram identities
 * caps            cap lattice, rings, coloring, four-of-six selection
 * tubes           volumes, overlaps, multiplicity
@@ -22,7 +23,7 @@ import argparse
 import json
 import sys
 
-from . import lab, ledger
+from . import lab
 from .errors import DecolabError
 
 CONFIG_KEYS = ("lambda", "seed", "samples", "format", "out")
@@ -47,8 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "balance on the paraboloid",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    p = sub.add_parser("ledger", help="exact exponent bookkeeping")
-    _add_common(p)
     for name in dict.fromkeys(exp.group for exp in lab.REGISTRY.values()
                               if exp.group is not None):
         p = sub.add_parser(name, help=f"run the {name} experiment group")
@@ -134,11 +133,6 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"decolab: bad --lambda: {exc}", file=sys.stderr)
         return 2
-
-    if args.command == "ledger":
-        text, ok = ledger.render(fmt)
-        _emit(text, out)
-        return 0 if ok else 1
 
     try:
         if args.command == "ladder":

@@ -17,7 +17,8 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, replace
+from collections import Counter
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from typing import Callable
 
@@ -26,7 +27,8 @@ import numpy as np
 from . import caps, geometry, ledger, phase, shell, tubes
 from .errors import ConfigError, UnknownExperimentError
 from .rng import keyed_rng
-from .scale import LAMBDA_EXPONENTS, ScaleParams, derive
+from .scale import (LAMBDA_EXPONENTS, ScaleParams, derive,
+                    effective_lambda_exponent)
 
 DEFAULT_SEED = 7
 DEFAULT_LAM = 256.0
@@ -289,12 +291,10 @@ def _exp_scale_table(run):
     return results, verdicts
 
 
-@experiment("ledger-goldens", needs_lam=False)
+@experiment("ledger-goldens", group="ledger", needs_lam=False)
 def _exp_ledger_goldens(run):
     """re-derive every exponent checkpoint"""
     rows = ledger.checkpoint_table()
-    ok = all(r.match for r in rows)
-    scs = ledger.scenarios()
     table = [
         {
             "name": r.name,
@@ -306,25 +306,32 @@ def _exp_ledger_goldens(run):
         }
         for r in rows
     ]
-    totals = {
-        name: {
-            "lam": str(ledger.sum_exponents(sc)[0]),
-            "d": str(ledger.sum_exponents(sc)[1]),
+    totals = {}
+    for name, sc in ledger.scenarios().items():
+        lam_exp, d_exp = ledger.sum_exponents(sc)
+        totals[name] = {
+            "lam": str(lam_exp),
+            "d": str(d_exp),
+            "effective_lam": effective_lambda_exponent(lam_exp, d_exp),
             "driving": sc.driving,
+            "blocks": [asdict(b) for b in sc.blocks],
         }
-        for name, sc in scs.items()
-    }
-    n_match = sum(1 for r in rows if r.match)
+    mismatched = [r.name for r in rows if not r.match]
+    n_match = len(rows) - len(mismatched)
     results = {
         "rows": table,
         "scenario_totals": totals,
         "n_checkpoints": len(rows),
         "n_matching": n_match,
         "epsilon_policy": ledger.EPSILON_POLICY,
+        "unused_exponents": dict(ledger.UNUSED_EXPONENTS),
+        "kernel_derivation": asdict(ledger.kernel_derivation(6, 6)),
+        "narrow_derivation": asdict(ledger.narrow_derivation(2)),
     }
-    verdicts = (
-        _ok("all_checkpoints_match", ok, f"{n_match}/{len(rows)} rows match"),
-    )
+    detail = f"{n_match}/{len(rows)} rows match"
+    if mismatched:
+        detail += "; mismatched: " + ", ".join(mismatched)
+    verdicts = (_ok("all_checkpoints_match", not mismatched, detail),)
     return results, verdicts
 
 
@@ -902,13 +909,11 @@ def _exp_phase_coverage(run):
     rn_dense = phase.rn_classify(phase.sample_sextuple(s, seed, [0]), s,
                                  dense_fam)
     robust_seen = rn_dense.label[0] == "robust"
-    label_counts: dict[str, int] = {}
-    for r in rows:
-        key = f"{r['kind']}:{r['label']}"
-        label_counts[key] = label_counts.get(key, 0) + 1
     results = {
         "rows": rows,
-        "label_counts": label_counts,
+        "label_counts": Counter(f"{r['kind']}:{r['label']}" for r in rows),
+        "rn_label_counts": Counter(f"{r['kind']}:{r['rn_label']}"
+                                   for r in rows),
         "dense_family_max_count": rn_dense.max_alpha_count,
     }
     verdicts = (

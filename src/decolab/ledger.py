@@ -13,7 +13,6 @@ noting that constants stay uniform.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -372,94 +371,3 @@ def checkpoint_table() -> tuple[CheckpointRow, ...]:
         rows.append(CheckpointRow(name, dlam, dd, glam, gd))
     return tuple(rows)
 
-
-# ---------------------------------------------------------------------------
-# rendering for the CLI
-# ---------------------------------------------------------------------------
-
-def _fmt(x: Fraction | None) -> str:
-    return "" if x is None else str(x)
-
-
-def render(fmt: str = "text") -> tuple[str, bool]:
-    """Full ledger as text/json/csv plus an all-checkpoints-match flag."""
-    rows = checkpoint_table()
-    ok = all(r.match for r in rows)
-    scs = scenarios()
-
-    if fmt == "json":
-        doc = {
-            "scenarios": {
-                name: {
-                    "driving": sc.driving,
-                    "blocks": [
-                        {
-                            "name": b.name,
-                            "lam_exp": str(b.lam_exp),
-                            "d_exp": str(b.d_exp),
-                            "regime": b.regime,
-                            "attribution": b.attribution,
-                        }
-                        for b in sc.blocks
-                    ],
-                    "total_lam": str(sum_exponents(sc)[0]),
-                    "total_d": str(sum_exponents(sc)[1]),
-                }
-                for name, sc in scs.items()
-            },
-            "checkpoints": [
-                {
-                    "name": r.name,
-                    "derived_lam": _fmt(r.derived_lam),
-                    "derived_d": _fmt(r.derived_d),
-                    "golden_lam": _fmt(r.golden_lam),
-                    "golden_d": _fmt(r.golden_d),
-                    "match": r.match,
-                }
-                for r in rows
-            ],
-            "unused_exponents": {k: str(v) for k, v in UNUSED_EXPONENTS.items()},
-            "epsilon_policy": EPSILON_POLICY,
-            "all_match": ok,
-        }
-        return json.dumps(doc, indent=2, sort_keys=True), ok
-
-    if fmt == "csv":
-        lines = ["kind,scenario,name,lam_exp,d_exp,regime,match"]
-        for name, sc in scs.items():
-            for b in sc.blocks:
-                lines.append(
-                    f"block,{name},{b.name},{b.lam_exp},{b.d_exp},{b.regime},"
-                )
-            tl, td = sum_exponents(sc)
-            lines.append(f"total,{name},total,{tl},{td},{sc.driving},")
-        for r in rows:
-            lines.append(
-                f"checkpoint,,{r.name},{_fmt(r.derived_lam)},{_fmt(r.derived_d)},,"
-                f"{'ok' if r.match else 'MISMATCH'}"
-            )
-        return "\n".join(lines) + "\n", ok
-
-    if fmt == "text":
-        out = []
-        for name, sc in scs.items():
-            out.append(f"scenario {name} (driving: {sc.driving})")
-            for b in sc.blocks:
-                out.append(f"  {b.name:34s} {str(b.lam_exp):>10s} {str(b.d_exp):>6s}  {b.regime}")
-            tl, td = sum_exponents(sc)
-            out.append(f"  {'total':34s} {str(tl):>10s} {str(td):>6s}")
-            out.append("")
-        out.append("checkpoints")
-        for r in rows:
-            status = "ok" if r.match else "MISMATCH"
-            out.append(
-                f"  {r.name:34s} derived=({_fmt(r.derived_lam)}, {_fmt(r.derived_d)})"
-                f" golden=({_fmt(r.golden_lam)}, {_fmt(r.golden_d)})  {status}"
-            )
-        out.append("")
-        out.append(f"unused exponents (metadata only): "
-                   + ", ".join(f"{k}={v}" for k, v in UNUSED_EXPONENTS.items()))
-        out.append(f"epsilon policy: {EPSILON_POLICY}")
-        return "\n".join(out) + "\n", ok
-
-    raise ValueError(f"unknown format {fmt!r}")

@@ -61,8 +61,9 @@ class MCEstimate:
 
 
 def tube_for_cap(family: CapFamily, index: int, truncated: bool = False) -> Tube:
-    return Tube(scale=family.scale, xi=family.xi()[index],
-                truncated=truncated, cap_index=index)
+    xi = family.scale.lam * family.centers[index]   # one row of family.xi()
+    return Tube(scale=family.scale, xi=xi, truncated=truncated,
+                cap_index=index)
 
 
 def membership(tube: Tube, t: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -1,22 +1,36 @@
 import json
+from fractions import Fraction
 
 import pytest
 
-from decolab import caps, cli, lab, tubes
+from decolab import caps, cli, lab, ledger, tubes
 from decolab.errors import DecolabError
 
 
 def test_ledger_subcommand_passes(capsys):
     assert cli.main(["ledger"]) == 0
     out = capsys.readouterr().out
-    assert "scenario main" in out
-    assert "MISMATCH" not in out
+    assert "experiment: ledger-goldens" in out
+    assert "[PASS] all_checkpoints_match  (21/21 rows match)" in out
+    assert "FAIL" not in out
 
 
 def test_ledger_json_format(capsys):
     assert cli.main(["ledger", "--format", "json"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["all_match"] is True
+    (doc,) = json.loads(capsys.readouterr().out)["reports"]
+    assert doc["experiment"] == "ledger-goldens"
+    assert doc["verdicts"][0]["status"] == "PASS"
+
+
+def test_ledger_mismatch_exits_1_and_names_the_checkpoint(monkeypatch,
+                                                           capsys):
+    monkeypatch.setitem(ledger.GOLDEN, "narrow_log_2", (Fraction(1, 2), None))
+    assert cli.main(["ledger"]) == 1
+    (verdict,) = [line for line in capsys.readouterr().out.splitlines()
+                  if "all_checkpoints_match" in line]
+    assert verdict.startswith("[FAIL]")
+    assert "20/21 rows match" in verdict
+    assert "narrow_log_2" in verdict
 
 
 def test_group_runs_and_exit_code(capsys):

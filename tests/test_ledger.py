@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from decolab import ledger
+from decolab import cli, ledger
 
 
 def test_every_checkpoint_matches_its_golden_value():
@@ -135,36 +135,53 @@ def test_unused_exponent_is_not_in_any_scenario():
             assert b.name not in spare
 
 
-def test_render_text():
-    text, ok = ledger.render("text")
-    assert ok
-    assert "MISMATCH" not in text
-    assert "scenario main" in text
-    assert "epsilon policy" in text
+# the ledger renders through `decolab ledger`, as the ledger-goldens report
+
+def test_render_text(capsys):
+    assert cli.main(["ledger"]) == 0
+    text = capsys.readouterr().out
+    assert "[PASS] all_checkpoints_match" in text
+    assert "FAIL" not in text
+    assert "scenario_totals: {'main':" in text
+    assert f"epsilon_policy: {ledger.EPSILON_POLICY}" in text
 
 
-def test_render_json():
-    doc_text, ok = ledger.render("json")
-    assert ok
-    doc = json.loads(doc_text)
-    assert doc["all_match"] is True
-    assert set(doc["scenarios"]) == set(ledger.scenarios())
-    assert doc["scenarios"]["main"]["total_lam"] == "-2557/576"
-    assert len(doc["checkpoints"]) == len(ledger.GOLDEN)
-    assert all(c["match"] for c in doc["checkpoints"])
+def test_render_json(capsys):
+    assert cli.main(["ledger", "--format", "json"]) == 0
+    (doc,) = json.loads(capsys.readouterr().out)["reports"]
+    assert [(v["name"], v["status"]) for v in doc["verdicts"]] == [
+        ("all_checkpoints_match", "PASS")]
+    res = doc["results"]
+    totals = res["scenario_totals"]
+    assert set(totals) == set(ledger.scenarios())
+    for name, sc in ledger.scenarios().items():
+        assert [b["name"] for b in totals[name]["blocks"]] == [
+            b.name for b in sc.blocks]
+    assert totals["main"]["lam"] == "-2557/576"
+    assert totals["main"]["effective_lam"] == str(
+        ledger.GOLDEN["effective_main"][0])
+    assert len(res["rows"]) == len(ledger.GOLDEN)
+    assert all(r["match"] for r in res["rows"])
+    assert res["n_matching"] == len(ledger.GOLDEN)
+    assert res["unused_exponents"] == {
+        k: str(v) for k, v in ledger.UNUSED_EXPONENTS.items()}
+    assert res["epsilon_policy"] == ledger.EPSILON_POLICY
+    assert res["kernel_derivation"]["schur_raw_lam"] == "-2"
+    assert res["narrow_derivation"]["global_exp"] == "-5/64"
 
 
-def test_render_csv():
-    text, ok = ledger.render("csv")
-    assert ok
-    rows = list(csv.DictReader(io.StringIO(text)))
-    kinds = {r["kind"] for r in rows}
-    assert kinds == {"block", "total", "checkpoint"}
-    checks = [r for r in rows if r["kind"] == "checkpoint"]
-    assert len(checks) == len(ledger.GOLDEN)
-    assert all(r["match"] == "ok" for r in checks)
+def test_render_csv(capsys):
+    assert cli.main(["ledger", "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "# ledger-goldens"
+    rows = list(csv.DictReader(io.StringIO("\n".join(lines[1:]))))
+    assert list(rows[0]) == ["name", "derived_lam", "derived_d",
+                             "golden_lam", "golden_d", "match"]
+    assert [r["name"] for r in rows] == list(ledger.GOLDEN)
+    assert all(r["match"] == "True" for r in rows)
 
 
-def test_render_rejects_unknown_format():
-    with pytest.raises(ValueError):
-        ledger.render("yaml")
+def test_render_rejects_unknown_format(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["ledger", "--format", "yaml"])
+    assert exc.value.code == 2

@@ -102,6 +102,19 @@ def test_mc_pair_overlap_self_is_volume():
     assert abs(vol.value - ovl.value) <= 4.0 * (vol.stderr + ovl.stderr)
 
 
+def test_tube_for_cap_reads_one_row(monkeypatch):
+    family = caps.build_lattice(scale.derive(64.0))
+    rows = family.xi()
+
+    def whole_array(self):
+        raise AssertionError("tube_for_cap built the whole xi array")
+    monkeypatch.setattr(caps.CapFamily, "xi", whole_array)
+    for i in (0, 1, len(family) // 2, len(family) - 1):
+        tube = tubes.tube_for_cap(family, i, truncated=True)
+        assert tube.xi.tobytes() == rows[i].tobytes()    # bit for bit
+        assert (tube.cap_index, tube.truncated) == (i, True)
+
+
 def test_mc_pair_overlap_rejects_mixed_scales():
     t1 = tubes.Tube(scale=scale.derive(64.0), xi=np.zeros(3))
     t2 = tubes.Tube(scale=scale.derive(128.0), xi=np.zeros(3))
