@@ -10,7 +10,7 @@ registry, in registry order:
 * tubes           volumes, overlaps, multiplicity
 * phase           sextuple classifications
 * shell           anisotropic box, polynomial bands
-* probe           sampled-field L6 ratios (lam <= 64)
+* probe           sampled-field L6 ratios (lam <= 256 at the default grid)
 * ladder NAME     one experiment across a frequency ladder, rate fit
 
 Flags can also be supplied through --config pointing at a flat JSON object

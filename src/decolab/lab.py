@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import textwrap
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, replace
@@ -36,11 +37,21 @@ DEFAULT_LAM = 256.0
 #: the dyadic frequency ladder used by the rate experiments
 LADDER_LAMS = tuple(float(2 ** k) for k in range(6, 13))
 
-#: shorter ladder for the sampled-field probe, which is guarded to lam <= 64
+#: default ladder for the sampled-field probe; the probe itself runs to
+#: lam 256 at the default grid, and --lambda reaches the higher rungs
 PROBE_LAMS = (4.0, 8.0, 16.0, 32.0, 64.0)
 
 #: probe grid points per axis, per sqrt(lam)
 PROBE_GRID_FACTOR = 6
+
+#: grid columns per probe GEMM block: the working set is O(n_caps * block)
+_PROBE_BLOCK = 128
+
+#: largest probe working set decoupling_probe accepts, in bytes
+PROBE_MAX_BYTES = 1 << 30
+
+#: text reports wrap result lines at this many characters
+TEXT_WIDTH = 120
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -126,7 +137,7 @@ class ExperimentReport:
             if k == "rows" and isinstance(v, list):
                 lines.append(f"rows: {len(v)} entries")
                 continue
-            lines.append(f"{k}: {_jsonify(v)}")
+            lines.extend(_text_lines(k, _jsonify(v)))
         for v in self.verdicts:
             detail = f"  ({v.detail})" if v.detail else ""
             lines.append(f"[{v.status}] {v.name}{detail}")
@@ -156,6 +167,27 @@ class ExperimentReport:
     def write_csv(self, path) -> None:
         with open(path, "w") as fh:
             fh.write(self.csv())
+
+
+def _text_lines(key: str, value) -> list[str]:
+    """``key: value`` text lines, one per leaf of a nested result.
+
+    Dicts flatten to dotted keys (``scenario_totals.main.lam``), and so do
+    lists that hold dicts or lists, by index; lists of scalars stay inline.
+    A leaf longer than TEXT_WIDTH wraps onto indented continuation lines.
+    """
+    if isinstance(value, dict) and value:
+        items = value.items()
+    elif isinstance(value, list) and any(isinstance(v, (dict, list))
+                                         for v in value):
+        items = enumerate(value)
+    else:
+        line = f"{key}: {value}"
+        if len(line) <= TEXT_WIDTH:
+            return [line]
+        return textwrap.wrap(line, TEXT_WIDTH, subsequent_indent="    ",
+                             break_long_words=False, break_on_hyphens=False)
+    return [line for k, v in items for line in _text_lines(f"{key}.{k}", v)]
 
 
 def _csv_cell(v) -> str:
@@ -1075,13 +1107,34 @@ def decoupling_probe(scale: ScaleParams, seed: int,
     caps and |F| does not depend on t: the probe samples t = 0 only, on a
     midpoint grid over the unit spatial box (ball-masked).  The reference is
     the flat count (sum |a_n|^2)^1/2, exact for a single cap since each
-    summand has constant modulus.  Guarded to lam <= 64: the grid and
-    matrix sizes grow quickly beyond that.
+    summand has constant modulus.
+
+    The field is computed exactly, with no approximation: exp(i x.xi) is
+    the product of one exponential per axis per cap, only the (x2, x3)
+    columns inside the disk x2^2 + x3^2 <= 1/4 are formed, and both
+    amplitude sets share one GEMM per block of _PROBE_BLOCK columns.
+    Refused, before the lattice is built, when the grid is at or under the
+    field's Nyquist count lam/pi per axis, or when the working set would
+    exceed PROBE_MAX_BYTES.
     """
-    if scale.lam > 64:
-        raise ConfigError("probe supports lam <= 64 only")
     if grid_factor < 4:
         raise ConfigError("grid factor below 4 undersamples the field")
+    n_axis = max(4, int(round(grid_factor * math.sqrt(scale.lam))))
+    if n_axis * math.pi <= scale.lam:
+        raise ConfigError(
+            f"probe grid of {n_axis} points per axis is at or under the "
+            f"Nyquist count lam/pi = {scale.lam / math.pi:.1f} at lam "
+            f"{scale.lam:g}")
+    # working set in bytes.  Complex: the per-axis exponentials and the
+    # stacked left factor with its temporary (6 nx rows of n), one column
+    # block and its two gathers (3 rows of n per block column).  Real:
+    # |F|^6 on at most 2 nx^3 points
+    n_bound = caps.spiral_size(scale) if family is None else len(family)
+    need = 16 * n_bound * (6 * n_axis + 3 * _PROBE_BLOCK) + 16 * n_axis ** 3
+    if need > PROBE_MAX_BYTES:
+        raise ConfigError(
+            f"probe at lam {scale.lam:g} needs about {need / 2 ** 20:.0f} "
+            f"MiB, over the {PROBE_MAX_BYTES / 2 ** 20:.0f} MiB it supports")
     if family is None:
         family = caps.build_lattice(scale)
     xis = family.xi()
@@ -1089,33 +1142,32 @@ def decoupling_probe(scale: ScaleParams, seed: int,
     rng = keyed_rng(seed, "probe", repr(float(scale.lam)), n)
     phases = rng.uniform(0.0, 2.0 * math.pi, size=n)
 
-    n_axis = max(4, int(round(grid_factor * math.sqrt(scale.lam))))
     ax = (np.arange(n_axis) + 0.5) / n_axis - 0.5
+    e = 1j * (ax[:, np.newaxis] * xis.T[:, np.newaxis, :])
+    e1, e2, e3 = np.exp(e, out=e)                           # (3, nx, n)
+    left = np.concatenate((e1 * np.exp(1j * phases), e1))   # (2 nx, n)
 
-    # tensor split: x1 against (x2, x3), joined by one matmul per panel
-    ph1 = ax[:, np.newaxis] * xis[:, 0]                   # (nx, n)
-    ph2 = (ax[:, np.newaxis, np.newaxis] * xis[:, 1]
-           + ax[np.newaxis, :, np.newaxis] * xis[:, 2])
-    m2 = 1j * ph2
-    np.exp(m2, out=m2)              # in place: the probe's largest buffer
-    m2 = m2.reshape(-1, n).T                              # (n, nx^2)
+    # no point of the ball |x| <= 1/2 lies outside the disk columns; the
+    # mask sums (x1^2 + x2^2) + x3^2 as a full-grid mask does, and p6[mask]
+    # reads the ball in the same (x1, x2, x3) order, so np.mean is unchanged
+    sq = ax ** 2
+    j2, j3 = np.nonzero(sq[:, np.newaxis] + sq <= 0.25)
+    mask = sq[:, np.newaxis] + sq[j2] + sq[j3] <= 0.25     # (nx, ncol)
 
-    # spatial ball mask |x| <= 1/2, flattened in (x1, x2, x3) order
-    r2 = (ax[:, None, None] ** 2 + ax[None, :, None] ** 2
-          + ax[None, None, :] ** 2)
-    mask = (r2 <= 0.25).reshape(n_axis, -1)               # (nx, nx^2)
-
-    ratios = {}
-    for tag, amps in (("random", np.exp(1j * phases)),
-                      ("focusing", np.ones(n, dtype=complex))):
-        field = (np.exp(1j * ph1) * amps) @ m2            # (nx, nx^2)
-        p6 = (field.real ** 2 + field.imag ** 2) ** 3
-        masked_mean = float(np.mean(p6[mask]))
-        ratios[tag] = masked_mean ** (1.0 / 6.0) / math.sqrt(n)
+    p6 = np.empty((2 * n_axis, j2.size))
+    for lo in range(0, j2.size, _PROBE_BLOCK):
+        cols = slice(lo, lo + _PROBE_BLOCK)
+        block = e2[j2[cols]]
+        block *= e3[j3[cols]]                                # (blk, n)
+        field = left @ block.T                               # (2 nx, blk)
+        p6[:, cols] = (field.real ** 2 + field.imag ** 2) ** 3
+    ratio_random, ratio_focusing = (
+        float(np.mean(p[mask])) ** (1.0 / 6.0) / math.sqrt(n)
+        for p in (p6[:n_axis], p6[n_axis:]))
     return ProbeResult(lam=scale.lam, n_caps=n, grid_per_axis=n_axis,
                        t_points=1, n_points=int(np.count_nonzero(mask)),
-                       ratio_random=ratios["random"],
-                       ratio_focusing=ratios["focusing"])
+                       ratio_random=ratio_random,
+                       ratio_focusing=ratio_focusing)
 
 
 @experiment("probe-single-cap", group="probe", lam=64.0,

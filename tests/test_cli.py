@@ -15,6 +15,13 @@ def test_ledger_subcommand_passes(capsys):
     assert "FAIL" not in out
 
 
+def test_ledger_text_lines_fit_a_terminal(capsys):
+    assert cli.main(["ledger"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "scenario_totals.main.lam: -2557/576" in lines
+    assert max(len(line) for line in lines) <= 120
+
+
 def test_ledger_json_format(capsys):
     assert cli.main(["ledger", "--format", "json"]) == 0
     (doc,) = json.loads(capsys.readouterr().out)["reports"]
@@ -104,10 +111,17 @@ def test_unknown_ladder_experiment_is_usage_error(capsys):
     assert "unknown experiment" in capsys.readouterr().err
 
 
-def test_probe_beyond_its_guard_is_usage_error(capsys):
-    code = cli.main(["probe", "--lambda", "256"])
+def test_probe_beyond_its_guard_is_usage_error(monkeypatch, capsys):
+    def no_lattice(scale):
+        raise AssertionError("the lattice was built")
+    monkeypatch.setattr(caps, "build_lattice", no_lattice)
+    code = cli.main(["probe", "--lambda", "512"])
     assert code == 2
-    assert "lam <= 64" in capsys.readouterr().err
+    assert "Nyquist" in capsys.readouterr().err
+    # probe-single-cap brings its own family; probe-curve builds the lattice
+    code = cli.main(["ladder", "probe-curve", "--lambda", "512,1024"])
+    assert code == 2
+    assert "Nyquist" in capsys.readouterr().err
 
 
 def test_bad_lambda_string_is_usage_error(capsys):

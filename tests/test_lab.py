@@ -5,7 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from decolab import lab, scale
+import probe_oracle
+from decolab import caps, lab, scale
+from decolab.errors import ConfigError
 
 
 EXPECTED_NAMES = {
@@ -168,11 +170,49 @@ def test_run_ladder_without_window_is_observational():
 
 
 def test_probe_guard_rejects_large_lam():
-    from decolab.tubes import ConfigError
-    with pytest.raises(ConfigError):
-        lab.decoupling_probe(scale.derive(256.0), seed=1)
+    # lam 512 at the default grid: 136 points per axis against lam/pi = 163
+    with pytest.raises(ConfigError, match="Nyquist"):
+        lab.decoupling_probe(scale.derive(512.0), seed=1)
     with pytest.raises(ConfigError):
         lab.decoupling_probe(scale.derive(16.0), seed=1, grid_factor=2)
+
+
+def test_probe_guards_fire_before_the_lattice(monkeypatch):
+    def no_lattice(scale):
+        raise AssertionError("the lattice was built")
+    monkeypatch.setattr(caps, "build_lattice", no_lattice)
+    with pytest.raises(ConfigError, match="Nyquist"):
+        lab.decoupling_probe(scale.derive(512.0), seed=1)
+    # a grid fine enough for Nyquist at lam 512 needs about 1.3 GiB
+    with pytest.raises(ConfigError, match="MiB"):
+        lab.decoupling_probe(scale.derive(512.0), seed=1, grid_factor=12)
+
+
+def test_probe_runs_at_lam_128():
+    res = lab.decoupling_probe(scale.derive(128.0), seed=1)
+    assert res.n_caps == 5161
+    assert res.grid_per_axis == 68
+    assert 1.0 < res.ratio_random < res.ratio_focusing
+
+
+@pytest.mark.parametrize("lam", [4.0, 8.0, 16.0, 32.0, 64.0])
+def test_probe_matches_the_dense_oracle(lam):
+    s = scale.derive(lam)
+    family = caps.build_lattice(s)
+    for seed in range(5):
+        got = lab.decoupling_probe(s, seed, family=family)
+        want = probe_oracle.dense_probe(s, seed, family=family)
+        assert got.n_points == want.n_points
+        assert got.ratio_random == pytest.approx(want.ratio_random,
+                                                 rel=1e-14, abs=0)
+        assert got.ratio_focusing == pytest.approx(want.ratio_focusing,
+                                                   rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("lam", [4.0, 16.0, 64.0, 128.0, 256.0])
+def test_probe_single_cap_is_exact_up_to_the_ceiling(lam):
+    rep = lab.run_experiment("probe-single-cap", lam=lam)
+    assert rep.results["max_dev_from_one"] == 0.0
 
 
 def test_probe_single_cap_ratio_is_one():

@@ -142,7 +142,7 @@ def test_render_text(capsys):
     text = capsys.readouterr().out
     assert "[PASS] all_checkpoints_match" in text
     assert "FAIL" not in text
-    assert "scenario_totals: {'main':" in text
+    assert "scenario_totals.main.driving: robust_kakeya" in text
     assert f"epsilon_policy: {ledger.EPSILON_POLICY}" in text
 
 
