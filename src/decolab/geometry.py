@@ -22,6 +22,7 @@ from .errors import DegenerateGeometryError
 TRIPLES: tuple[tuple[int, int, int], ...] = tuple(
     itertools.combinations(range(6), 3)
 )
+_TRIPLE_COLS = tuple(np.asarray(TRIPLES).T)
 
 
 def _norm(v: np.ndarray) -> np.ndarray:
@@ -128,41 +129,42 @@ def mixed_minor4(c1: np.ndarray, c2: np.ndarray, c3: np.ndarray,
     return np.abs(np.linalg.det(cols))
 
 
-def min_triple(values: np.ndarray) -> float:
-    """min over triples {i<j<k} of |F_i F_j F_k|^(1/3) for six magnitudes.
+def min_triple(values: np.ndarray) -> np.ndarray:
+    """Per row, min over triples {i<j<k} of |F_i F_j F_k|^(1/3); (n, 6) in.
 
     Algebraic fact used by the broad functional: this minimum never exceeds
     (prod_m |F_m|^(1/2))^(1/3), because each index sits in exactly 10 of the
     20 triples and the minimum is at most the geometric mean.
     """
     v = np.abs(np.asarray(values, dtype=float))
-    if v.shape != (6,):
-        raise ValueError("expected six magnitudes")
-    prods = [v[i] * v[j] * v[k] for (i, j, k) in TRIPLES]
-    return float(np.min(prods) ** (1.0 / 3.0))
+    if v.ndim != 2 or v.shape[1] != 6:
+        raise ValueError(f"expected (n, 6) magnitudes, got shape {v.shape}")
+    i, j, k = _TRIPLE_COLS
+    return np.min(v[:, i] * v[:, j] * v[:, k], axis=1) ** (1.0 / 3.0)
 
 
-def broad3(values: np.ndarray, normals: np.ndarray) -> float:
-    """Broad three-wave functional of six magnitudes and six unit normals.
+def broad3(values: np.ndarray, normals: np.ndarray) -> np.ndarray:
+    """Broad three-wave functional per row of six magnitudes and six normals.
 
-    min over triples of |F_i F_j F_k|^(1/3) / |n_i ^ n_j ^ n_k|^(1/3); a
-    triple whose wedge vanishes carries no transversality and is skipped.
-    All twenty wedges zero means the configuration is degenerate.
+    values is (n, 6) and normals (n, 6, k), unit.  Row-wise min over triples
+    of |F_i F_j F_k|^(1/3) / |n_i ^ n_j ^ n_k|^(1/3); a triple whose wedge
+    vanishes carries no transversality and is skipped.  A row with all
+    twenty wedges zero is a degenerate configuration.
     """
     v = np.abs(np.asarray(values, dtype=float))
-    if v.shape != (6,):
-        raise ValueError("expected six magnitudes")
     n = np.asarray(normals, dtype=float)
-    if n.shape[0] != 6 or n.ndim != 2:
-        raise ValueError("expected six normals")
-    best = None
-    for (i, j, k) in TRIPLES:
-        w = float(wedge3_norm(n[i], n[j], n[k]))
-        if w == 0.0:
-            continue
-        q = (v[i] * v[j] * v[k]) ** (1.0 / 3.0) / w ** (1.0 / 3.0)
-        if best is None or q < best:
-            best = q
-    if best is None:
-        raise DegenerateGeometryError("all 20 normal triples have zero wedge")
-    return best
+    if v.ndim != 2 or v.shape[1] != 6:
+        raise ValueError(f"expected (n, 6) magnitudes, got shape {v.shape}")
+    if n.ndim != 3 or n.shape[:2] != v.shape:
+        raise ValueError(f"expected {v.shape[0]} rows of six normals, "
+                         f"got shape {n.shape}")
+    i, j, k = _TRIPLE_COLS
+    w = wedge3_norm(n[:, i], n[:, j], n[:, k])              # (n, 20)
+    live = w != 0.0
+    dead = np.nonzero(~live.any(axis=1))[0]
+    if dead.size:
+        raise DegenerateGeometryError(
+            f"row {dead[0]}: all 20 normal triples have zero wedge")
+    q = ((v[:, i] * v[:, j] * v[:, k]) ** (1.0 / 3.0)
+         / np.where(live, w, 1.0) ** (1.0 / 3.0))
+    return np.min(np.where(live, q, np.inf), axis=1)

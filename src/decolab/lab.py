@@ -27,7 +27,7 @@ import numpy as np
 
 from . import caps, geometry, ledger, phase, shell, tubes
 from .errors import ConfigError, UnknownExperimentError
-from .rng import keyed_rng
+from .rng import jittered_stack, keyed_rng, unit_vectors
 from .scale import (LAMBDA_EXPONENTS, ScaleParams, derive,
                     effective_lambda_exponent)
 
@@ -164,10 +164,6 @@ class ExperimentReport:
         with open(path, "w") as fh:
             fh.write(self.canonical_json())
 
-    def write_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.csv())
-
 
 def _text_lines(key: str, value) -> list[str]:
     """``key: value`` text lines, one per leaf of a nested result.
@@ -223,15 +219,6 @@ def fit_slope(lams, values) -> LadderFit:
     return LadderFit(slope=float(slope), intercept=float(intercept),
                      n_points=int(x.shape[0]),
                      max_log_residual=float(np.max(np.abs(resid))))
-
-
-# ---------------------------------------------------------------------------
-# shared draws
-# ---------------------------------------------------------------------------
-
-def _unit_vectors(rng: np.random.Generator, n: int, dim: int = 3) -> np.ndarray:
-    v = rng.normal(size=(n, dim))
-    return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +359,7 @@ def _exp_ledger_goldens(run):
 def _exp_geometry_residual(run):
     """normal vs its large-frequency limit"""
     lam, samples = run.lam, run.samples
-    xi = lam * _unit_vectors(run.rng(), samples)
+    xi = lam * unit_vectors(run.rng(), samples)
     res = geometry.normal_residual(xi)
     u = 1.0 / (4.0 * lam * lam)
     closed = u / (math.sqrt(1.0 + u) + 1.0)   # sqrt(1+u) - 1, stable form
@@ -404,8 +391,8 @@ def _exp_bilipschitz(run):
     """normal-map angle distortion on the sphere of one radius"""
     lam, samples = run.lam, run.samples
     rng = run.rng()
-    u = _unit_vectors(rng, samples)
-    v = _unit_vectors(rng, samples)
+    u = unit_vectors(rng, samples)
+    v = unit_vectors(rng, samples)
     fixed = geometry.bilipschitz_ratio(lam * u, lam * v)
     violations = int(np.count_nonzero((fixed < 0.5) | (fixed > 2.0)))
     # same directions at independent shell radii: reported, not gated
@@ -435,19 +422,13 @@ def _exp_gram_identity(run):
     s, lam, samples = run.scale, run.lam, run.samples
     rng = run.rng()
     # generic unit 4-vectors
-    v = rng.normal(size=(samples, 3, 4))
-    v /= np.linalg.norm(v, axis=-1, keepdims=True)
+    v = unit_vectors(rng, 3 * samples, 4).reshape(samples, 3, 4)
     closed = geometry.gram_det3(v[:, 0], v[:, 1], v[:, 2])
     brute = np.linalg.det(v @ np.transpose(v, (0, 2, 1)))
     diff_generic = float(np.max(np.abs(closed - brute)))
     # nearly parallel normals of r-clustered frequencies (tiny wedges)
-    base = _unit_vectors(rng, samples)
-    tri = []
-    for _ in range(3):
-        d = base + s.r * rng.normal(size=(samples, 3))
-        tri.append(geometry.normal(lam * d / np.linalg.norm(d, axis=-1,
-                                                            keepdims=True)))
-    n = np.stack(tri, axis=1)
+    d = jittered_stack(rng, samples, 3, s.r)
+    n = geometry.normal(lam * d / np.linalg.norm(d, axis=-1, keepdims=True))
     closed_c = geometry.gram_det3(n[:, 0], n[:, 1], n[:, 2])
     brute_c = np.linalg.det(n @ np.transpose(n, (0, 2, 1)))
     diff_clustered = float(np.max(np.abs(closed_c - brute_c)))
@@ -464,43 +445,29 @@ def _exp_gram_identity(run):
     return results, verdicts
 
 
-_TRIPLE_IDX = np.asarray(geometry.TRIPLES)
-
-
 @experiment("broad3-identity", group="geometry-audit", samples=50_000)
 def _exp_broad3_identity(run):
     """geometric-mean bound for the minimal amplitude triple"""
     rng = run.rng()
     mags = np.exp(rng.normal(size=(run.samples, 6)))
-    prods = (mags[:, _TRIPLE_IDX[:, 0]]
-             * mags[:, _TRIPLE_IDX[:, 1]]
-             * mags[:, _TRIPLE_IDX[:, 2]])
-    mt = np.min(prods, axis=1) ** (1.0 / 3.0)
+    mt = geometry.min_triple(mags)
     geo = np.prod(mags, axis=1) ** (1.0 / 6.0)
     ok_rows = mt <= geo * (1.0 + 1e-12)
     margin = float(np.min(geo / mt))
-    # consistency of the scalar helper against the vectorized path
-    check = min(200, run.samples)
-    helper_dev = max(
-        abs(geometry.min_triple(mags[i]) - float(mt[i])) for i in range(check)
-    )
     # the functional stays finite and positive on random normal sextuples
-    dirs = rng.normal(size=(check, 6, 4))
-    dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
-    vals = [geometry.broad3(mags[i], dirs[i]) for i in range(check)]
-    finite = all(math.isfinite(v) and v > 0 for v in vals)
+    check = min(200, run.samples)
+    dirs = unit_vectors(rng, 6 * check, 4).reshape(check, 6, 4)
+    vals = geometry.broad3(mags[:check], dirs)
+    finite = bool(np.all(np.isfinite(vals) & (vals > 0)))
     results = {
         "min_margin": margin,
-        "helper_max_dev": float(helper_dev),
         "n_functional_checks": check,
-        "functional_min": float(min(vals)),
-        "functional_max": float(max(vals)),
+        "functional_min": float(np.min(vals)),
+        "functional_max": float(np.max(vals)),
     }
     verdicts = (
         _ok("min_triple_leq_geometric_mean", bool(np.all(ok_rows)),
             f"min margin {margin:.6f} over {run.samples} draws"),
-        _ok("helper_matches_vectorized", helper_dev <= 1e-12,
-            f"max dev {helper_dev:.2e}"),
         _ok("functional_finite_positive", finite,
             f"{check} sextuples evaluated"),
     )
@@ -513,13 +480,11 @@ def _exp_mixed_minor(run):
     """clustered 4-column minors with one defect column"""
     s, lam, samples = run.scale, run.lam, run.samples
     rng = run.rng()
-    base = _unit_vectors(rng, samples)
-    dirs = []
-    for _ in range(4):
-        d = base + s.r * rng.normal(size=(samples, 3))
-        dirs.append(d / np.linalg.norm(d, axis=-1, keepdims=True))
-    a1, a2, a3 = (geometry.asymptotic_normal(lam * d) for d in dirs[:3])
-    xi4 = lam * dirs[3]
+    d = jittered_stack(rng, samples, 4, s.r)
+    dirs = d / np.linalg.norm(d, axis=-1, keepdims=True)
+    a1, a2, a3 = (geometry.asymptotic_normal(lam * dirs[:, m])
+                  for m in range(3))
+    xi4 = lam * dirs[:, 3]
     rho4 = geometry.normal_defect(xi4)
     det = geometry.mixed_minor4(a1, a2, a3, rho4)
     # wedge via the brute Gram determinant: the cosine closed form assumes
@@ -561,7 +526,7 @@ def _exp_cap_lattice(run):
     fam = caps.build_lattice(s)
     n = len(fam)
     sep = caps.min_separation(fam)
-    probes = _unit_vectors(run.rng("cap-lattice-probes"), samples)
+    probes = unit_vectors(run.rng("cap-lattice-probes"), samples)
     cov = caps.covering_probe(fam, probes)
     lo, hi = lam ** (4.0 / 3.0), 16.0 * lam ** (4.0 / 3.0)
     results = {
@@ -621,7 +586,7 @@ def _exp_greedy_coloring(run):
     rng = run.rng()
     # a synthetic sub-alpha cluster: the lattice itself is r-separated with
     # r >> alpha, so its conflict graph is empty and proves nothing
-    dirs = caps.clustered_dirs(rng, _unit_vectors(rng, 1)[0], samples,
+    dirs = caps.clustered_dirs(rng, unit_vectors(rng, 1)[0], samples,
                                3.0 * s.alpha)
     fam = caps.CapFamily(scale=s, centers=dirs)
     colored = caps.greedy_color(fam)
@@ -864,7 +829,7 @@ def _exp_multiplicity(run):
     s, seed, samples = run.scale, run.seed, run.samples
     rng = run.rng("multiplicity-family")
     n_caps = 24
-    dirs = caps.clustered_dirs(rng, _unit_vectors(rng, 1)[0], n_caps,
+    dirs = caps.clustered_dirs(rng, unit_vectors(rng, 1)[0], n_caps,
                                0.5 * s.alpha)
     fam = caps.CapFamily(scale=s, centers=dirs)
     res = tubes.multiplicity_experiment(fam, samples, seed)
@@ -906,7 +871,7 @@ def _exp_phase_coverage(run):
     s, seed, samples = run.scale, run.seed, run.samples
     rng = run.rng("phase-family")
     dense_fam = caps.CapFamily(scale=s, centers=caps.clustered_dirs(
-        rng, _unit_vectors(rng, 1)[0], 16, 0.5 * s.alpha))
+        rng, unit_vectors(rng, 1)[0], 16, 0.5 * s.alpha))
     rows = []
     paired_exact = True
     cluster_narrow = True
@@ -1265,12 +1230,19 @@ def run_ladder(name: str, lams=None, seed: int = DEFAULT_SEED,
                samples: int | None = None,
                slope_window: tuple[float, float] | None = None
                ) -> ExperimentReport:
-    """Run an experiment across a frequency ladder and fit the rate."""
+    """Run an experiment across a frequency ladder and fit the rate.
+
+    The rungs are checked, at least three and each a valid lam, before the
+    first one runs.
+    """
     exp = _lookup(name)
     if exp.ladder_metric is None:
         raise ValueError(f"experiment {name} declares no ladder metric")
-    if lams is None:
-        lams = exp.ladder_lams
+    lams = tuple(exp.ladder_lams if lams is None else lams)
+    if len(lams) < 3:
+        raise ConfigError(f"a ladder needs >= 3 rungs, got {len(lams)}")
+    for lam in lams:
+        derive(lam)
     t0 = time.perf_counter()
     values = []
     rows = []
@@ -1292,7 +1264,7 @@ def run_ladder(name: str, lams=None, seed: int = DEFAULT_SEED,
     }
     verdicts = [
         _ok("per_lam_experiments_clean", failures == 0,
-            f"{failures} FAIL verdicts across {len(list(lams))} rungs"),
+            f"{failures} FAIL verdicts across {len(lams)} rungs"),
     ]
     if slope_window is not None:
         lo, hi = slope_window

@@ -33,7 +33,7 @@ from .caps import CapFamily, clustered_dirs, conflict_degrees
 from .geometry import angle_between
 # keyed_rng is re-exported: replicate rep of sample_sextuple draws exactly
 # keyed_rng(seed, "sextuple", kind, repr(lam), rep)
-from .rng import keyed_rng, keyed_rngs  # noqa: F401
+from .rng import keyed_rng, keyed_rngs, unit_vectors  # noqa: F401
 from .scale import ScaleParams
 
 #: the six block pairings, lexicographic: pairing p sends m to PAIRINGS[p][m]
@@ -41,6 +41,11 @@ PAIRINGS = tuple(itertools.permutations((3, 4, 5)))
 _PAIRING_COLS = np.asarray(PAIRINGS) - 3
 
 SAMPLER_KINDS = ("generic", "paired", "perturbed", "clustered5")
+
+#: transversal gradient floor c1 = TP_C1_PER_C0 * c0 (times lam * alpha),
+#: and the density threshold c_star * D of the robust branch
+TP_C1_PER_C0 = 0.5
+RN_C_STAR = 0.5
 
 
 def _stack(xi: np.ndarray) -> np.ndarray:
@@ -140,26 +145,24 @@ class TPResult:
     grad_threshold: float           # c1 * lam * alpha
 
 
-def tp_dichotomy(xi: np.ndarray, scale: ScaleParams, C: float = 4.0,
-                 c1: float | None = None) -> TPResult:
+def tp_dichotomy(xi: np.ndarray, scale: ScaleParams,
+                 C: float = 4.0) -> TPResult:
     """Paired / transversal / neither trichotomy for each sextuple.
 
     A block pairing m -> p[m] holds when, for m = 0, 1, 2, the transverse
     angle and the modulus gap to the partner are within C * alpha and
     C * mu6 / lam.  The first pairing that holds, in lexicographic order,
     is the witness.  Failing every pairing, a transverse gradient of at
-    least c1 * lam * alpha (c1 defaults to c0/2) makes the sextuple
+    least c1 * lam * alpha, c1 = TP_C1_PER_C0 * c0, makes the sextuple
     transversal.
     """
     arr = _stack(xi)
-    if c1 is None:
-        c1 = 0.5 * scale.c0
     g = grad_xprime(arr)
     gnorm = np.fromiter(map(math.hypot, g[:, 0].tolist(), g[:, 1].tolist()),
                         dtype=float, count=g.shape[0])
     ang_thr = C * scale.alpha
     rad_thr = C * mu6(arr) / scale.lam
-    grad_thr = c1 * scale.lam * scale.alpha
+    grad_thr = TP_C1_PER_C0 * scale.c0 * scale.lam * scale.alpha
     mods = moduli(arr)
     u = transverse_dirs(arr)
     # (n, 3, 3) tables: block-1 index m against block-2 index k - 3
@@ -214,19 +217,19 @@ def single_linkage_sizes(dirs: np.ndarray, alpha: float) -> np.ndarray:
 class RNResult:
     label: np.ndarray            # (n,) robust|narrow|neither
     max_alpha_count: int         # densest alpha-cap occupancy in the family
-    density_threshold: float     # c_star * D
+    density_threshold: float     # RN_C_STAR * D
     cluster_sizes: np.ndarray    # (n, 6) descending, zero padded
 
 
 def rn_classify(xi: np.ndarray, scale: ScaleParams,
-                family: CapFamily | None, c_star: float = 0.5) -> RNResult:
+                family: CapFamily | None) -> RNResult:
     """Robust when some alpha-cap of the active family is overfull, narrow
     when five of the six directions fall in one alpha-linkage cluster."""
     if family is not None and len(family) > 0:
         max_count = int(np.max(conflict_degrees(family)))
     else:
         max_count = 0
-    threshold = c_star * scale.D
+    threshold = RN_C_STAR * scale.D
     clusters = single_linkage_sizes(directions(xi), scale.alpha)
     if max_count > threshold:
         label = np.full(clusters.shape[0], "robust")
@@ -242,8 +245,7 @@ def rn_classify(xi: np.ndarray, scale: ScaleParams,
 
 def _shell_points(scale: ScaleParams, rng: np.random.Generator, n: int,
                   lo: float = 0.5, hi: float = 2.0) -> np.ndarray:
-    v = rng.normal(size=(n, 3))
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    v = unit_vectors(rng, n)
     radii = rng.uniform(lo * scale.lam, hi * scale.lam, size=n)
     return v * radii[:, np.newaxis]
 

@@ -62,3 +62,21 @@ def keyed_rngs(seed: int, parts: tuple,
                                           key >> 64], dtype=np.uint64)
         bitgen.state = fresh
         yield gen
+
+
+def unit_vectors(gen: np.random.Generator, n: int, dim: int = 3) -> np.ndarray:
+    """n uniform directions in R^dim: one (n, dim) normal draw, normalized."""
+    v = gen.normal(size=(n, dim))
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+def jittered_stack(gen: np.random.Generator, n: int, k: int,
+                   spread: float) -> np.ndarray:
+    """(n, k, 3) stack of n uniform directions, each copied k times and
+    displaced by spread * N(0, I); the rows are left unnormalized.
+
+    Draws the n base directions, then the k displacements copy by copy.
+    """
+    base = unit_vectors(gen, n)
+    jitter = gen.normal(size=(k, n, 3)).transpose(1, 0, 2)
+    return base[:, np.newaxis, :] + spread * jitter

@@ -24,7 +24,11 @@ from .errors import ConfigError
 from .rng import keyed_rng
 from .scale import ScaleParams
 
-DEFAULT_BAND_C = 0.25
+#: the band half-width constant c of beta = c / (D * degree)
+BAND_C = 0.25
+
+#: points per axis of the grid on which normalize_grad_rms takes the RMS
+RMS_GRID_N = 9
 
 
 def max_degree(scale: ScaleParams) -> int:
@@ -32,12 +36,11 @@ def max_degree(scale: ScaleParams) -> int:
     return math.ceil(scale.D ** 0.25)
 
 
-def band_width(scale: ScaleParams, degree: int,
-               c: float = DEFAULT_BAND_C) -> float:
-    """Band half-width beta = c / (D * degree)."""
+def band_width(scale: ScaleParams, degree: int) -> float:
+    """Band half-width beta = c / (D * degree), c = BAND_C."""
     if degree < 1:
         raise ConfigError(f"degree must be >= 1, got {degree}")
-    return c / (scale.D * degree)
+    return BAND_C / (scale.D * degree)
 
 
 # ---------------------------------------------------------------------------
@@ -132,9 +135,9 @@ def midpoint_grid(n: int) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
-def normalize_grad_rms(poly: Poly4, grid_n: int = 9) -> Poly4:
-    """Rescale so the gradient has unit RMS on a fixed midpoint grid."""
-    g = poly.grad(midpoint_grid(grid_n))
+def normalize_grad_rms(poly: Poly4) -> Poly4:
+    """Rescale so the gradient has unit RMS on the RMS_GRID_N^4 midpoint grid."""
+    g = poly.grad(midpoint_grid(RMS_GRID_N))
     rms = math.sqrt(float(np.mean(np.sum(g * g, axis=-1))))
     if rms == 0.0:
         raise ValueError("gradient vanishes identically on the probe grid")
@@ -183,7 +186,7 @@ class BandFraction:
 
 
 def band_fraction(scale: ScaleParams, poly: Poly4, samples: int, seed: int,
-                  c: float = DEFAULT_BAND_C, tag: str = "band") -> BandFraction:
+                  tag: str = "band") -> BandFraction:
     """Monte Carlo fraction of the unit box inside the band of one polynomial."""
     deg = poly.degree
     cap = max_degree(scale)
@@ -191,7 +194,7 @@ def band_fraction(scale: ScaleParams, poly: Poly4, samples: int, seed: int,
         raise ConfigError("band fraction needs a nonconstant polynomial")
     if deg > cap:
         raise ConfigError(f"degree {deg} exceeds the cap {cap} at lam={scale.lam}")
-    beta = band_width(scale, deg, c)
+    beta = band_width(scale, deg)
     rng = keyed_rng(seed, "shell-fraction", tag, repr(scale.lam), deg)
     pts = rng.uniform(-0.5, 0.5, size=(samples, 4))
     hits = int(np.count_nonzero(band_membership(poly, pts, beta)))
@@ -203,12 +206,11 @@ def band_fraction(scale: ScaleParams, poly: Poly4, samples: int, seed: int,
 
 
 def ensemble_fractions(scale: ScaleParams, degree: int, n_polys: int,
-                       samples: int, seed: int,
-                       c: float = DEFAULT_BAND_C) -> list[BandFraction]:
+                       samples: int, seed: int) -> list[BandFraction]:
     """Band fractions for a seeded ensemble of random polynomials."""
     rows = []
     for index in range(n_polys):
         poly = random_poly(scale, degree, seed, index)
-        rows.append(band_fraction(scale, poly, samples, seed, c,
+        rows.append(band_fraction(scale, poly, samples, seed,
                                   tag=f"ensemble-{index}"))
     return rows

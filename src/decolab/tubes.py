@@ -24,7 +24,7 @@ import numpy as np
 from .caps import CapFamily, chord, conflict_degrees
 from .errors import ConfigError, DensityError
 from .geometry import angle_between
-from .rng import keyed_rng
+from .rng import keyed_rng, unit_vectors
 from .scale import ScaleParams
 
 
@@ -48,7 +48,7 @@ L2_PAIRS_PER_BAND = 48
 @dataclass(frozen=True)
 class Tube:
     scale: ScaleParams
-    xi: np.ndarray            # frequency center, shape (3,)
+    xi: np.ndarray            # frequency center (3,), or a (B, 3) stack
     truncated: bool = False
     cap_index: int = -1
 
@@ -67,7 +67,11 @@ def tube_for_cap(family: CapFamily, index: int, truncated: bool = False) -> Tube
 
 
 def membership(tube: Tube, t: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Vectorized containment test; t is (...,), x is (..., 3)."""
+    """Vectorized containment test; t is (...,), x is (..., 3).
+
+    The one statement of tube coverage.  A (B, 3) stack of centers tests B
+    tubes at once: with t[:, None] and x[:, None, :] the result is (n, B).
+    """
     s = tube.scale
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -97,10 +101,7 @@ def nested_ball_volume(scale: ScaleParams) -> float:
 
 def _ball(rng: np.random.Generator, n: int) -> np.ndarray:
     """Uniform points of the unit 3-ball."""
-    v = rng.normal(size=(n, 3))
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
-    u = rng.random(n) ** (1.0 / 3.0)
-    return v * u[:, np.newaxis]
+    return unit_vectors(rng, n) * (rng.random(n) ** (1.0 / 3.0))[:, np.newaxis]
 
 
 def sample_cylinder(tube: Tube, n: int, rng: np.random.Generator
@@ -168,26 +169,16 @@ def multiplicity_counts(scale: ScaleParams, xis: np.ndarray, truncated: bool,
                         t: np.ndarray, x: np.ndarray) -> np.ndarray:
     """M(t, x): how many of the family's tubes contain each sample point.
 
-    The cell and core constraints are tube-independent, so M factors into an
-    in-cell indicator times a per-tube axial count, computed in chunks to
-    bound memory.
+    Tubes are tested COUNT_CHUNK at a time, as one stacked ``membership``
+    call per block, to bound memory.
     """
-    t = np.asarray(t, dtype=float)
-    x = np.asarray(x, dtype=float)
-    n = t.shape[0]
-    r_x = np.sqrt(np.sum(x * x, axis=-1))
-    cell = (np.abs(t) <= scale.t_half) & (r_x <= scale.x_half)
-    if truncated:
-        cell &= r_x > 0.25 * scale.rho
-    counts = np.zeros(n, dtype=np.int64)
-    rho2 = scale.rho ** 2
+    t = np.asarray(t, dtype=float)[:, np.newaxis]
+    x = np.asarray(x, dtype=float)[:, np.newaxis, :]
+    counts = np.zeros(t.shape[0], dtype=np.int64)
     for lo in range(0, xis.shape[0], COUNT_CHUNK):
-        block = xis[lo:lo + COUNT_CHUNK]                # (B, 3)
-        diff = x[:, np.newaxis, :] - 2.0 * t[:, np.newaxis, np.newaxis] * block
-        counts += np.count_nonzero(
-            np.sum(diff * diff, axis=-1) <= rho2, axis=1
-        )
-    return np.where(cell, counts, 0)
+        block = Tube(scale, xis[lo:lo + COUNT_CHUNK], truncated)
+        counts += np.count_nonzero(membership(block, t, x), axis=1)
+    return counts
 
 
 def density_check(family: CapFamily) -> bool:
@@ -235,11 +226,7 @@ def multiplicity_experiment(family: CapFamily, samples: int,
         t = rng.uniform(-family.scale.t_half, family.scale.t_half, size=batch)
         x = 2.0 * t[:, np.newaxis] * xis[idx] + family.scale.rho * _ball(rng, batch)
         # accept proposals landing in their own tube
-        axial = x - 2.0 * t[:, np.newaxis] * xis[idx]
-        r_ax = np.sqrt(np.sum(axial * axial, axis=-1))
-        r_x = np.sqrt(np.sum(x * x, axis=-1))
-        ok = ((r_ax <= family.scale.rho) & (r_x <= family.scale.x_half)
-              & (r_x > 0.25 * family.scale.rho))
+        ok = membership(Tube(family.scale, xis[idx], True), t, x)
         t, x = t[ok], x[ok]
         if t.shape[0] == 0:
             replicate += 1
@@ -282,17 +269,9 @@ def pointwise_cs_check(scale: ScaleParams, xis: np.ndarray, truncated: bool,
     An instance of Cauchy-Schwarz, so the inequality is exact; the checker
     compares the two float sides without tolerance.
     """
-    t_arr = np.asarray([t], dtype=float)
-    x_arr = np.asarray(x, dtype=float).reshape(1, 3)
+    active = membership(Tube(scale, xis, truncated), np.full((1, 1), t),
+                        np.reshape(x, (1, 1, 3)))[0]
     amps = np.asarray(amps)
-    r_x = float(np.linalg.norm(x_arr[0]))
-    active = np.zeros(xis.shape[0], dtype=bool)
-    in_cell = abs(t) <= scale.t_half and r_x <= scale.x_half
-    if truncated:
-        in_cell = in_cell and r_x > 0.25 * scale.rho
-    if in_cell:
-        diff = x_arr - 2.0 * t_arr[:, np.newaxis, np.newaxis] * xis
-        active = np.sum(diff[0] * diff[0], axis=-1) <= scale.rho ** 2
     m = int(np.count_nonzero(active))
     s = complex(np.sum(amps[active]))
     lhs = abs(s) ** 2

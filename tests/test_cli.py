@@ -119,9 +119,24 @@ def test_probe_beyond_its_guard_is_usage_error(monkeypatch, capsys):
     assert code == 2
     assert "Nyquist" in capsys.readouterr().err
     # probe-single-cap brings its own family; probe-curve builds the lattice
-    code = cli.main(["ladder", "probe-curve", "--lambda", "512,1024"])
+    code = cli.main(["ladder", "probe-curve", "--lambda", "512,1024,2048"])
     assert code == 2
     assert "Nyquist" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["cap-lattice", "probe-curve"])
+@pytest.mark.parametrize("rungs, message", [
+    ("2048,4096", ">= 3 rungs"),
+    ("64,128,1", "must be >= 2"),
+])
+def test_ladder_rungs_are_checked_before_any_runs(name, rungs, message,
+                                                  monkeypatch, capsys):
+    def no_lattice(scale):
+        raise AssertionError("the lattice was built")
+    monkeypatch.setattr(caps, "build_lattice", no_lattice)
+    code = cli.main(["ladder", name, "--lambda", rungs])
+    assert code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_bad_lambda_string_is_usage_error(capsys):

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from decolab import geometry
-from decolab.rng import keyed_rng
+from decolab.rng import keyed_rng, unit_vectors
+
+import geometry_oracle as oracle
 
 
 def _shell(rng, n, lam=256.0):
@@ -155,9 +158,13 @@ def test_min_triple_brute_force_agreement():
         v = rng.lognormal(size=6)
         best = min((v[i] * v[j] * v[k]) ** (1.0 / 3.0)
                    for (i, j, k) in geometry.TRIPLES)
-        assert geometry.min_triple(v) == pytest.approx(best, rel=1e-14)
+        got = geometry.min_triple(v[None, :])
+        assert got.shape == (1,)
+        assert got[0] == pytest.approx(best, rel=1e-14)
     with pytest.raises(ValueError):
-        geometry.min_triple(np.ones(5))
+        geometry.min_triple(np.ones((1, 5)))
+    with pytest.raises(ValueError):
+        geometry.min_triple(np.ones(6))
 
 
 @settings(max_examples=200, deadline=None)
@@ -166,7 +173,7 @@ def test_min_triple_brute_force_agreement():
 def test_min_triple_never_exceeds_geometric_mean(vals):
     v = np.array(vals)
     geo = float(np.prod(v)) ** (1.0 / 6.0)
-    assert geometry.min_triple(v) <= geo * (1.0 + 1e-12)
+    assert geometry.min_triple(v[None, :])[0] <= geo * (1.0 + 1e-12)
 
 
 def test_broad3_skips_degenerate_triples():
@@ -175,7 +182,11 @@ def test_broad3_skips_degenerate_triples():
     n = np.tile(np.array([0.0, 0.0, 1.0]), (6, 1))
     n[5] = [1.0, 0.0, 0.0]
     with pytest.raises(geometry.DegenerateGeometryError):
-        geometry.broad3(np.ones(6), n)
+        geometry.broad3(np.ones((1, 6)), n[None])
+    # one degenerate row spoils the whole stack
+    axes = np.repeat(np.eye(3), 2, axis=0)
+    with pytest.raises(geometry.DegenerateGeometryError, match="row 1"):
+        geometry.broad3(np.ones((2, 6)), np.stack([axes, n]))
 
 
 def test_broad3_known_orthogonal_configuration():
@@ -186,11 +197,67 @@ def test_broad3_known_orthogonal_configuration():
     vals = np.array([2.0, 3.0, 5.0, 7.0, 11.0, 13.0])
     best = min((vals[i] * vals[j] * vals[k]) ** (1.0 / 3.0)
                for i in (0, 1) for j in (2, 3) for k in (4, 5))
-    assert geometry.broad3(vals, n) == pytest.approx(best, rel=1e-14)
+    got = geometry.broad3(vals[None, :], n[None])
+    assert got.shape == (1,)
+    assert got[0] == pytest.approx(best, rel=1e-14)
 
 
 def test_broad3_validates_shapes():
     with pytest.raises(ValueError):
-        geometry.broad3(np.ones(5), np.eye(6))
+        geometry.broad3(np.ones((1, 5)), np.eye(6)[None])
     with pytest.raises(ValueError):
-        geometry.broad3(np.ones(6), np.ones((5, 4)))
+        geometry.broad3(np.ones((1, 6)), np.ones((1, 5, 4)))
+    with pytest.raises(ValueError):
+        geometry.broad3(np.ones((2, 6)), np.ones((1, 6, 4)))
+
+
+# ---------------------------------------------------------------------------
+# batch kernels against the scalar oracles, row by row
+# ---------------------------------------------------------------------------
+
+def _assert_rows_match_oracle(mags, normals):
+    mt = geometry.min_triple(mags)
+    b3 = geometry.broad3(mags, normals)
+    for row in range(mags.shape[0]):
+        assert mt[row] == pytest.approx(oracle.min_triple(mags[row]),
+                                        rel=1e-15, abs=0.0)
+        assert b3[row] == pytest.approx(
+            oracle.broad3(mags[row], normals[row]), rel=1e-15, abs=0.0)
+
+
+def test_triple_kernels_match_the_oracle_on_the_broad3_identity_stack():
+    # broad3-identity's draws at seed 7 and its defaults: lam 256, 50k rows
+    rng = keyed_rng(7, "broad3-identity", repr(256.0))
+    mags = np.exp(rng.normal(size=(50_000, 6)))
+    dirs = unit_vectors(rng, 6 * 200, 4).reshape(200, 6, 4)
+    _assert_rows_match_oracle(mags[:200], dirs)
+    # and a spread of the min_triple rows past the first 200
+    mt = geometry.min_triple(mags)
+    for row in range(200, 50_000, 97):
+        assert mt[row] == pytest.approx(oracle.min_triple(mags[row]),
+                                        rel=1e-15, abs=0.0)
+
+
+_rows = st.shared(st.integers(min_value=1, max_value=5), key="rows")
+
+
+@settings(max_examples=60, deadline=None)
+@given(hnp.arrays(float, _rows.map(lambda n: (n, 6)),
+                  elements=st.floats(min_value=1e-3, max_value=1e3)),
+       hnp.arrays(float, _rows.map(lambda n: (n, 6, 4)),
+                  elements=st.floats(min_value=-1.0, max_value=1.0)))
+def test_triple_kernels_match_the_oracle_on_hypothesis_stacks(mags, normals):
+    norms = np.linalg.norm(normals, axis=-1, keepdims=True)
+    assume(np.all(norms > 1e-3))
+    normals = normals / norms
+    try:
+        oracle_rows = [oracle.broad3(mags[r], normals[r])
+                       for r in range(mags.shape[0])]
+    except geometry.DegenerateGeometryError:
+        with pytest.raises(geometry.DegenerateGeometryError):
+            geometry.broad3(mags, normals)
+        return
+    assert geometry.broad3(mags, normals) == pytest.approx(
+        oracle_rows, rel=1e-15, abs=0.0)
+    assert geometry.min_triple(mags) == pytest.approx(
+        [oracle.min_triple(m) for m in mags], rel=1e-15, abs=0.0)

@@ -18,9 +18,9 @@ def test_max_degree_at_desk_scales():
 
 def test_band_width_formula_and_guard():
     b = shell.band_width(S64, 2)
-    assert b == pytest.approx(0.25 / (S64.D * 2.0), rel=1e-15)
-    assert shell.band_width(S64, 1, c=0.5) == pytest.approx(0.5 / S64.D,
-                                                            rel=1e-15)
+    assert b == pytest.approx(shell.BAND_C / (S64.D * 2.0), rel=1e-15)
+    assert shell.band_width(S64, 1) == pytest.approx(shell.BAND_C / S64.D,
+                                                     rel=1e-15)
     with pytest.raises(shell.ConfigError):
         shell.band_width(S64, 0)
 

@@ -197,6 +197,48 @@ def test_pointwise_cs_is_exact(fam):
     assert chk.ok
 
 
+def _coverage_points(s, xis, key):
+    """Random cell points, then as many placed on some tube's rho boundary.
+
+    A boundary point sits rho (1 + j eps), |j| <= 3 ulps, from the axis
+    2 t xi of a random tube, on the side facing the origin, at |t| in
+    [t_half/2, t_half] so that it lies in the cell.  Returns
+    t, x and, per boundary point, the index of its tube.
+    """
+    rng = keyed_rng(23, key)
+    n = 300
+    t = rng.uniform(-s.t_half, s.t_half, size=n)
+    x = s.x_half * rng.uniform(-1.0, 1.0, size=(n, 3))
+    tb = rng.choice([-1.0, 1.0], size=n) * rng.uniform(0.5, 1.0, size=n) \
+        * s.t_half
+    k = rng.integers(0, len(xis), size=n)
+    axis = 2.0 * tb[:, None] * xis[k]
+    r = s.rho * (1.0 + rng.integers(-3, 4, size=(n, 1)) * np.finfo(float).eps)
+    xb = axis - r * axis / np.linalg.norm(axis, axis=1, keepdims=True)
+    return np.concatenate([t, tb]), np.concatenate([x, xb]), k
+
+
+@pytest.mark.parametrize("truncated", [False, True])
+@pytest.mark.parametrize("which", ["cluster", "lattice"])
+def test_every_coverage_path_is_membership(fam, which, truncated):
+    # the lam-64 lattice has more than COUNT_CHUNK tubes, so blocks split
+    family = fam if which == "cluster" else _lab_family(64.0)
+    s, xis = family.scale, family.xi()
+    t, x, k = _coverage_points(s, xis, which)
+    n = len(k)
+    per_tube = sum(tubes.membership(tubes.Tube(s, xi, truncated), t, x)
+                   .astype(np.int64) for xi in xis)
+    m = tubes.multiplicity_counts(s, xis, truncated, t, x)
+    assert np.array_equal(m, per_tube)
+    # the boundary points fall on both sides of their own tube's boundary
+    own = tubes.membership(tubes.Tube(s, xis[k], truncated), t[n:], x[n:])
+    assert 0 < np.count_nonzero(own) < n
+    amps = np.ones(len(xis), dtype=complex)
+    for k in range(0, len(t), 7):
+        chk = tubes.pointwise_cs_check(s, xis, truncated, amps, t[k], x[k])
+        assert chk.multiplicity == m[k]
+
+
 def test_boundary_layer_fraction():
     s = scale.derive(256.0)
     est = tubes.boundary_layer_mc(s, 100_000, seed=19)
