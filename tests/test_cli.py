@@ -128,6 +128,7 @@ def test_probe_beyond_its_guard_is_usage_error(monkeypatch, capsys):
 @pytest.mark.parametrize("rungs, message", [
     ("2048,4096", ">= 3 rungs"),
     ("64,128,1", "must be >= 2"),
+    ("64,128,nan", "must be >= 2"),
 ])
 def test_ladder_rungs_are_checked_before_any_runs(name, rungs, message,
                                                   monkeypatch, capsys):
@@ -137,6 +138,12 @@ def test_ladder_rungs_are_checked_before_any_runs(name, rungs, message,
     code = cli.main(["ladder", name, "--lambda", rungs])
     assert code == 2
     assert message in capsys.readouterr().err
+
+
+def test_group_below_the_smallest_lam_is_usage_error(capsys):
+    code = cli.main(["caps", "--lambda", "1"])
+    assert code == 2
+    assert "must be >= 2" in capsys.readouterr().err
 
 
 def test_bad_lambda_string_is_usage_error(capsys):

@@ -261,3 +261,57 @@ def test_triple_kernels_match_the_oracle_on_hypothesis_stacks(mags, normals):
         oracle_rows, rel=1e-15, abs=0.0)
     assert geometry.min_triple(mags) == pytest.approx(
         [oracle.min_triple(m) for m in mags], rel=1e-15, abs=0.0)
+
+
+# ---------------------------------------------------------------------------
+# row kernels: dot and norm are numpy's own row reductions, byte for byte
+# ---------------------------------------------------------------------------
+
+def _assert_row_kernels_match_numpy(u, v):
+    assert (geometry.dot(u, v).tobytes()
+            == np.sum(u * v, axis=-1).tobytes())
+    assert (geometry.norm(v).tobytes()
+            == np.linalg.norm(v, axis=-1).tobytes())
+
+
+@pytest.mark.parametrize("shape", [(5000, 3), (5000, 4), (800, 6, 3)],
+                         ids=str)
+def test_row_kernels_match_numpy_byte_for_byte(shape):
+    rng = keyed_rng(0, "row-kernels", repr(shape))
+    u = rng.normal(size=shape)
+    v = rng.normal(size=shape) * 10.0 ** rng.uniform(-150, 150, size=shape)
+    # a row of -0.0 products, which numpy sums to +0.0
+    u[0] = 0.0
+    v[0] = -np.abs(v[0])
+    _assert_row_kernels_match_numpy(u, v)
+    _assert_row_kernels_match_numpy(v, u)
+
+
+def test_row_kernels_broadcast_like_numpy():
+    # the angles_from pattern: (k, 1, 3) anchors against (N, 3) rows
+    rng = keyed_rng(0, "row-kernels-broadcast")
+    anchors = rng.normal(size=(7, 1, 3))
+    rows = rng.normal(size=(2000, 3))
+    got = geometry.dot(anchors, rows)
+    assert got.shape == (7, 2000)
+    assert got.tobytes() == np.sum(anchors * rows, axis=-1).tobytes()
+    _assert_row_kernels_match_numpy(anchors, anchors - rows)
+
+
+_row_shape = st.shared(
+    st.tuples(st.integers(min_value=1, max_value=6),
+              st.sampled_from([(3,), (4,), (6, 3)])).map(
+        lambda s: (s[0],) + s[1]),
+    key="row-shape")
+_signed_magnitude = st.one_of(
+    st.just(0.0),
+    st.builds(lambda m, sign: sign * m,
+              st.floats(min_value=1e-150, max_value=1e150),
+              st.sampled_from([-1.0, 1.0])))
+
+
+@settings(max_examples=80, deadline=None)
+@given(hnp.arrays(float, _row_shape, elements=_signed_magnitude),
+       hnp.arrays(float, _row_shape, elements=_signed_magnitude))
+def test_row_kernels_match_numpy_on_hypothesis_rows(u, v):
+    _assert_row_kernels_match_numpy(u, v)

@@ -7,7 +7,7 @@ import pytest
 
 import probe_oracle
 from decolab import caps, lab, scale
-from decolab.errors import ConfigError
+from decolab.errors import ConfigError, DecolabError
 
 
 EXPECTED_NAMES = {
@@ -144,6 +144,18 @@ def test_run_ladder_requires_metric():
         lab.run_ladder("scale-table")
     with pytest.raises(lab.UnknownExperimentError):
         lab.run_ladder("does-not-exist")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: lab.run_experiment("cap-lattice", 1.0),
+    lambda: lab.run_ladder("cap-lattice", lams=(64, 128, float("nan"))),
+], ids=["experiment-lam-1", "ladder-nan-rung"])
+def test_bad_lam_is_a_typed_error_before_any_lattice(call, monkeypatch):
+    def no_lattice(scale):
+        raise AssertionError("the lattice was built")
+    monkeypatch.setattr(caps, "build_lattice", no_lattice)
+    with pytest.raises(DecolabError, match="must be >= 2"):
+        call()
 
 
 def test_run_ladder_report_shape():

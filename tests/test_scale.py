@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from decolab import scale
+from decolab.errors import ConfigError
 
 
 def test_exponent_table_is_exact_rationals():
@@ -43,14 +44,13 @@ def test_derive_matches_closed_forms(lam):
 
 
 def test_derive_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        scale.derive(1.0)
-    with pytest.raises(ValueError):
-        scale.derive(float("nan"))
-    with pytest.raises(ValueError):
-        scale.derive(64.0, c0=0.0)
-    with pytest.raises(ValueError):
-        scale.derive(64.0, c0=-1.0)
+    # a typed error that is still the ValueError it always was
+    assert issubclass(ConfigError, ValueError)
+    for lam, c0 in [(1.0, scale.DEFAULT_C0), (float("nan"), scale.DEFAULT_C0),
+                    (float("inf"), scale.DEFAULT_C0), (64.0, 0.0),
+                    (64.0, -1.0), (64.0, float("nan"))]:
+        with pytest.raises(ConfigError):
+            scale.derive(lam, c0=c0)
 
 
 def test_snapshot_round_trip():
