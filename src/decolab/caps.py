@@ -3,19 +3,25 @@
 A cap family at scale r = lam**(-2/3) is a maximal r-separated set of unit
 vectors: pairwise angular separation >= r, covering radius <= 2r.  The
 builder lays down a deterministic Fibonacci spiral slightly denser than the
-target separation, so the result is reproducible bit for bit.  One k=2
-nearest-neighbour query over the spiral decides whether it is already
-r-separated.  A Fibonacci lattice's nearest-neighbour spacing is nearly
-uniform (Gonzalez, Math. Geosci. 42, 2010): at the real spiral density its
-nearest chord sits about 9% past chord(r) at every lam the builder
-supports, and the spiral is the family.  Only a spiral denser than that is
-pruned, greedily in spiral order, so the separation invariant holds by
-construction rather than by the spiral's favourable constants.
+target separation, so the result is reproducible bit for bit.  The spiral's
+nearest chord decides whether it is already r-separated, and it comes from
+the spiral's index structure, not from a nearest-neighbour search: point i
+sits at height (2i+1)/n - 1 and azimuth i*G, so a pair (i, i+k) has height
+gap 2k/n and azimuth step k*G, and only a few offsets k and two polar index
+ranges per offset can hold a chord under a known one
+(``spiral_nearest_chord``; Swinbank & Purser, QJRMS 132, 2006).  At the real
+spiral density the nearest chord sits about 9% past chord(r) at every lam
+the builder supports, and the spiral is the family.  Only a spiral denser
+than that is pruned, greedily in spiral order, so the separation invariant
+holds by construction rather than by the spiral's favourable constants.
 
 Angular bookkeeping on a family:
 
-* min_separation / covering_probe / conflict_pairs: nearest-neighbour
-  geometry on the family's one KD-tree (Bentley, CACM 18, 1975),
+* min_separation: the spiral's nearest chord for a lattice returned whole,
+  one k=2 query of the family's KD-tree (Bentley, CACM 18, 1975) for any
+  other family,
+* covering_probe / conflict_pairs: nearest-neighbour geometry on the
+  family's one KD-tree, built on first use,
 * ring_histogram / annulus_count: occupancy of the thin rings
   [k*alpha, (k+1)*alpha) around a chosen cap,
 * greedy_color: first-fit colouring of the angle < alpha conflict graph,
@@ -41,16 +47,98 @@ def chord(angle: float) -> float:
     return 2.0 * math.sin(0.5 * angle)
 
 
+#: azimuth step of the Fibonacci spiral, 2*pi over the golden ratio squared
+_GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
+
+
+def _spiral_rows(i: np.ndarray, n: int) -> np.ndarray:
+    """Rows ``i`` (float indices) of the n-point Fibonacci spiral."""
+    offset = 2.0 / n
+    y = i * offset - 1.0 + 0.5 * offset
+    rad = np.sqrt(np.clip(1.0 - y * y, 0.0, None))
+    phi = i * _GOLDEN_ANGLE
+    return np.stack([np.cos(phi) * rad, y, np.sin(phi) * rad], axis=-1)
+
+
 def fibonacci_sphere(n: int) -> np.ndarray:
     """n points of the deterministic Fibonacci spiral, shape (n, 3)."""
     if n < 1:
         raise ValueError("need at least one point")
-    i = np.arange(n, dtype=float)
-    offset = 2.0 / n
-    y = i * offset - 1.0 + 0.5 * offset
-    rad = np.sqrt(np.clip(1.0 - y * y, 0.0, None))
-    phi = i * (math.pi * (3.0 - math.sqrt(5.0)))
-    return np.stack([np.cos(phi) * rad, y, np.sin(phi) * rad], axis=-1)
+    return _spiral_rows(np.arange(n, dtype=float), n)
+
+
+def _min_sq_chord(points: np.ndarray, i, j) -> float:
+    """Smallest squared chord between rows ``points[i]`` and ``points[j]``.
+
+    ``i`` and ``j`` are paired slices or index arrays.  Each squared chord
+    is summed x, then y, then z, in the order ``geometry.dot`` and the
+    KD-tree add them, one column at a time so only a few columns are live.
+    """
+    x, y, z = points.T
+    total = x[i] - x[j]
+    total *= total
+    for col in (y, z):
+        d = col[i] - col[j]
+        total += d * d
+    return float(np.min(total))
+
+
+def spiral_nearest_chord(spiral: np.ndarray) -> float:
+    """Smallest chord between two points of ``fibonacci_sphere(n)``.
+
+    Equal, bit for bit, to the minimum second-neighbour distance of a
+    KD-tree k=2 query over the same rows; inf for fewer than two points.
+
+    With y_i = (2i+1)/n - 1, rho = sqrt(1 - y^2) and G the golden angle, the
+    pair (i, i+k) has
+
+        chord^2 = (2k/n)^2 + (rho_i - rho_{i+k})^2
+                  + 4 rho_i rho_{i+k} sin^2(k G / 2).
+
+    Any pairs give an upper bound U on the nearest chord: here every pair
+    at the three offsets under 3 sqrt(n) with the smallest |sin(k G / 2)|.
+    A chord at most U then needs k <= U n / 2, and min(rho_i, rho_{i+k})^2
+    <= (U^2 - (2k/n)^2) / (4 sin^2(k G / 2)).  rho grows from each pole to
+    the equator, so for each offset that leaves one index range at each
+    pole, found by ``np.searchsorted`` on y.  Only those pairs are measured,
+    in ``geometry.dot``'s summation order, and the smallest is exact.
+
+    The bound holds for the ideal points; the stored ones differ.  Their
+    azimuths are fl(i G), within ulp(n G) / 2 <= 2^-53 n G of i G (about
+    2e-10 rad at lam 4096, 2e-9 at lam 16384), and their y and rho within
+    about 2^-51 sqrt(n) (rho >= 1/sqrt(n)), so a float chord is within
+    2^-52 (n G + 4 sqrt(n)) of the ideal one, plus a few ulps.  The filter
+    widens U, and the y cut-offs, by slack = 2^-46 (n G + sqrt(n)), at
+    least 16 times that, which also covers the rounding of the bound.
+    """
+    n = spiral.shape[0]
+    if n < 2:
+        return math.inf
+    slack = 2.0 ** -46 * (n * _GOLDEN_ANGLE + math.sqrt(n))
+    short = np.arange(1, min(n, int(3.0 * math.sqrt(n)) + 1))
+    seeds = short[np.argsort(np.abs(np.sin(0.5 * _GOLDEN_ANGLE * short)),
+                             kind="stable")[:3]]
+    best = min(_min_sq_chord(spiral, slice(0, n - k), slice(k, n))
+               for k in seeds.tolist())
+    bound = math.sqrt(best) + slack
+    ks = np.arange(1, min(n - 1, int(0.5 * bound * n)) + 1)
+    ks = ks[~np.isin(ks, seeds)]
+    sin_half = np.sin(0.5 * _GOLDEN_ANGLE * ks)
+    rho2 = (bound * bound - (2.0 * ks / n) ** 2) / (4.0 * sin_half * sin_half)
+    h = np.sqrt(np.clip(1.0 - rho2, 0.0, None))   # rho <= sqrt(rho2): |y| >= h
+    y = spiral[:, 1]
+    south = np.minimum(np.searchsorted(y, slack - h, side="right"), n - ks)
+    north = np.clip(np.searchsorted(y, h - slack, side="left") - ks,
+                    south, n - ks)
+    # pairs (i, i+k): i in [0, south) and in [north, n - k)
+    starts = np.concatenate([np.zeros_like(ks), north])
+    lens = np.concatenate([south, n - ks - north])
+    ends = np.cumsum(lens)
+    if ends.size and ends[-1]:
+        i = np.arange(ends[-1]) + np.repeat(starts - (ends - lens), lens)
+        j = i + np.repeat(np.concatenate([ks, ks]), lens)
+        best = min(best, _min_sq_chord(spiral, i, j))
+    return math.sqrt(best)
 
 
 def clustered_dirs(rng: np.random.Generator, axis: np.ndarray, n: int,
@@ -102,6 +190,10 @@ class CapFamily:
         """Smallest chord from a center to its nearest other center.
 
         One k=2 query of the tree; inf for a family of fewer than two caps.
+        A lattice that ``build_lattice`` returns whole carries the spiral's
+        value from ``spiral_nearest_chord`` instead and builds no tree for
+        it.  A pruned, ``replace``d, ``restrict_to_cone`` or hand-made
+        family is a new object and queries its own tree.
         """
         if len(self) < 2:
             return math.inf
@@ -156,15 +248,19 @@ def spiral_size(scale: ScaleParams) -> int:
 def build_lattice(scale: ScaleParams) -> CapFamily:
     """Deterministic maximal r-separated cap family for ``scale``.
 
-    The spiral's ``nearest_chord`` decides.  Past chord(r) no pair is
-    within r, and the spiral is returned whole, with the tree and nearest
-    chord it was checked on; this is every lam at the real spiral density.
-    The test is strict because the prune counts a pair at exactly chord(r)
-    as too close.  Only a denser spiral is pruned greedily.
+    ``spiral_nearest_chord`` decides, exactly and without a KD-tree.  Past
+    chord(r) no pair is within r, and the spiral is returned whole, carrying
+    that value as its ``nearest_chord``; this is every lam at the real
+    spiral density.  The test is strict because the prune counts a pair at
+    exactly chord(r) as too close.  Only a denser spiral is pruned greedily,
+    on the pairs of one ``query_pairs`` call.
     """
     n_fib = spiral_size(scale)
     spiral = CapFamily(scale=scale, centers=fibonacci_sphere(n_fib))
-    if spiral.nearest_chord > chord(scale.r):
+    nearest = spiral_nearest_chord(spiral.centers)
+    if nearest > chord(scale.r):
+        # seed the cached_property: the family is exactly this spiral
+        spiral.__dict__["nearest_chord"] = nearest
         return spiral
     close = spiral.tree.query_pairs(chord(scale.r), output_type="ndarray")
     # greedy in spiral order: j goes if an earlier neighbour was kept, and
@@ -181,9 +277,10 @@ def build_lattice(scale: ScaleParams) -> CapFamily:
 def first_cap(scale: ScaleParams) -> np.ndarray:
     """Center of cap 0 of ``build_lattice(scale)``, without building it.
 
-    Greedy pruning in spiral order never drops spiral point 0.
+    Greedy pruning in spiral order never drops spiral point 0, which is
+    computed alone by the spiral's own formulas.
     """
-    return fibonacci_sphere(spiral_size(scale))[0]
+    return _spiral_rows(np.zeros(1), spiral_size(scale))[0]
 
 
 def min_separation(family: CapFamily) -> float:

@@ -1,7 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.spatial import cKDTree
 
 from decolab import caps, lab, scale
 from decolab.rng import keyed_rng
@@ -66,12 +69,14 @@ def test_spiral_size_guard_fires_past_lam_2_14():
         caps.spiral_size(scale.derive(2.0 ** 15))
 
 
-def test_build_lattice_beyond_the_guard_allocates_nothing(monkeypatch):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("allocated before the guard")
+def _forbidden(*args, **kwargs):
+    raise AssertionError("called where it must not be")
 
-    monkeypatch.setattr(caps, "fibonacci_sphere", forbidden)
-    monkeypatch.setattr(caps, "cKDTree", forbidden)
+
+def test_build_lattice_beyond_the_guard_allocates_nothing(monkeypatch):
+    monkeypatch.setattr(caps, "fibonacci_sphere", _forbidden)
+    monkeypatch.setattr(caps, "_spiral_rows", _forbidden)
+    monkeypatch.setattr(caps, "cKDTree", _forbidden)
     for build in (caps.build_lattice, caps.first_cap):
         with pytest.raises(caps.ConfigError, match="134217728 points"):
             build(scale.derive(2.0 ** 18))
@@ -99,19 +104,52 @@ def test_pruning_matches_dense_greedy_oracle(monkeypatch):
     assert caps.min_separation(fam) >= s.r
 
 
-@pytest.mark.parametrize("lam", [64.0, 256.0, 1024.0])
-def test_one_nearest_query_decides_the_lattice(lam):
+def _kd_nearest_chord(points, bound=math.inf):
+    """Oracle: the smallest second-neighbour distance of a k=2 query.
+
+    A finite ``bound`` only makes the query cheaper: a nearest chord past
+    it would come back inf and fail the comparison."""
+    if len(points) < 2:
+        return math.inf
+    tree = cKDTree(points, balanced_tree=False)
+    dist, _ = tree.query(points, k=2, workers=-1, distance_upper_bound=bound)
+    return float(np.min(dist[:, 1]))
+
+
+@pytest.mark.parametrize("lam", sorted({2.0, *lab.PROBE_LAMS,
+                                        *lab.LADDER_LAMS}))
+def test_spiral_nearest_chord_equals_the_kd_query(lam):
+    # lam 2, every probe rung and every cap-lattice rung
     s = scale.derive(lam)
-    n = caps.spiral_size(s)
-    spiral = caps.CapFamily(scale=s, centers=caps.fibonacci_sphere(n))
-    close = spiral.tree.query_pairs(caps.chord(s.r), output_type="ndarray")
-    assert (spiral.nearest_chord > caps.chord(s.r)) == (close.size == 0)
     fam = caps.build_lattice(s)
-    assert len(fam) == n
-    # oracle: the direct k=2 query on the returned family
-    dist, _ = fam.tree.query(fam.centers, k=2, workers=-1)
-    direct = 2.0 * math.asin(min(1.0, 0.5 * float(np.min(dist[:, 1]))))
-    assert caps.min_separation(fam) == direct
+    assert len(fam) == caps.spiral_size(s)
+    kd = _kd_nearest_chord(fam.centers, 1.125 * caps.chord(s.r))
+    assert fam.nearest_chord == kd
+    assert caps.min_separation(fam) == 2.0 * math.asin(min(1.0, 0.5 * kd))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=1, max_value=30_000))
+def test_spiral_nearest_chord_equals_the_kd_query_at_any_size(n):
+    spiral = caps.fibonacci_sphere(n)
+    assert caps.spiral_nearest_chord(spiral) == _kd_nearest_chord(spiral)
+
+
+def test_whole_lattices_build_no_kdtree(monkeypatch):
+    monkeypatch.setattr(caps, "cKDTree", _forbidden)
+    fam = caps.build_lattice(scale.derive(1024.0))
+    assert caps.min_separation(fam) >= fam.scale.r
+    lab.run_experiment("probe-curve", 64.0)
+
+
+def test_derived_families_query_their_own_nearest_chord():
+    # the spiral's closest pair is polar, (0, 3) at lam 64: neither the
+    # even-indexed caps nor an equatorial cone keeps it
+    fam = caps.build_lattice(scale.derive(64.0))
+    for sub in (replace(fam, centers=fam.centers[::2]),
+                fam.restrict_to_cone(fam.centers[len(fam) // 2], 0.5)):
+        assert sub.nearest_chord == _kd_nearest_chord(sub.centers)
+        assert sub.nearest_chord > fam.nearest_chord
 
 
 def test_min_separation_of_fewer_than_two_caps_is_pi():
@@ -158,7 +196,14 @@ def test_one_kdtree_per_cap_lattice_run(monkeypatch):
         built.append(args[0].shape)
         return real(*args, **kwargs)
 
+    real_probe = caps.covering_probe
+
+    def probing(family, probes):
+        assert not built      # no tree for the lattice or its separation
+        return real_probe(family, probes)
+
     monkeypatch.setattr(caps, "cKDTree", counting)
+    monkeypatch.setattr(caps, "covering_probe", probing)
     lab.run_experiment("cap-lattice", 64.0, 7, 500)
     assert len(built) == 1
 
@@ -168,6 +213,13 @@ def test_cap_zero_is_spiral_point_zero(lam):
     s = scale.derive(lam)
     spiral0 = caps.fibonacci_sphere(caps.spiral_size(s))[0]
     assert caps.build_lattice(s).centers[0].tobytes() == spiral0.tobytes()
+    assert caps.first_cap(s).tobytes() == spiral0.tobytes()
+
+
+def test_first_cap_lays_down_no_spiral(monkeypatch):
+    s = scale.derive(4096.0)
+    spiral0 = caps.fibonacci_sphere(caps.spiral_size(s))[0]
+    monkeypatch.setattr(caps, "fibonacci_sphere", _forbidden)
     assert caps.first_cap(s).tobytes() == spiral0.tobytes()
 
 
