@@ -14,14 +14,19 @@ spiral density the nearest chord sits about 9% past chord(r) at every lam
 the builder supports, and the spiral is the family.  Only a spiral denser
 than that is pruned, greedily in spiral order, so the separation invariant
 holds by construction rather than by the spiral's favourable constants.
+The same index structure answers a probe's nearest spiral point: the
+inverse spherical Fibonacci mapping (Keinert et al., ACM TOG 34(6), 2015)
+bounds it, and one contiguous height window settles it exactly.
 
 Angular bookkeeping on a family:
 
 * min_separation: the spiral's nearest chord for a lattice returned whole,
   one k=2 query of the family's KD-tree (Bentley, CACM 18, 1975) for any
   other family,
-* covering_probe / conflict_pairs: nearest-neighbour geometry on the
-  family's one KD-tree, built on first use,
+* covering_probe: the spiral's bound-then-refine covering for a lattice
+  returned whole, one k=1 query of the KD-tree for any other family,
+* conflict_pairs: pairs under alpha on the family's one KD-tree, built on
+  first use,
 * ring_histogram / annulus_count: occupancy of the thin rings
   [k*alpha, (k+1)*alpha) around a chosen cap,
 * greedy_color: first-fit colouring of the angle < alpha conflict graph,
@@ -38,7 +43,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import ConfigError, DegenerateScaleError
-from .geometry import angle_between
+from .geometry import BLOCK_ROWS, angle_between
 from .scale import ScaleParams
 
 
@@ -47,6 +52,8 @@ def chord(angle: float) -> float:
     return 2.0 * math.sin(0.5 * angle)
 
 
+#: the golden ratio phi, which fixes the spiral's Fibonacci lattice
+_GOLDEN_RATIO = 0.5 * (1.0 + math.sqrt(5.0))
 #: azimuth step of the Fibonacci spiral, 2*pi over the golden ratio squared
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
@@ -61,26 +68,33 @@ def _spiral_rows(i: np.ndarray, n: int) -> np.ndarray:
 
 
 def fibonacci_sphere(n: int) -> np.ndarray:
-    """n points of the deterministic Fibonacci spiral, shape (n, 3)."""
+    """n points of the deterministic Fibonacci spiral, shape (n, 3).
+
+    Laid down in blocks of BLOCK_ROWS rows into one output, so the
+    temporaries of the formulas never span the whole spiral.
+    """
     if n < 1:
         raise ValueError("need at least one point")
-    return _spiral_rows(np.arange(n, dtype=float), n)
+    out = np.empty((n, 3))
+    for lo in range(0, n, BLOCK_ROWS):
+        hi = min(n, lo + BLOCK_ROWS)
+        out[lo:hi] = _spiral_rows(np.arange(lo, hi, dtype=float), n)
+    return out
 
 
-def _min_sq_chord(points: np.ndarray, i, j) -> float:
-    """Smallest squared chord between rows ``points[i]`` and ``points[j]``.
+def _sq_chords(a: np.ndarray, i, b: np.ndarray, j) -> np.ndarray:
+    """Squared chords between rows ``a[i]`` and ``b[j]``, broadcast.
 
-    ``i`` and ``j`` are paired slices or index arrays.  Each squared chord
-    is summed x, then y, then z, in the order ``geometry.dot`` and the
+    ``i`` and ``j`` are slices, index arrays or single rows.  Each squared
+    chord is summed x, then y, then z, in the order ``geometry.dot`` and the
     KD-tree add them, one column at a time so only a few columns are live.
     """
-    x, y, z = points.T
-    total = x[i] - x[j]
+    total = a[:, 0][i] - b[:, 0][j]
     total *= total
-    for col in (y, z):
-        d = col[i] - col[j]
+    for col in (1, 2):
+        d = a[:, col][i] - b[:, col][j]
         total += d * d
-    return float(np.min(total))
+    return total
 
 
 def spiral_nearest_chord(spiral: np.ndarray) -> float:
@@ -118,7 +132,8 @@ def spiral_nearest_chord(spiral: np.ndarray) -> float:
     short = np.arange(1, min(n, int(3.0 * math.sqrt(n)) + 1))
     seeds = short[np.argsort(np.abs(np.sin(0.5 * _GOLDEN_ANGLE * short)),
                              kind="stable")[:3]]
-    best = min(_min_sq_chord(spiral, slice(0, n - k), slice(k, n))
+    best = min(float(np.min(_sq_chords(spiral, slice(0, n - k),
+                                       spiral, slice(k, n))))
                for k in seeds.tolist())
     bound = math.sqrt(best) + slack
     ks = np.arange(1, min(n - 1, int(0.5 * bound * n)) + 1)
@@ -137,7 +152,62 @@ def spiral_nearest_chord(spiral: np.ndarray) -> float:
     if ends.size and ends[-1]:
         i = np.arange(ends[-1]) + np.repeat(starts - (ends - lens), lens)
         j = i + np.repeat(np.concatenate([ks, ks]), lens)
-        best = min(best, _min_sq_chord(spiral, i, j))
+        best = min(best, float(np.min(_sq_chords(spiral, i, spiral, j))))
+    return math.sqrt(best)
+
+
+def _spiral_candidates(probes: np.ndarray, n: int) -> np.ndarray:
+    """Four indices of ``fibonacci_sphere(n)`` around each probe, (m, 4).
+
+    The inverse spherical Fibonacci mapping (Keinert et al., "Spherical
+    Fibonacci Mapping", ACM TOG 34(6), 2015).  In that paper's frame the
+    spiral's height is -y and point i's azimuth is -i G mod 2 pi.  The zone
+    k of a probe's height picks the Fibonacci offsets (F_k, F_{k+1}), whose
+    (azimuth, height) steps span the spiral's local lattice; a 2x2 solve
+    puts the probe in one lattice cell, and the cell's corners are the
+    candidates, clipped to [0, n - 1].
+    """
+    cos_t = -probes[:, 1]
+    azim = -np.arctan2(probes[:, 2], probes[:, 0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        zone = np.log(n * math.pi * math.sqrt(5.0) * (1.0 - cos_t * cos_t))
+    k = np.fmax(2.0, np.floor(zone / math.log(_GOLDEN_RATIO ** 2)))
+    fk = _GOLDEN_RATIO ** k / math.sqrt(5.0)
+    f = np.stack([np.round(fk), np.round(fk * _GOLDEN_RATIO)])   # (2, m)
+    # offset F steps the azimuth by 2 pi ((F + 1)/phi mod 1 - 1/phi) and the
+    # height by -2F/n
+    turn = (f + 1.0) * (_GOLDEN_RATIO - 1.0)
+    da = 2.0 * math.pi * (turn - np.floor(turn) - (_GOLDEN_RATIO - 1.0))
+    dh = -2.0 * f / n
+    det = da[0] * dh[1] - da[1] * dh[0]
+    h = cos_t - (1.0 - 1.0 / n)
+    c0 = np.floor((dh[1] * azim - da[1] * h) / det)
+    c1 = np.floor((da[0] * h - dh[0] * azim) / det)
+    corner = np.array([[0, 1, 0, 1], [0, 0, 1, 1]])
+    idx = ((c0[:, None] + corner[0]) * f[0][:, None]
+           + (c1[:, None] + corner[1]) * f[1][:, None])
+    return np.clip(idx, 0, n - 1).astype(np.intp)
+
+
+def spiral_covering_chord(spiral: np.ndarray, probes: np.ndarray) -> float:
+    """Largest chord from a probe to its nearest point of ``spiral``, which
+    is ``fibonacci_sphere(n)``, without a KD-tree.
+
+    Equal, bit for bit, to the largest distance of a KD-tree k=1 query of
+    the probes; ``covering_probe`` states the argument.
+    """
+    bound = np.min(_sq_chords(spiral, _spiral_candidates(probes, len(spiral)),
+                              probes, np.arange(len(probes))[:, None]), axis=1)
+    best = 0.0
+    for p in np.argsort(bound)[::-1].tolist():
+        if bound[p] <= best:
+            break
+        w = math.sqrt(bound[p])
+        yp = float(probes[p, 1])
+        w += 2.0 ** -48 * (w + abs(yp) + 1.0)
+        lo, hi = np.searchsorted(spiral[:, 1], [yp - w, yp + w])
+        best = max(best, float(np.min(
+            _sq_chords(spiral, slice(lo, hi), probes, p))))
     return math.sqrt(best)
 
 
@@ -178,12 +248,23 @@ class CapFamily:
 
     @cached_property
     def tree(self) -> cKDTree:
-        """KD-tree over the centers, built on first use.
+        """KD-tree over the centers, built on first use.  A lattice returned
+        whole by ``build_lattice`` needs none for its separation or covering.
 
         A family derived by ``replace`` or ``restrict_to_cone`` is a new
         object, so it never sees the tree of the family it came from.
         """
         return cKDTree(self.centers, balanced_tree=False)
+
+    @cached_property
+    def is_spiral(self) -> bool:
+        """Whether the centers are exactly ``fibonacci_sphere(len(self))``.
+
+        True only on a lattice that ``build_lattice`` returned whole, which
+        seeds it.  A pruned, ``replace``d, ``restrict_to_cone`` or hand-made
+        family is a new object and reads False.
+        """
+        return False
 
     @cached_property
     def nearest_chord(self) -> float:
@@ -259,8 +340,9 @@ def build_lattice(scale: ScaleParams) -> CapFamily:
     spiral = CapFamily(scale=scale, centers=fibonacci_sphere(n_fib))
     nearest = spiral_nearest_chord(spiral.centers)
     if nearest > chord(scale.r):
-        # seed the cached_property: the family is exactly this spiral
+        # seed the cached_properties: the family is exactly this spiral
         spiral.__dict__["nearest_chord"] = nearest
+        spiral.__dict__["is_spiral"] = True
         return spiral
     close = spiral.tree.query_pairs(chord(scale.r), output_type="ndarray")
     # greedy in spiral order: j goes if an earlier neighbour was kept, and
@@ -290,9 +372,43 @@ def min_separation(family: CapFamily) -> float:
 
 
 def covering_probe(family: CapFamily, probes: np.ndarray) -> float:
-    """Largest angular distance from the probe directions to the family."""
-    dist, _ = family.tree.query(np.asarray(probes, float), k=1, workers=-1)
-    worst = float(np.max(dist))
+    """Largest angular distance from the probe directions to the family.
+
+    Equal, bit for bit, to the largest nearest-neighbour distance of a
+    KD-tree query of the probes.  A family that is not a whole spiral
+    (``is_spiral``) runs that query on its tree.
+
+    A whole spiral builds no tree; it bounds, then refines.  Each probe's
+    four candidate indices (``_spiral_candidates``) give an upper bound b_p
+    on its nearest squared chord d_p.  The probes are visited in descending
+    b_p.  For each, every spiral point whose height is within sqrt(b_p) of
+    the probe's is measured, and the smallest is d_p exactly.  That window
+    is one contiguous index range, because the spiral's y is sorted.  The
+    visit stops at the first b_p at or below the largest d_p so far, since
+    every later d_p <= b_p cannot exceed it.  Usually one window decides.
+
+    The slack is only rounding, because the window and the chords are taken
+    on the same stored rows.  The nearest point's float squared chord is at
+    least dy^2 (1 - 2^-53)^5, with dy its exact height gap, so |dy| <=
+    sqrt(b_p) (1 + 3 * 2^-53), and the float sqrt(b_p) rounds once more.
+    Forming y_p +- w rounds by at most 2^-53 (|y_p| + w).  Widening
+    w = sqrt(b_p) by 2^-48 (w + |y_p| + 1), over six times all of that,
+    keeps that point inside the window.
+
+    Raises ConfigError unless the probes are a non-empty, finite (m, 3)
+    stack.
+    """
+    probes = np.asarray(probes, dtype=float)
+    if probes.ndim != 2 or probes.shape[1] != 3 or not len(probes):
+        raise ConfigError(f"need a non-empty (m, 3) stack of probe "
+                          f"directions, got shape {probes.shape}")
+    if not np.isfinite(probes).all():
+        raise ConfigError("probe directions must be finite")
+    if family.is_spiral:
+        worst = spiral_covering_chord(family.centers, probes)
+    else:
+        dist, _ = family.tree.query(probes, k=1, workers=-1)
+        worst = float(np.max(dist))
     return 2.0 * math.asin(min(1.0, 0.5 * worst))
 
 

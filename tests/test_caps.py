@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.spatial import cKDTree
 
 from decolab import caps, lab, scale
-from decolab.rng import keyed_rng
+from decolab.geometry import BLOCK_ROWS
+from decolab.rng import keyed_rng, unit_vectors
 
 
 @pytest.fixture(scope="module")
@@ -27,6 +28,13 @@ def test_fibonacci_sphere_unit_rows_and_count():
     assert np.max(np.abs(np.linalg.norm(pts, axis=1) - 1.0)) < 1e-12
     with pytest.raises(ValueError):
         caps.fibonacci_sphere(0)
+
+
+@pytest.mark.parametrize("n", [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+                               3 * BLOCK_ROWS + 7])
+def test_fibonacci_sphere_blocks_equal_the_unblocked_formulas(n):
+    whole = caps._spiral_rows(np.arange(n, dtype=float), n)
+    assert caps.fibonacci_sphere(n).tobytes() == whole.tobytes()
 
 
 def test_build_lattice_separation_invariant(family64):
@@ -140,6 +148,92 @@ def test_whole_lattices_build_no_kdtree(monkeypatch):
     fam = caps.build_lattice(scale.derive(1024.0))
     assert caps.min_separation(fam) >= fam.scale.r
     lab.run_experiment("probe-curve", 64.0)
+    lab.run_experiment("cap-lattice", 4096.0)
+
+
+def _kd_covering_chord(points, probes):
+    """Oracle: the largest nearest-neighbour distance of a k=1 query."""
+    dist, _ = cKDTree(points, balanced_tree=False).query(probes, k=1)
+    return float(np.max(dist))
+
+
+def _probe_sets(spiral, seed, n_random):
+    """Random directions, the poles, and spiral points with their antipodes
+    (every point up to 4096 of them, evenly strided beyond)."""
+    on = spiral[::max(1, len(spiral) // 4096)]
+    return {"random": unit_vectors(keyed_rng(seed, "cover-oracle"), n_random),
+            "poles": np.array([[0.0, 1.0, 0.0], [0.0, -1.0, 0.0]]),
+            "spiral": on, "antipodes": -on}
+
+
+@pytest.mark.parametrize("lam", sorted({2.0, *lab.PROBE_LAMS,
+                                        *lab.LADDER_LAMS}))
+def test_spiral_covering_equals_the_kd_query(lam):
+    # lam 2, every probe rung and every cap-lattice rung
+    fam = caps.build_lattice(scale.derive(lam))
+    assert fam.is_spiral
+    for name, probes in _probe_sets(fam.centers, int(lam), 20_000).items():
+        kd = _kd_covering_chord(fam.centers, probes)
+        assert caps.spiral_covering_chord(fam.centers, probes) == kd, name
+        assert (caps.covering_probe(fam, probes)
+                == 2.0 * math.asin(min(1.0, 0.5 * kd))), name
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=16, max_value=30_000))
+def test_spiral_covering_equals_the_kd_query_at_any_size(n):
+    spiral = caps.fibonacci_sphere(n)
+    for name, probes in _probe_sets(spiral, n, 2000).items():
+        assert (caps.spiral_covering_chord(spiral, probes)
+                == _kd_covering_chord(spiral, probes)), name
+
+
+@pytest.mark.parametrize("pick", ["spiral-start", "random"])
+def test_spiral_covering_is_exact_from_any_candidates(monkeypatch, pick):
+    # the candidates only bound; the height windows decide, however loose
+    # the bounds and however many windows they take
+    spiral = caps.fibonacci_sphere(2048)
+    probes = unit_vectors(keyed_rng(6, "cover-loose"), 500)
+    gen = keyed_rng(6, "cover-loose-candidates")
+
+    def loose(probes, n):
+        if pick == "spiral-start":
+            return np.zeros((len(probes), 4), dtype=np.intp)
+        return gen.integers(0, n, size=(len(probes), 4))
+
+    monkeypatch.setattr(caps, "_spiral_candidates", loose)
+    assert (caps.spiral_covering_chord(spiral, probes)
+            == _kd_covering_chord(spiral, probes))
+
+
+def test_derived_families_probe_their_covering_on_a_tree(monkeypatch):
+    fam = caps.build_lattice(scale.derive(64.0))
+    probes = unit_vectors(keyed_rng(5, "cover-derived"), 3000)
+    built = []
+    real = caps.cKDTree
+
+    def counting(*args, **kwargs):
+        built.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(caps, "cKDTree", counting)
+    for sub in (replace(fam, centers=fam.centers[::2]),
+                fam.restrict_to_cone(fam.centers[len(fam) // 2], 0.5)):
+        assert not sub.is_spiral
+        kd = _kd_covering_chord(sub.centers, probes)
+        before = len(built)
+        assert (caps.covering_probe(sub, probes)
+                == 2.0 * math.asin(min(1.0, 0.5 * kd)))
+        assert built[before:] == [sub.centers.shape]
+
+
+@pytest.mark.parametrize("probes", [np.zeros((0, 3)), np.zeros(3),
+                                    np.zeros((4, 2)),
+                                    np.array([[0.0, math.nan, 1.0]])],
+                         ids=["empty", "one-row", "two-columns", "nan"])
+def test_covering_probe_rejects_bad_probes(family64, probes):
+    with pytest.raises(caps.ConfigError):
+        caps.covering_probe(family64, probes)
 
 
 def test_derived_families_query_their_own_nearest_chord():
@@ -188,7 +282,7 @@ def test_tree_queries_match_dense_oracle(fam):
     assert caps.covering_probe(fam, probes) == pytest.approx(cov, abs=1e-12)
 
 
-def test_one_kdtree_per_cap_lattice_run(monkeypatch):
+def test_no_kdtree_in_a_cap_lattice_run(monkeypatch):
     built = []
     real = caps.cKDTree
 
@@ -196,16 +290,9 @@ def test_one_kdtree_per_cap_lattice_run(monkeypatch):
         built.append(args[0].shape)
         return real(*args, **kwargs)
 
-    real_probe = caps.covering_probe
-
-    def probing(family, probes):
-        assert not built      # no tree for the lattice or its separation
-        return real_probe(family, probes)
-
     monkeypatch.setattr(caps, "cKDTree", counting)
-    monkeypatch.setattr(caps, "covering_probe", probing)
     lab.run_experiment("cap-lattice", 64.0, 7, 500)
-    assert len(built) == 1
+    assert built == []
 
 
 @pytest.mark.parametrize("lam", [2.0 ** k for k in range(2, 11)])

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from decolab import geometry
+from decolab.errors import DegenerateGeometryError
 from decolab.rng import keyed_rng, unit_vectors
 
 import geometry_oracle as oracle
@@ -49,8 +50,10 @@ def test_asymptotic_normal_norm_and_domain():
     assert np.linalg.norm(a) == pytest.approx(math.sqrt(1.0 + 1.0 / 100.0),
                                               rel=1e-15)
     assert a[3] == pytest.approx(0.1)
-    with pytest.raises(ValueError):
+    with pytest.raises(DegenerateGeometryError):
         geometry.asymptotic_normal(np.zeros(3))
+    with pytest.raises(DegenerateGeometryError):
+        geometry.asymptotic_normal(np.array([[1.0, 0.0, 0.0], [0.0] * 3]))
 
 
 def test_defect_is_antiparallel_to_asymptote():
@@ -103,8 +106,11 @@ def test_angle_between_tiny_angles_stay_accurate():
 
 
 def test_angle_between_rejects_zero_vectors():
-    with pytest.raises(ValueError):
-        geometry.angle_between(np.zeros(3), np.ones(3))
+    for u, v in ((np.zeros(3), np.ones(3)), (np.ones((2, 4)), np.zeros(4))):
+        with pytest.raises(DegenerateGeometryError):
+            geometry.angle_between(u, v)
+    # the typed error keeps its builtin base
+    assert issubclass(DegenerateGeometryError, ValueError)
 
 
 def test_bilipschitz_coincident_conventions():
@@ -112,6 +118,42 @@ def test_bilipschitz_coincident_conventions():
     assert geometry.bilipschitz_ratio(xi, xi) == 1.0
     # same direction, different radius: directions coincide, normals do not
     assert geometry.bilipschitz_ratio(xi, 2.0 * xi) == math.inf
+
+
+def _bilipschitz_unblocked(xi, eta):
+    """The ratio over all rows at once: the twin of the blocked kernel."""
+    theta_dir = geometry.angle_between(xi, eta)
+    theta_nor = geometry.angle_between(geometry.normal(xi),
+                                       geometry.normal(eta))
+    zero = theta_dir == 0.0
+    return np.where(zero, np.where(theta_nor == 0.0, 1.0, np.inf),
+                    theta_nor / np.where(zero, 1.0, theta_dir))
+
+
+@pytest.mark.parametrize("n", [1, geometry.BLOCK_ROWS - 1, geometry.BLOCK_ROWS,
+                               geometry.BLOCK_ROWS + 1,
+                               3 * geometry.BLOCK_ROWS + 7])
+def test_bilipschitz_blocks_equal_the_unblocked_ratio(n):
+    rng = keyed_rng(n, "geom-bil-blocks")
+    xi = _shell(rng, n)
+    eta = _shell(rng, n)
+    # coincident rows (ratio 1) and parallel rows at another radius (inf)
+    eta[::5] = xi[::5]
+    eta[1::7] = 2.0 * xi[1::7]
+    got = geometry.bilipschitz_ratio(xi, eta)
+    assert got.shape == (n,)
+    assert got.tobytes() == _bilipschitz_unblocked(xi, eta).tobytes()
+    # one xi against the stack broadcasts like the unblocked ratio
+    got = geometry.bilipschitz_ratio(xi[0], eta)
+    assert got.tobytes() == _bilipschitz_unblocked(xi[0], eta).tobytes()
+
+
+def test_bilipschitz_of_one_pair_is_a_float():
+    xi = np.array([5.0, 1.0, 0.0])
+    eta = np.array([1.0, 4.0, 2.0])
+    got = geometry.bilipschitz_ratio(xi, eta)
+    assert type(got) is float
+    assert got == float(_bilipschitz_unblocked(xi, eta))
 
 
 def test_bilipschitz_near_one_on_a_thin_shell():
