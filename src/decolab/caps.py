@@ -21,16 +21,22 @@ bounds it, and one contiguous height window settles it exactly.
 Angular bookkeeping on a family:
 
 * min_separation: the spiral's nearest chord for a lattice returned whole,
-  one k=2 query of the family's KD-tree (Bentley, CACM 18, 1975) for any
-  other family,
+  one k=2 query of the family's KD-tree for any other family,
 * covering_probe: the spiral's bound-then-refine covering for a lattice
-  returned whole, one k=1 query of the KD-tree for any other family,
-* conflict_pairs: pairs under alpha on the family's one KD-tree, built on
-  first use,
+  returned whole, one k=1 query of the family's KD-tree for any other
+  family,
+* conflict_pairs: pairs under alpha by an exact scan of the pairs in row
+  blocks, with the KD-tree's own rule, so it needs no tree,
 * ring_histogram / annulus_count: occupancy of the thin rings
   [k*alpha, (k+1)*alpha) around a chosen cap,
 * greedy_color: first-fit colouring of the angle < alpha conflict graph,
 * select_separated: the four-out-of-six pigeonhole selector.
+
+Only ``kd_tree`` builds a KD-tree (Bentley, CACM 18, 1975), and only it
+loads scipy.spatial: for the prune of a spiral denser than the real one,
+and for the nearest chord and covering of a family that is not a whole
+spiral.  No registered experiment or ladder reaches either at its default
+lams.
 """
 from __future__ import annotations
 
@@ -38,13 +44,16 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import ConfigError, DegenerateScaleError
 from .geometry import BLOCK_ROWS, angle_between
 from .scale import ScaleParams
+
+if TYPE_CHECKING:
+    from scipy.spatial import cKDTree
 
 
 def chord(angle: float) -> float:
@@ -74,7 +83,7 @@ def fibonacci_sphere(n: int) -> np.ndarray:
     temporaries of the formulas never span the whole spiral.
     """
     if n < 1:
-        raise ValueError("need at least one point")
+        raise ConfigError(f"need at least one point, got {n}")
     out = np.empty((n, 3))
     for lo in range(0, n, BLOCK_ROWS):
         hi = min(n, lo + BLOCK_ROWS)
@@ -95,6 +104,63 @@ def _sq_chords(a: np.ndarray, i, b: np.ndarray, j) -> np.ndarray:
         d = a[:, col][i] - b[:, col][j]
         total += d * d
     return total
+
+
+#: squared chords per block of the pair scans, which bounds their memory
+PAIR_BLOCK = 2 ** 16
+
+
+def _upper_sq_chords(points: np.ndarray):
+    """Squared chords of every pair (i < k) of rows, one row block at a time.
+
+    Yields (lo, sq): sq[a, c] is the squared chord between rows lo + a and
+    lo + c, from ``_sq_chords``, and NaN where lo + c <= lo + a, so no
+    comparison counts the diagonal or a pair twice.  A block takes
+    PAIR_BLOCK // n rows, at least one.
+    """
+    n = points.shape[0]
+    rows = max(1, PAIR_BLOCK // max(n, 1))
+    for lo in range(0, n - 1, rows):
+        hi = min(n, lo + rows)
+        sq = _sq_chords(points, np.arange(lo, hi)[:, None],
+                        points, slice(lo, n))
+        sq[:, :hi - lo][np.tri(hi - lo, dtype=bool)] = np.nan
+        yield lo, sq
+
+
+def pairs_within(points: np.ndarray, radius: float,
+                 inner: float = 0.0) -> np.ndarray:
+    """Pairs (i < k) of rows within chord ``radius``, (m, 2), lexicographic.
+
+    A pair is within when its squared chord, summed x, then y, then z, is
+    at most radius * radius: the rule, and the sums, of a KD-tree's
+    ``query_pairs``, so the two give the same set bit for bit.  A positive
+    ``inner`` also drops the pairs whose squared chord is under
+    inner * inner.  An exact scan, quadratic in the rows; meant for
+    desk-scale families.
+    """
+    r2, in2 = radius * radius, inner * inner
+    found = []
+    for lo, sq in _upper_sq_chords(points):
+        hit = sq <= r2
+        if inner > 0.0:
+            hit &= sq >= in2
+        found.append(np.stack(np.nonzero(hit), axis=1) + lo)
+    return np.concatenate(found) if found else np.zeros((0, 2), np.intp)
+
+
+def pair_counts_within(points: np.ndarray, radii) -> np.ndarray:
+    """Pairs (i < k) of rows within each chord radius, as in ``pairs_within``.
+
+    Equal to a KD-tree's ``count_neighbors`` of the rows against
+    themselves, less the n self-pairs, halved.  Each radius costs one
+    comparison per pair, an infinite one too.
+    """
+    r2 = [r * r for r in np.asarray(radii, dtype=float).tolist()]
+    counts = np.zeros(len(r2), dtype=np.int64)
+    for _, sq in _upper_sq_chords(points):
+        counts += [np.count_nonzero(sq <= v) for v in r2]
+    return counts
 
 
 def spiral_nearest_chord(spiral: np.ndarray) -> float:
@@ -229,6 +295,17 @@ def clustered_dirs(rng: np.random.Generator, axis: np.ndarray, n: int,
     return np.asarray(out)
 
 
+def kd_tree(points: np.ndarray) -> cKDTree:
+    """A KD-tree over ``points`` (Bentley, CACM 18, 1975).
+
+    The package's one tree builder.  scipy.spatial, most of the package's
+    import time, loads on the first call, so a run that needs no tree
+    never loads it.
+    """
+    from scipy.spatial import cKDTree
+    return cKDTree(points, balanced_tree=False)
+
+
 @dataclass(frozen=True)
 class CapFamily:
     """Finite set of unit direction vectors at a common scale."""
@@ -243,7 +320,7 @@ class CapFamily:
     @property
     def n_colors(self) -> int:
         if self.colors is None:
-            raise ValueError("family is not coloured yet")
+            raise ConfigError("family is not coloured yet")
         return int(self.colors.max(initial=-1)) + 1
 
     @cached_property
@@ -254,7 +331,7 @@ class CapFamily:
         A family derived by ``replace`` or ``restrict_to_cone`` is a new
         object, so it never sees the tree of the family it came from.
         """
-        return cKDTree(self.centers, balanced_tree=False)
+        return kd_tree(self.centers)
 
     @cached_property
     def is_spiral(self) -> bool:
@@ -433,7 +510,7 @@ def ring_histogram(family: CapFamily, center_index: int) -> np.ndarray:
 def annulus_count(family: CapFamily, center_index: int, k: int) -> int:
     """Number of caps in the thin ring [k*alpha, (k+1)*alpha), k >= 1."""
     if k < 1:
-        raise ValueError(f"ring index must be >= 1, got {k}")
+        raise ConfigError(f"ring index must be >= 1, got {k}")
     alpha = family.scale.alpha
     angles = family.angles_from(center_index)
     angles = np.delete(angles, center_index)
@@ -445,10 +522,12 @@ def annulus_count(family: CapFamily, center_index: int, k: int) -> int:
 # ---------------------------------------------------------------------------
 
 def conflict_pairs(family: CapFamily) -> np.ndarray:
-    """Pairs (i < j) of caps closer than alpha, as an (m, 2) int array."""
-    pairs = family.tree.query_pairs(chord(family.scale.alpha),
-                                    output_type="ndarray")
-    return pairs.reshape(-1, 2)
+    """Pairs (i < j) of caps closer than alpha, as an (m, 2) int array.
+
+    Within chord(alpha) by ``pairs_within``: the set a KD-tree's
+    ``query_pairs`` gives, in lexicographic order.
+    """
+    return pairs_within(family.centers, chord(family.scale.alpha))
 
 
 def conflict_degrees(family: CapFamily) -> np.ndarray:
@@ -511,8 +590,8 @@ def select_separated(dirs: np.ndarray, alpha: float) -> SeparationResult:
     """
     d = np.asarray(dirs, dtype=float)
     if d.ndim != 3 or d.shape[1:] != (6, 3):
-        raise ValueError(f"expected a stack of six 3-vectors, shape (n, 6, 3),"
-                         f" got {d.shape}")
+        raise ConfigError(f"expected a stack of six 3-vectors, shape "
+                          f"(n, 6, 3), got {d.shape}")
     ang = angle_between(d[:, _PAIR_I], d[:, _PAIR_J])          # (n, 15)
     fits = (ang >= alpha)[:, _SUBSET_PAIRS].all(axis=2)       # (n, 15)
     subset = np.where(fits.any(axis=1)[:, np.newaxis],

@@ -10,9 +10,11 @@ cross-section radius rho equals twice the spatial half-width of the cell, so
 tubes here are fat slabs that all meet near t = 0.  The boundary-layer
 fraction below quantifies exactly that.
 
-All volume and overlap estimates are importance-sampled Monte Carlo against
-the analytic cylinder envelope, with counter-based keyed streams so results
-do not depend on evaluation order.
+Volume and overlap estimates are hit-or-miss Monte Carlo: the share of
+uniform draws over the analytic cylinder envelope that land in the tube (or
+in both tubes), times the envelope's volume.  Only the multiplicity
+statistics reweight their draws, by 1/M.  Counter-based keyed streams make
+the results independent of evaluation order.
 """
 from __future__ import annotations
 
@@ -21,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .caps import CapFamily, chord, conflict_degrees
+from .caps import (CapFamily, chord, conflict_degrees, pair_counts_within,
+                   pairs_within)
 from .errors import ConfigError, DensityError
 from .geometry import angle_between, norm
 from .rng import keyed_rng, unit_vectors
@@ -137,8 +140,8 @@ def pair_overlap_bound(scale: ScaleParams, delta: float) -> float:
     delta is the angular separation of the two caps; delta = 0 selects the
     time-truncation branch lam**(-3/2).
     """
-    if delta < 0:
-        raise ValueError("angular separation must be >= 0")
+    if not delta >= 0.0:
+        raise ConfigError(f"angular separation must be >= 0, got {delta!r}")
     time_branch = scale.lam ** (-1.5)
     if delta == 0.0:
         m = time_branch
@@ -184,7 +187,7 @@ def multiplicity_counts(scale: ScaleParams, xis: np.ndarray, truncated: bool,
 def density_check(family: CapFamily) -> bool:
     """Every cap needs more than DENSITY_C_STAR * D neighbours within alpha."""
     if len(family) == 0:
-        raise ValueError("density check on an empty family")
+        raise ConfigError("density check on an empty family")
     counts = conflict_degrees(family)
     return bool(np.min(counts) > DENSITY_C_STAR * family.scale.D)
 
@@ -324,18 +327,20 @@ def band_pair_counts(family: CapFamily) -> np.ndarray:
     """Unordered cap pairs per dyadic band [2^j, 2^(j+1)) alpha, j = 0..jmax.
 
     Band 0 also takes every closer pair, band jmax every farther one; jmax
-    is one past the first band whose lower edge reaches pi.  One KD-tree
-    call counts the ordered pairs (self-pairs included) within the chord of
-    each edge 2^j alpha, j = 1..jmax.  It counts d <= r, so each radius
-    sits one float below its chord to keep the upper edges strict; an edge
-    past pi takes every pair.
+    is one past the first band whose lower edge reaches pi.  One scan of
+    ``caps.pair_counts_within`` counts the pairs within the chord of each
+    edge 2^j alpha under pi, exactly as a KD-tree's ``count_neighbors``
+    does.  That rule counts d <= r, so each radius sits one float below its
+    chord to keep the upper edges strict.  An edge at or past pi takes
+    every pair, with no comparison.
     """
     n, alpha = len(family), family.scale.alpha
     jmax = max(1, int(math.ceil(math.log(math.pi / alpha, 2.0))) + 1)
     edges = alpha * 2.0 ** np.arange(1, jmax + 1)
-    chords = np.where(edges < math.pi, 2.0 * np.sin(0.5 * edges), np.inf)
-    within = family.tree.count_neighbors(family.tree, np.nextafter(chords, 0.0))
-    closer = np.append((within - n) // 2, n * (n - 1) // 2)
+    below_pi = edges[edges < math.pi]
+    closer = np.full(jmax + 1, n * (n - 1) // 2)
+    closer[:len(below_pi)] = pair_counts_within(
+        family.centers, np.nextafter(2.0 * np.sin(0.5 * below_pi), 0.0))
     return np.diff(closer, prepend=0)
 
 
@@ -348,33 +353,22 @@ def band_pairs(family: CapFamily, j: int,
     """Every unordered pair (i < k) of dyadic band j, as a sorted (m, 2) array.
 
     Pairs are banded as l2_sum bands its panel, by the angle between the
-    centers.  The search takes the smaller side of the band, as the exact
-    ``pair_counts`` tell: the pairs below its upper edge 2^(j+1) alpha, or
-    the pairs at or above its lower edge 2^j alpha, which are the pairs
-    within chord(pi - 2^j alpha) of the negated centers.  Either radius is
-    widened by a relative 1e-9, and the angle filter then keeps band j.
+    centers.  The scan keeps the pairs whose chord lies between the chords
+    of the band's edges 2^j alpha and 2^(j+1) alpha, each widened outward
+    by a relative 1e-9, so only about the band's own pairs are held; the
+    angle filter then keeps band j.  Band 0 reaches down to 0.
     """
     alpha = family.scale.alpha
     jmax = len(pair_counts) - 1
     widen = 1.0 + 1e-9
-    if pair_counts[j:].sum() <= pair_counts[:j + 1].sum():
-        lo = (2.0 ** j) * alpha if j > 0 else 0.0
-        antipodes = CapFamily(scale=family.scale, centers=-family.centers)
-        near = family.tree.sparse_distance_matrix(
-            antipodes.tree, widen * chord(max(0.0, math.pi - lo)),
-            output_type="ndarray")
-        pairs = np.stack([near["i"], near["j"]], axis=1)
-    else:
-        hi = min(math.pi, (2.0 ** (j + 1)) * alpha)
-        pairs = family.tree.query_pairs(widen * chord(hi),
-                                        output_type="ndarray")
-    pairs = pairs.reshape(-1, 2)
-    pairs = pairs[pairs[:, 0] < pairs[:, 1]]
+    lo = (2.0 ** j) * alpha if j > 0 else 0.0
+    hi = (2.0 ** (j + 1)) * alpha
     centers = family.centers
+    pairs = pairs_within(centers, widen * chord(min(math.pi, hi)),
+                         chord(min(math.pi, lo)) / widen)
     band = _dyadic_band(angle_between(centers[pairs[:, 0]],
                                       centers[pairs[:, 1]]), alpha, jmax)
-    pairs = pairs[band == j]
-    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+    return pairs[band == j]
 
 
 def l2_sum(family: CapFamily, seed: int,

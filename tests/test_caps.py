@@ -84,7 +84,7 @@ def _forbidden(*args, **kwargs):
 def test_build_lattice_beyond_the_guard_allocates_nothing(monkeypatch):
     monkeypatch.setattr(caps, "fibonacci_sphere", _forbidden)
     monkeypatch.setattr(caps, "_spiral_rows", _forbidden)
-    monkeypatch.setattr(caps, "cKDTree", _forbidden)
+    monkeypatch.setattr(caps, "kd_tree", _forbidden)
     for build in (caps.build_lattice, caps.first_cap):
         with pytest.raises(caps.ConfigError, match="134217728 points"):
             build(scale.derive(2.0 ** 18))
@@ -144,7 +144,7 @@ def test_spiral_nearest_chord_equals_the_kd_query_at_any_size(n):
 
 
 def test_whole_lattices_build_no_kdtree(monkeypatch):
-    monkeypatch.setattr(caps, "cKDTree", _forbidden)
+    monkeypatch.setattr(caps, "kd_tree", _forbidden)
     fam = caps.build_lattice(scale.derive(1024.0))
     assert caps.min_separation(fam) >= fam.scale.r
     lab.run_experiment("probe-curve", 64.0)
@@ -210,13 +210,13 @@ def test_derived_families_probe_their_covering_on_a_tree(monkeypatch):
     fam = caps.build_lattice(scale.derive(64.0))
     probes = unit_vectors(keyed_rng(5, "cover-derived"), 3000)
     built = []
-    real = caps.cKDTree
+    real = caps.kd_tree
 
     def counting(*args, **kwargs):
         built.append(args[0].shape)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(caps, "cKDTree", counting)
+    monkeypatch.setattr(caps, "kd_tree", counting)
     for sub in (replace(fam, centers=fam.centers[::2]),
                 fam.restrict_to_cone(fam.centers[len(fam) // 2], 0.5)):
         assert not sub.is_spiral
@@ -284,13 +284,13 @@ def test_tree_queries_match_dense_oracle(fam):
 
 def test_no_kdtree_in_a_cap_lattice_run(monkeypatch):
     built = []
-    real = caps.cKDTree
+    real = caps.kd_tree
 
     def counting(*args, **kwargs):
         built.append(args[0].shape)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(caps, "cKDTree", counting)
+    monkeypatch.setattr(caps, "kd_tree", counting)
     lab.run_experiment("cap-lattice", 64.0, 7, 500)
     assert built == []
 
@@ -334,6 +334,20 @@ def test_ring_histogram_partitions_everything(family64):
 def test_annulus_count_rejects_inner_ring(family64):
     with pytest.raises(ValueError):
         caps.annulus_count(family64, 0, 0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda fam: caps.fibonacci_sphere(0),
+    lambda fam: caps.annulus_count(fam, 0, 0),
+    lambda fam: caps.annulus_count(fam, 0, -1),
+    lambda fam: fam.n_colors,
+    lambda fam: caps.select_separated(np.zeros((5, 3)), 1e-3),
+], ids=["empty-spiral", "ring-0", "ring-negative", "uncoloured",
+        "bad-stack"])
+def test_bad_input_raises_the_typed_config_error(family64, call):
+    with pytest.raises(caps.ConfigError) as err:
+        call(family64)
+    assert isinstance(err.value, ValueError)
 
 
 def _clustered_family(lam=256.0, n=40, spread=0.3):

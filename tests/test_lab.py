@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import decolab
 import probe_oracle
 from decolab import caps, lab, scale
 from decolab.errors import ConfigError, DecolabError
@@ -248,3 +252,26 @@ def test_greedy_coloring_floor_draws_a_conflict_edge():
     fails = [(lam, seed) for lam in (16.0, 64.0, 256.0) for seed in range(200)
              if lab.run_experiment("greedy-coloring", lam, seed, floor).has_fail]
     assert fails == []
+
+
+_NO_SCIPY_RUN = """
+import sys
+import decolab
+from decolab import lab
+lab.run_experiment("cap-lattice", 64.0)
+for name in ("greedy-coloring", "multiplicity", "phase-coverage", "l2-sum"):
+    lab.run_experiment(name)
+lab.run_experiment("l2-sum", 16.0)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_import_and_the_former_tree_users_load_no_scipy():
+    # a fresh interpreter: this suite's own imports already hold scipy
+    src = os.path.dirname(os.path.dirname(decolab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_RUN], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from decolab import caps, scale, tubes
+from decolab.errors import ConfigError
 from decolab.rng import keyed_rng
 
 
@@ -92,6 +93,17 @@ def test_pair_overlap_bound_branches():
     assert b1 == pytest.approx(2.0 * b2, rel=1e-12)
     with pytest.raises(ValueError):
         tubes.pair_overlap_bound(s, -1.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda fam: tubes.pair_overlap_bound(scale.derive(64.0), math.nan),
+    lambda fam: tubes.density_check(
+        caps.CapFamily(scale=fam.scale, centers=np.zeros((0, 3)))),
+], ids=["nan-separation", "empty-family"])
+def test_bad_input_raises_the_typed_config_error(fam, call):
+    with pytest.raises(ConfigError) as err:
+        call(fam)
+    assert isinstance(err.value, ValueError)
 
 
 def test_mc_pair_overlap_self_is_volume():
