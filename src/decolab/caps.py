@@ -21,22 +21,26 @@ bounds it, and one contiguous height window settles it exactly.
 Angular bookkeeping on a family:
 
 * min_separation: the spiral's nearest chord for a lattice returned whole,
-  one k=2 query of the family's KD-tree for any other family,
+  the smallest chord of an exact scan of every pair for any other family,
 * covering_probe: the spiral's bound-then-refine covering for a lattice
-  returned whole, one k=1 query of the family's KD-tree for any other
-  family,
-* conflict_pairs: pairs under alpha by an exact scan of the pairs in row
-  blocks, with the KD-tree's own rule, so it needs no tree,
+  returned whole, an exact scan of every probe against every center for
+  any other family,
+* conflict_pairs: pairs under alpha by the exact scan of the pairs,
 * ring_histogram / annulus_count: occupancy of the thin rings
   [k*alpha, (k+1)*alpha) around a chosen cap,
 * greedy_color: first-fit colouring of the angle < alpha conflict graph,
 * select_separated: the four-out-of-six pigeonhole selector.
 
-Only ``kd_tree`` builds a KD-tree (Bentley, CACM 18, 1975), and only it
-loads scipy.spatial: for the prune of a spiral denser than the real one,
-and for the nearest chord and covering of a family that is not a whole
-spiral.  No registered experiment or ladder reaches either at its default
-lams.
+Every neighbour question is answered from the spiral's index structure or
+by the exact pair scans (``pairs_within``, ``pair_counts_within``), which
+take the pairs in row blocks of bounded memory.  Their squared chords are
+summed x, then y, then z, the order and the rule of a KD-tree (Bentley,
+CACM 18, 1975), so they give a tree's answers bit for bit; the package
+builds no tree and needs no scipy.  The scans are quadratic in the rows:
+about 10 s each, on two cores, for the nearest chord, or a 20,000-probe
+covering, of a 41k-cap family.  Only derived families (pruned, ``replace``d,
+``restrict_to_cone`` or hand-made) reach them for their nearest chord or
+covering, and no registered experiment or ladder builds a large one.
 """
 from __future__ import annotations
 
@@ -44,16 +48,12 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConfigError, DegenerateScaleError
 from .geometry import BLOCK_ROWS, angle_between
 from .scale import ScaleParams
-
-if TYPE_CHECKING:
-    from scipy.spatial import cKDTree
 
 
 def chord(angle: float) -> float:
@@ -94,7 +94,8 @@ def fibonacci_sphere(n: int) -> np.ndarray:
 def _sq_chords(a: np.ndarray, i, b: np.ndarray, j) -> np.ndarray:
     """Squared chords between rows ``a[i]`` and ``b[j]``, broadcast.
 
-    ``i`` and ``j`` are slices, index arrays or single rows.  Each squared
+    ``i`` and ``j`` are slices, index arrays, single rows or index tuples
+    such as (slice, None), which makes a column of rows.  Each squared
     chord is summed x, then y, then z, in the order ``geometry.dot`` and the
     KD-tree add them, one column at a time so only a few columns are live.
     """
@@ -295,17 +296,6 @@ def clustered_dirs(rng: np.random.Generator, axis: np.ndarray, n: int,
     return np.asarray(out)
 
 
-def kd_tree(points: np.ndarray) -> cKDTree:
-    """A KD-tree over ``points`` (Bentley, CACM 18, 1975).
-
-    The package's one tree builder.  scipy.spatial, most of the package's
-    import time, loads on the first call, so a run that needs no tree
-    never loads it.
-    """
-    from scipy.spatial import cKDTree
-    return cKDTree(points, balanced_tree=False)
-
-
 @dataclass(frozen=True)
 class CapFamily:
     """Finite set of unit direction vectors at a common scale."""
@@ -324,16 +314,6 @@ class CapFamily:
         return int(self.colors.max(initial=-1)) + 1
 
     @cached_property
-    def tree(self) -> cKDTree:
-        """KD-tree over the centers, built on first use.  A lattice returned
-        whole by ``build_lattice`` needs none for its separation or covering.
-
-        A family derived by ``replace`` or ``restrict_to_cone`` is a new
-        object, so it never sees the tree of the family it came from.
-        """
-        return kd_tree(self.centers)
-
-    @cached_property
     def is_spiral(self) -> bool:
         """Whether the centers are exactly ``fibonacci_sphere(len(self))``.
 
@@ -347,16 +327,19 @@ class CapFamily:
     def nearest_chord(self) -> float:
         """Smallest chord from a center to its nearest other center.
 
-        One k=2 query of the tree; inf for a family of fewer than two caps.
-        A lattice that ``build_lattice`` returns whole carries the spiral's
-        value from ``spiral_nearest_chord`` instead and builds no tree for
-        it.  A pruned, ``replace``d, ``restrict_to_cone`` or hand-made
-        family is a new object and queries its own tree.
+        The square root of the smallest squared chord of the pair scan
+        (``_upper_sq_chords``), equal, bit for bit, to the minimum
+        second-neighbour distance of a KD-tree k=2 query; inf for a family
+        of fewer than two caps.  The scan is quadratic in the caps: 0.3 s
+        at 6,500 caps, 10 s at 41k, on two cores.  A lattice that ``build_lattice``
+        returns whole carries the spiral's value from
+        ``spiral_nearest_chord`` instead and never scans.  A pruned,
+        ``replace``d, ``restrict_to_cone`` or hand-made family is a new
+        object and scans its own pairs.
         """
-        if len(self) < 2:
-            return math.inf
-        dist, _ = self.tree.query(self.centers, k=2, workers=-1)
-        return float(np.min(dist[:, 1]))
+        best = min((np.nanmin(sq) for _, sq in _upper_sq_chords(self.centers)),
+                   default=math.inf)
+        return math.sqrt(best)
 
     def xi(self) -> np.ndarray:
         """On-shell frequency centers lam * center, shape (N, 3)."""
@@ -382,7 +365,8 @@ class CapFamily:
 _DENSITY_FACTOR = 8.0
 
 #: largest spiral build_lattice lays down: 2^22 points are 96 MiB of
-#: coordinates before the KD-tree (lam 2^14 asks for 3.3M, lam 2^15 for 8.4M)
+#: coordinates (lam 2^14 asks for 3.3M, lam 2^15 for 8.4M); only a spiral
+#: denser than the real one is pruned, by the quadratic pair scan
 MAX_SPIRAL_POINTS = 2 ** 22
 
 
@@ -411,7 +395,8 @@ def build_lattice(scale: ScaleParams) -> CapFamily:
     that value as its ``nearest_chord``; this is every lam at the real
     spiral density.  The test is strict because the prune counts a pair at
     exactly chord(r) as too close.  Only a denser spiral is pruned greedily,
-    on the pairs of one ``query_pairs`` call.
+    on the pairs within chord(r) from ``pairs_within``, an exact scan that
+    is quadratic in the spiral's points.
     """
     n_fib = spiral_size(scale)
     spiral = CapFamily(scale=scale, centers=fibonacci_sphere(n_fib))
@@ -421,7 +406,7 @@ def build_lattice(scale: ScaleParams) -> CapFamily:
         spiral.__dict__["nearest_chord"] = nearest
         spiral.__dict__["is_spiral"] = True
         return spiral
-    close = spiral.tree.query_pairs(chord(scale.r), output_type="ndarray")
+    close = pairs_within(spiral.centers, chord(scale.r))
     # greedy in spiral order: j goes if an earlier neighbour was kept, and
     # every earlier point's fate is settled before j's is decided
     close = close[np.argsort(close[:, 1], kind="stable")]
@@ -443,7 +428,7 @@ def first_cap(scale: ScaleParams) -> np.ndarray:
 
 
 def min_separation(family: CapFamily) -> float:
-    """Smallest pairwise angle in the family (via nearest neighbours);
+    """Smallest pairwise angle in the family, from its ``nearest_chord``;
     pi for fewer than two caps."""
     return 2.0 * math.asin(min(1.0, 0.5 * family.nearest_chord))
 
@@ -452,10 +437,13 @@ def covering_probe(family: CapFamily, probes: np.ndarray) -> float:
     """Largest angular distance from the probe directions to the family.
 
     Equal, bit for bit, to the largest nearest-neighbour distance of a
-    KD-tree query of the probes.  A family that is not a whole spiral
-    (``is_spiral``) runs that query on its tree.
+    KD-tree k=1 query of the probes; pi for a family of no caps.  A family
+    that is not a whole spiral (``is_spiral``) takes the probes in blocks
+    of PAIR_BLOCK // n rows and each probe's smallest squared chord
+    (``_sq_chords``) to every center: quadratic, 1.9 s for 20,000 probes
+    of a 6,500-cap family, 10 s at 41k caps, on two cores.
 
-    A whole spiral builds no tree; it bounds, then refines.  Each probe's
+    A whole spiral needs no scan; it bounds, then refines.  Each probe's
     four candidate indices (``_spiral_candidates``) give an upper bound b_p
     on its nearest squared chord d_p.  The probes are visited in descending
     b_p.  For each, every spiral point whose height is within sqrt(b_p) of
@@ -484,8 +472,12 @@ def covering_probe(family: CapFamily, probes: np.ndarray) -> float:
     if family.is_spiral:
         worst = spiral_covering_chord(family.centers, probes)
     else:
-        dist, _ = family.tree.query(probes, k=1, workers=-1)
-        worst = float(np.max(dist))
+        rows = max(1, PAIR_BLOCK // max(len(family), 1))
+        nearest = [np.min(_sq_chords(probes, (slice(lo, lo + rows), None),
+                                     family.centers, slice(None)),
+                          axis=1, initial=math.inf)
+                   for lo in range(0, len(probes), rows)]
+        worst = math.sqrt(float(np.max(np.concatenate(nearest))))
     return 2.0 * math.asin(min(1.0, 0.5 * worst))
 
 

@@ -16,7 +16,7 @@ import itertools
 
 import numpy as np
 
-from .errors import DegenerateGeometryError
+from .errors import ConfigError, DegenerateGeometryError
 
 #: the 20 unordered triples out of six indices, in lexicographic order
 TRIPLES: tuple[tuple[int, int, int], ...] = tuple(
@@ -163,7 +163,7 @@ def mixed_minor4(c1: np.ndarray, c2: np.ndarray, c3: np.ndarray,
         [np.asarray(c, dtype=float) for c in (c1, c2, c3, c4)], axis=-1
     )
     if cols.shape[-2:] != (4, 4):
-        raise ValueError(f"need four 4-vectors, got stacked shape {cols.shape}")
+        raise ConfigError(f"need four 4-vectors, got stacked shape {cols.shape}")
     return np.abs(np.linalg.det(cols))
 
 
@@ -176,7 +176,7 @@ def min_triple(values: np.ndarray) -> np.ndarray:
     """
     v = np.abs(np.asarray(values, dtype=float))
     if v.ndim != 2 or v.shape[1] != 6:
-        raise ValueError(f"expected (n, 6) magnitudes, got shape {v.shape}")
+        raise ConfigError(f"expected (n, 6) magnitudes, got shape {v.shape}")
     i, j, k = _TRIPLE_COLS
     return np.min(v[:, i] * v[:, j] * v[:, k], axis=1) ** (1.0 / 3.0)
 
@@ -192,10 +192,10 @@ def broad3(values: np.ndarray, normals: np.ndarray) -> np.ndarray:
     v = np.abs(np.asarray(values, dtype=float))
     n = np.asarray(normals, dtype=float)
     if v.ndim != 2 or v.shape[1] != 6:
-        raise ValueError(f"expected (n, 6) magnitudes, got shape {v.shape}")
+        raise ConfigError(f"expected (n, 6) magnitudes, got shape {v.shape}")
     if n.ndim != 3 or n.shape[:2] != v.shape:
-        raise ValueError(f"expected {v.shape[0]} rows of six normals, "
-                         f"got shape {n.shape}")
+        raise ConfigError(f"expected {v.shape[0]} rows of six normals, "
+                          f"got shape {n.shape}")
     i, j, k = _TRIPLE_COLS
     w = wedge3_norm(n[:, i], n[:, j], n[:, k])              # (n, 20)
     live = w != 0.0

@@ -53,6 +53,9 @@ PROBE_MAX_BYTES = 1 << 30
 #: text reports wrap result lines at this many characters
 TEXT_WIDTH = 120
 
+#: a Monte Carlo estimate passes within this many standard errors
+Z_LIMIT = 3.0
+
 PASS = "PASS"
 FAIL = "FAIL"
 OBSERVATIONAL = "OBSERVATIONAL"
@@ -71,6 +74,11 @@ def _ok(name: str, cond: bool, detail: str = "") -> Verdict:
 
 def _obs(name: str, detail: str) -> Verdict:
     return Verdict(name, OBSERVATIONAL, detail)
+
+
+def _z(estimate: float, stderr: float, target: float) -> float:
+    """Standard errors from ``target`` to ``estimate``; inf at zero error."""
+    return (estimate - target) / stderr if stderr > 0 else math.inf
 
 
 def _jsonify(obj):
@@ -149,7 +157,7 @@ class ExperimentReport:
     def csv_rows(self) -> list[dict]:
         rows = self.results.get("rows")
         if not rows:
-            raise ValueError(f"experiment {self.experiment} has no row table")
+            raise ConfigError(f"experiment {self.experiment} has no row table")
         return [_jsonify(r) for r in rows]
 
     def csv(self) -> str:
@@ -211,9 +219,9 @@ def fit_slope(lams, values) -> LadderFit:
     x = np.asarray(lams, dtype=float)
     y = np.asarray(values, dtype=float)
     if x.shape != y.shape or x.ndim != 1 or x.shape[0] < 3:
-        raise ValueError("ladder fit needs >= 3 aligned points")
+        raise ConfigError("ladder fit needs >= 3 aligned points")
     if np.any(y <= 0) or np.any(x <= 0):
-        raise ValueError("ladder fit needs positive scales and values")
+        raise ConfigError("ladder fit needs positive scales and values")
     slope, intercept = np.polyfit(np.log(x), np.log(y), 1)
     resid = np.log(y) - (slope * np.log(x) + intercept)
     return LadderFit(slope=float(slope), intercept=float(intercept),
@@ -681,7 +689,7 @@ def _exp_tube_volume(run):
     verdicts = (
         _ok("inside_envelope", 0.0 < est.value <= env,
             f"hit fraction {est.value / env:.4f}"),
-        _ok("truncation_shrinks", est_tr.value <= est.value + 3.0 *
+        _ok("truncation_shrinks", est_tr.value <= est.value + Z_LIMIT *
             math.hypot(est.stderr, est_tr.stderr),
             "core removal cannot grow the volume"),
         _obs("normalized_volume",
@@ -698,7 +706,7 @@ def _exp_nested_ball(run):
     tube = tubes.Tube(scale=s, xi=np.zeros(3))
     est = tubes.mc_volume(tube, samples, seed)
     exact = tubes.nested_ball_volume(s)
-    z = (est.value - exact) / est.stderr if est.stderr > 0 else math.inf
+    z = _z(est.value, est.stderr, exact)
     results = {
         "estimate": est.value,
         "stderr": est.stderr,
@@ -707,7 +715,7 @@ def _exp_nested_ball(run):
         "expected_hit_fraction": 0.125,
     }
     verdicts = (
-        _ok("matches_closed_form", abs(z) <= 3.0, f"z = {z:.3f}"),
+        _ok("matches_closed_form", abs(z) <= Z_LIMIT, f"z = {z:.3f}"),
     )
     return results, verdicts
 
@@ -719,7 +727,7 @@ def _exp_boundary_layer(run):
     s, seed, samples = run.scale, run.seed, run.samples
     est = tubes.boundary_layer_mc(s, samples, seed)
     exact = tubes.BOUNDARY_LAYER_FRACTION
-    z = (est.value - exact) / est.stderr if est.stderr > 0 else math.inf
+    z = _z(est.value, est.stderr, exact)
     results = {
         "estimate": est.value,
         "stderr": est.stderr,
@@ -727,7 +735,7 @@ def _exp_boundary_layer(run):
         "z_score": z,
     }
     verdicts = (
-        _ok("matches_exact_fraction", abs(z) <= 3.0, f"z = {z:.3f}"),
+        _ok("matches_exact_fraction", abs(z) <= Z_LIMIT, f"z = {z:.3f}"),
     )
     return results, verdicts
 
@@ -750,7 +758,7 @@ def _exp_pair_overlap(run):
                                     tubes.tube_for_cap(fam, j),
                                     samples, seed)
         bound = tubes.pair_overlap_bound(s, delta)
-        within = est.value <= bound + 3.0 * est.stderr
+        within = est.value <= bound + Z_LIMIT * est.stderr
         all_within &= within
         rows.append({
             "lam": lam,
@@ -989,8 +997,8 @@ def _exp_hyperplane_shell(run):
         poly = shell.hyperplane_poly(tau)
         bf = shell.band_fraction(s, poly, samples, seed, tag=f"hyper-{tau}")
         exact = shell.hyperplane_fraction_exact(bf.beta, tau)
-        z = (bf.fraction - exact) / bf.stderr if bf.stderr > 0 else math.inf
-        all_ok &= abs(z) <= 3.0
+        z = _z(bf.fraction, bf.stderr, exact)
+        all_ok &= abs(z) <= Z_LIMIT
         rows.append({
             "lam": lam,
             "D": s.D,
@@ -1237,7 +1245,7 @@ def run_ladder(name: str, lams=None, seed: int = DEFAULT_SEED,
     """
     exp = _lookup(name)
     if exp.ladder_metric is None:
-        raise ValueError(f"experiment {name} declares no ladder metric")
+        raise ConfigError(f"experiment {name} declares no ladder metric")
     lams = tuple(exp.ladder_lams if lams is None else lams)
     if len(lams) < 3:
         raise ConfigError(f"a ladder needs >= 3 rungs, got {len(lams)}")

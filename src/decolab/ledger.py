@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ScenarioError
+from .errors import ConfigError, ScenarioError
 from .scale import effective_lambda_exponent
 
 REGIMES = ("always", "robust_kakeya", "tube_packing", "narrow")
@@ -204,7 +204,7 @@ def kernel_derivation(n_t: int = 6, n_xp: int = 6) -> KernelDerivation:
     intermediate can be asserted on its own.
     """
     if n_t < 0 or n_xp < 0:
-        raise ValueError("integration counts must be nonnegative")
+        raise ConfigError("integration counts must be nonnegative")
     steps = (
         ("time_ibp", n_t * TIME_IBP[0], n_t * TIME_IBP[1]),
         ("transverse_ibp", n_xp * TRANSVERSE_IBP[0], n_xp * TRANSVERSE_IBP[1]),
@@ -243,7 +243,7 @@ def narrow_derivation(steps: int = 2) -> NarrowDerivation:
     cascade to make sense; that is checked here, not assumed.
     """
     if steps < 1:
-        raise ValueError("cascade needs at least one step")
+        raise ConfigError("cascade needs at least one step")
     ratios = tuple(_F(7, 8) ** j for j in range(steps))
     local = sum((-_F(1, 2) * q for q in ratios), _F(0))
     logs = tuple(_F(5, 4) - _F(4, 3) * _F(7, 8) ** j for j in range(1, steps + 1))

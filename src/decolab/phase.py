@@ -30,6 +30,7 @@ from typing import Iterable
 import numpy as np
 
 from .caps import CapFamily, clustered_dirs, conflict_degrees
+from .errors import ConfigError
 from .geometry import angle_between, dot, norm
 # keyed_rng is re-exported: replicate rep of sample_sextuple draws exactly
 # keyed_rng(seed, "sextuple", kind, repr(lam), rep)
@@ -51,7 +52,7 @@ RN_C_STAR = 0.5
 def _stack(xi: np.ndarray) -> np.ndarray:
     arr = np.asarray(xi, dtype=float)
     if arr.ndim != 3 or arr.shape[1:] != (6, 3):
-        raise ValueError(f"expected a stack of shape (n, 6, 3), got {arr.shape}")
+        raise ConfigError(f"expected a stack of shape (n, 6, 3), got {arr.shape}")
     return arr
 
 
@@ -63,7 +64,7 @@ def check_shell(xi: np.ndarray, scale: ScaleParams) -> np.ndarray:
     bad = np.argwhere(~((0.5 * lam <= mods) & (mods <= 2.0 * lam)))
     if bad.size:
         i, m = bad[0]
-        raise ValueError(f"|xi_{m}| = {mods[i, m]} of sextuple {i} outside "
+        raise ConfigError(f"|xi_{m}| = {mods[i, m]} of sextuple {i} outside "
                          f"the shell [{lam / 2}, {2 * lam}]")
     return arr
 
@@ -192,7 +193,7 @@ def single_linkage_sizes(dirs: np.ndarray, alpha: float) -> np.ndarray:
     """
     d = np.asarray(dirs, dtype=float)
     if d.ndim != 3 or d.shape[2] != 3:
-        raise ValueError(f"expected a stack of shape (n, k, 3), got {d.shape}")
+        raise ConfigError(f"expected a stack of shape (n, k, 3), got {d.shape}")
     n, k = d.shape[:2]
     i, j = np.triu_indices(k, 1)
     linked = angle_between(d[:, i], d[:, j]) <= alpha
@@ -261,7 +262,7 @@ def sample_sextuple(scale: ScaleParams, seed: int,
     clustered5: five directions inside one alpha cluster, one far away.
     """
     if kind not in SAMPLER_KINDS:
-        raise ValueError(f"unknown sextuple kind {kind!r}")
+        raise ConfigError(f"unknown sextuple kind {kind!r}")
     if isinstance(replicates, (int, np.integer)):
         replicates = range(replicates)
     reps = list(replicates)

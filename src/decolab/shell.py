@@ -141,7 +141,7 @@ def normalize_grad_rms(poly: Poly4) -> Poly4:
     g = poly.grad(midpoint_grid(RMS_GRID_N))
     rms = math.sqrt(float(np.mean(dot(g, g))))
     if rms == 0.0:
-        raise ValueError("gradient vanishes identically on the probe grid")
+        raise ConfigError("gradient vanishes identically on the probe grid")
     return poly.scaled(1.0 / rms)
 
 

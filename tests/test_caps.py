@@ -84,7 +84,7 @@ def _forbidden(*args, **kwargs):
 def test_build_lattice_beyond_the_guard_allocates_nothing(monkeypatch):
     monkeypatch.setattr(caps, "fibonacci_sphere", _forbidden)
     monkeypatch.setattr(caps, "_spiral_rows", _forbidden)
-    monkeypatch.setattr(caps, "kd_tree", _forbidden)
+    monkeypatch.setattr(caps, "_upper_sq_chords", _forbidden)
     for build in (caps.build_lattice, caps.first_cap):
         with pytest.raises(caps.ConfigError, match="134217728 points"):
             build(scale.derive(2.0 ** 18))
@@ -143,8 +143,9 @@ def test_spiral_nearest_chord_equals_the_kd_query_at_any_size(n):
     assert caps.spiral_nearest_chord(spiral) == _kd_nearest_chord(spiral)
 
 
-def test_whole_lattices_build_no_kdtree(monkeypatch):
-    monkeypatch.setattr(caps, "kd_tree", _forbidden)
+def test_whole_lattices_never_scan_all_pairs(monkeypatch):
+    # the all-pairs scan of the lam-4096 lattice would be 1.4e11 pairs
+    monkeypatch.setattr(caps, "_upper_sq_chords", _forbidden)
     fam = caps.build_lattice(scale.derive(1024.0))
     assert caps.min_separation(fam) >= fam.scale.r
     lab.run_experiment("probe-curve", 64.0)
@@ -206,25 +207,30 @@ def test_spiral_covering_is_exact_from_any_candidates(monkeypatch, pick):
             == _kd_covering_chord(spiral, probes))
 
 
-def test_derived_families_probe_their_covering_on_a_tree(monkeypatch):
+def test_derived_families_probe_their_covering_by_a_scan(monkeypatch):
+    # every probe is measured against every center exactly once, in
+    # blocks of PAIR_BLOCK // n probes
     fam = caps.build_lattice(scale.derive(64.0))
     probes = unit_vectors(keyed_rng(5, "cover-derived"), 3000)
-    built = []
-    real = caps.kd_tree
+    measured = []
+    real = caps._sq_chords
 
     def counting(*args, **kwargs):
-        built.append(args[0].shape)
-        return real(*args, **kwargs)
+        out = real(*args, **kwargs)
+        measured.append(out.shape)
+        return out
 
-    monkeypatch.setattr(caps, "kd_tree", counting)
+    monkeypatch.setattr(caps, "_sq_chords", counting)
     for sub in (replace(fam, centers=fam.centers[::2]),
                 fam.restrict_to_cone(fam.centers[len(fam) // 2], 0.5)):
         assert not sub.is_spiral
         kd = _kd_covering_chord(sub.centers, probes)
-        before = len(built)
+        before = len(measured)
         assert (caps.covering_probe(sub, probes)
                 == 2.0 * math.asin(min(1.0, 0.5 * kd)))
-        assert built[before:] == [sub.centers.shape]
+        rows = caps.PAIR_BLOCK // len(sub)
+        assert measured[before:] == [(min(rows, len(probes) - lo), len(sub))
+                                     for lo in range(0, len(probes), rows)]
 
 
 @pytest.mark.parametrize("probes", [np.zeros((0, 3)), np.zeros(3),
@@ -247,11 +253,17 @@ def test_derived_families_query_their_own_nearest_chord():
 
 
 def test_min_separation_of_fewer_than_two_caps_is_pi():
+    # and the covering of no caps is pi, as the KD-tree's inf gives it
     s = scale.derive(64.0)
+    probes = unit_vectors(keyed_rng(19, "cover-few"), 500)
     for k in (0, 1):
         fam = caps.CapFamily(scale=s, centers=caps.fibonacci_sphere(2)[:k])
         assert fam.nearest_chord == math.inf
         assert caps.min_separation(fam) == math.pi
+        kd = _kd_covering_chord(fam.centers, probes)
+        cover = caps.covering_probe(fam, probes)
+        assert cover == 2.0 * math.asin(min(1.0, 0.5 * kd))
+        assert (cover == math.pi) == (k == 0)
 
 
 def _dense_chords(a, b):
@@ -262,7 +274,6 @@ def _oracle_families():
     for lam in (16.0, 64.0):
         yield caps.build_lattice(scale.derive(lam))
     fam = caps.build_lattice(scale.derive(64.0))
-    fam.tree                          # the parent's tree exists first
     yield fam.restrict_to_cone(fam.centers[5], 0.6)
 
 
@@ -282,17 +293,17 @@ def test_tree_queries_match_dense_oracle(fam):
     assert caps.covering_probe(fam, probes) == pytest.approx(cov, abs=1e-12)
 
 
-def test_no_kdtree_in_a_cap_lattice_run(monkeypatch):
-    built = []
-    real = caps.kd_tree
+def test_no_pair_scan_in_a_cap_lattice_run(monkeypatch):
+    scanned = []
+    real = caps._upper_sq_chords
 
-    def counting(*args, **kwargs):
-        built.append(args[0].shape)
-        return real(*args, **kwargs)
+    def counting(points):
+        scanned.append(points.shape)
+        return real(points)
 
-    monkeypatch.setattr(caps, "kd_tree", counting)
+    monkeypatch.setattr(caps, "_upper_sq_chords", counting)
     lab.run_experiment("cap-lattice", 64.0, 7, 500)
-    assert built == []
+    assert scanned == []
 
 
 @pytest.mark.parametrize("lam", [2.0 ** k for k in range(2, 11)])

@@ -256,18 +256,31 @@ def test_greedy_coloring_floor_draws_a_conflict_edge():
 
 _NO_SCIPY_RUN = """
 import sys
+sys.modules["scipy"] = None             # any scipy import now raises
+from dataclasses import replace
 import decolab
-from decolab import lab
+from decolab import caps, lab, scale
+from decolab.rng import keyed_rng, unit_vectors
 lab.run_experiment("cap-lattice", 64.0)
 for name in ("greedy-coloring", "multiplicity", "phase-coverage", "l2-sum"):
     lab.run_experiment(name)
 lab.run_experiment("l2-sum", 16.0)
-print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+fam = caps.build_lattice(scale.derive(64.0))
+sub = replace(fam, centers=fam.centers[::2])
+assert not sub.is_spiral
+caps.min_separation(sub)
+caps.covering_probe(sub, unit_vectors(keyed_rng(7, "no-scipy"), 1000))
+caps._DENSITY_FACTOR = 24.0
+pruned = caps.build_lattice(scale.derive(16.0))
+assert len(pruned) < caps.spiral_size(pruned.scale)
+print(sorted(m for m, mod in sys.modules.items()
+             if m.split(".")[0] == "scipy" and mod is not None))
 """
 
 
 def test_import_and_the_former_tree_users_load_no_scipy():
-    # a fresh interpreter: this suite's own imports already hold scipy
+    # a fresh interpreter with scipy blocked: this suite's own imports
+    # already hold scipy
     src = os.path.dirname(os.path.dirname(decolab.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
