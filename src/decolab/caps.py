@@ -2,45 +2,42 @@
 
 A cap family at scale r = lam**(-2/3) is a maximal r-separated set of unit
 vectors: pairwise angular separation >= r, covering radius <= 2r.  The
-builder lays down a deterministic Fibonacci spiral slightly denser than the
-target separation, so the result is reproducible bit for bit.  The spiral's
-nearest chord decides whether it is already r-separated, and it comes from
-the spiral's index structure, not from a nearest-neighbour search: point i
-sits at height (2i+1)/n - 1 and azimuth i*G, so a pair (i, i+k) has height
-gap 2k/n and azimuth step k*G, and only a few offsets k and two polar index
-ranges per offset can hold a chord under a known one
-(``spiral_nearest_chord``; Swinbank & Purser, QJRMS 132, 2006).  At the real
-spiral density the nearest chord sits about 9% past chord(r) at every lam
-the builder supports, and the spiral is the family.  Only a spiral denser
-than that is pruned, greedily in spiral order, so the separation invariant
-holds by construction rather than by the spiral's favourable constants.
-The same index structure answers a probe's nearest spiral point: the
-inverse spherical Fibonacci mapping (Keinert et al., ACM TOG 34(6), 2015)
-bounds it, and one contiguous height window settles it exactly.
+lattice ``build_lattice`` returns is a deterministic Fibonacci spiral
+slightly denser than the target separation, returned whole, so it is
+reproducible bit for bit.  The builder checks that the spiral is
+r-separated from its nearest chord, which comes from the spiral's index
+structure, not from a nearest-neighbour search: point i sits at height
+(2i+1)/n - 1 and azimuth i*G, so a pair (i, i+k) has height gap 2k/n and
+azimuth step k*G, and only a few offsets k and two polar index ranges per
+offset can hold a chord under a known one (``spiral_nearest_chord``;
+Swinbank & Purser, QJRMS 132, 2006).  At the real spiral density the
+nearest chord sits about 9% past chord(r) at every lam the builder
+supports, and a spiral that is not r-separated raises.  The same index
+structure answers a probe's nearest spiral point: the inverse spherical
+Fibonacci mapping (Keinert et al., ACM TOG 34(6), 2015) bounds it, and one
+contiguous height window settles it exactly.
 
 Angular bookkeeping on a family:
 
-* min_separation: the spiral's nearest chord for a lattice returned whole,
-  the smallest chord of an exact scan of every pair for any other family,
-* covering_probe: the spiral's bound-then-refine covering for a lattice
-  returned whole, an exact scan of every probe against every center for
-  any other family,
+* min_separation: the spiral's nearest chord, as an angle,
+* covering_probe: the spiral's bound-then-refine covering of probe
+  directions,
 * conflict_pairs: pairs under alpha by the exact scan of the pairs,
 * ring_histogram / annulus_count: occupancy of the thin rings
   [k*alpha, (k+1)*alpha) around a chosen cap,
 * greedy_color: first-fit colouring of the angle < alpha conflict graph,
 * select_separated: the four-out-of-six pigeonhole selector.
 
-Every neighbour question is answered from the spiral's index structure or
-by the exact pair scans (``pairs_within``, ``pair_counts_within``), which
-take the pairs in row blocks of bounded memory.  Their squared chords are
-summed x, then y, then z, the order and the rule of a KD-tree (Bentley,
-CACM 18, 1975), so they give a tree's answers bit for bit; the package
-builds no tree and needs no scipy.  The scans are quadratic in the rows:
-about 10 s each, on two cores, for the nearest chord, or a 20,000-probe
-covering, of a 41k-cap family.  Only derived families (pruned, ``replace``d,
-``restrict_to_cone`` or hand-made) reach them for their nearest chord or
-covering, and no registered experiment or ladder builds a large one.
+min_separation and covering_probe answer only for a lattice that
+``build_lattice`` returned whole (``is_spiral``) and raise ConfigError on
+any other family.  The other neighbour questions, which ``restrict_to_cone``
+and hand-made families ask too, go to the exact pair scans
+(``pairs_within``, ``pair_counts_within``), which take the pairs in row
+blocks of bounded memory.  Their squared chords are summed x, then y, then
+z, the order and the rule of a KD-tree (Bentley, CACM 18, 1975), so they
+give a tree's answers bit for bit; the package builds no tree and needs no
+scipy.  The scans are quadratic in the rows, and meant for desk-scale
+families.
 """
 from __future__ import annotations
 
@@ -296,6 +293,11 @@ def clustered_dirs(rng: np.random.Generator, axis: np.ndarray, n: int,
     return np.asarray(out)
 
 
+#: why min_separation, covering_probe and nearest_chord refuse a family
+_WHOLE_LATTICE_ONLY = ("separation and covering are known only for a "
+                       "lattice that build_lattice returned whole")
+
+
 @dataclass(frozen=True)
 class CapFamily:
     """Finite set of unit direction vectors at a common scale."""
@@ -318,8 +320,8 @@ class CapFamily:
         """Whether the centers are exactly ``fibonacci_sphere(len(self))``.
 
         True only on a lattice that ``build_lattice`` returned whole, which
-        seeds it.  A pruned, ``replace``d, ``restrict_to_cone`` or hand-made
-        family is a new object and reads False.
+        seeds it.  A ``replace``d, ``restrict_to_cone`` or hand-made family
+        is a new object and reads False.
         """
         return False
 
@@ -327,19 +329,11 @@ class CapFamily:
     def nearest_chord(self) -> float:
         """Smallest chord from a center to its nearest other center.
 
-        The square root of the smallest squared chord of the pair scan
-        (``_upper_sq_chords``), equal, bit for bit, to the minimum
-        second-neighbour distance of a KD-tree k=2 query; inf for a family
-        of fewer than two caps.  The scan is quadratic in the caps: 0.3 s
-        at 6,500 caps, 10 s at 41k, on two cores.  A lattice that ``build_lattice``
-        returns whole carries the spiral's value from
-        ``spiral_nearest_chord`` instead and never scans.  A pruned,
-        ``replace``d, ``restrict_to_cone`` or hand-made family is a new
-        object and scans its own pairs.
+        Known only for a lattice that ``build_lattice`` returned whole,
+        which seeds it with the spiral's value from ``spiral_nearest_chord``.
+        Any other family is a new object and raises ConfigError.
         """
-        best = min((np.nanmin(sq) for _, sq in _upper_sq_chords(self.centers)),
-                   default=math.inf)
-        return math.sqrt(best)
+        raise ConfigError(_WHOLE_LATTICE_ONLY)
 
     def xi(self) -> np.ndarray:
         """On-shell frequency centers lam * center, shape (N, 3)."""
@@ -360,18 +354,17 @@ class CapFamily:
         return replace(self, centers=self.centers[keep], colors=colors)
 
 
-# a spiral of ~8/r^2 points has covering radius just under r, so pruning to
-# r-separation keeps the covering radius of the pruned set under 2r
+# a spiral of ~8/r^2 points has covering radius just under r, well under 2r,
+# and its nearest chord about 9% past chord(r): r-separated as it stands
 _DENSITY_FACTOR = 8.0
 
 #: largest spiral build_lattice lays down: 2^22 points are 96 MiB of
-#: coordinates (lam 2^14 asks for 3.3M, lam 2^15 for 8.4M); only a spiral
-#: denser than the real one is pruned, by the quadratic pair scan
+#: coordinates (lam 2^14 asks for 3.3M, lam 2^15 for 8.4M)
 MAX_SPIRAL_POINTS = 2 ** 22
 
 
 def spiral_size(scale: ScaleParams) -> int:
-    """Points of the Fibonacci spiral that build_lattice prunes at ``scale``.
+    """Size of the Fibonacci spiral that build_lattice lays down at ``scale``.
 
     Raises before anything is allocated when the cap radius is degenerate
     or the spiral would exceed MAX_SPIRAL_POINTS.
@@ -388,48 +381,43 @@ def spiral_size(scale: ScaleParams) -> int:
 
 
 def build_lattice(scale: ScaleParams) -> CapFamily:
-    """Deterministic maximal r-separated cap family for ``scale``.
+    """Deterministic maximal r-separated cap family for ``scale``: the whole
+    Fibonacci spiral of ``spiral_size(scale)`` points.
 
-    ``spiral_nearest_chord`` decides, exactly and without a KD-tree.  Past
-    chord(r) no pair is within r, and the spiral is returned whole, carrying
-    that value as its ``nearest_chord``; this is every lam at the real
-    spiral density.  The test is strict because the prune counts a pair at
-    exactly chord(r) as too close.  Only a denser spiral is pruned greedily,
-    on the pairs within chord(r) from ``pairs_within``, an exact scan that
-    is quadratic in the spiral's points.
+    ``spiral_nearest_chord`` checks, exactly and without a pair scan, that
+    the spiral's nearest chord is strictly past chord(r), and the family
+    carries that value as its ``nearest_chord``.  At the real spiral density
+    it is at least 1.09 chord(r) at every lam the builder supports.  A
+    spiral that fails the check is no r-separated lattice and raises
+    DegenerateScaleError.
     """
-    n_fib = spiral_size(scale)
-    spiral = CapFamily(scale=scale, centers=fibonacci_sphere(n_fib))
-    nearest = spiral_nearest_chord(spiral.centers)
-    if nearest > chord(scale.r):
-        # seed the cached_properties: the family is exactly this spiral
-        spiral.__dict__["nearest_chord"] = nearest
-        spiral.__dict__["is_spiral"] = True
-        return spiral
-    close = pairs_within(spiral.centers, chord(scale.r))
-    # greedy in spiral order: j goes if an earlier neighbour was kept, and
-    # every earlier point's fate is settled before j's is decided
-    close = close[np.argsort(close[:, 1], kind="stable")]
-    later, starts = np.unique(close[:, 1], return_index=True)
-    keep = np.ones(n_fib, dtype=bool)
-    for j, earlier in zip(later, np.split(close[:, 0], starts[1:])):
-        if keep[earlier].any():
-            keep[j] = False
-    return CapFamily(scale=scale, centers=spiral.centers[keep])
+    lattice = CapFamily(scale=scale,
+                        centers=fibonacci_sphere(spiral_size(scale)))
+    nearest = spiral_nearest_chord(lattice.centers)
+    if not nearest > chord(scale.r):
+        raise DegenerateScaleError(f"spiral at lam {scale.lam:g} is not "
+                                   f"r-separated: nearest chord {nearest:.6g}")
+    # seed the cached_properties: the family is exactly this spiral
+    lattice.__dict__["nearest_chord"] = nearest
+    lattice.__dict__["is_spiral"] = True
+    return lattice
 
 
 def first_cap(scale: ScaleParams) -> np.ndarray:
     """Center of cap 0 of ``build_lattice(scale)``, without building it.
 
-    Greedy pruning in spiral order never drops spiral point 0, which is
-    computed alone by the spiral's own formulas.
+    The lattice is the whole spiral, so cap 0 is spiral point 0, computed
+    alone by the spiral's own formulas.
     """
     return _spiral_rows(np.zeros(1), spiral_size(scale))[0]
 
 
 def min_separation(family: CapFamily) -> float:
-    """Smallest pairwise angle in the family, from its ``nearest_chord``;
-    pi for fewer than two caps."""
+    """Smallest pairwise angle in the family, from its ``nearest_chord``.
+
+    Raises ConfigError on a family that ``build_lattice`` did not return
+    whole.
+    """
     return 2.0 * math.asin(min(1.0, 0.5 * family.nearest_chord))
 
 
@@ -437,20 +425,18 @@ def covering_probe(family: CapFamily, probes: np.ndarray) -> float:
     """Largest angular distance from the probe directions to the family.
 
     Equal, bit for bit, to the largest nearest-neighbour distance of a
-    KD-tree k=1 query of the probes; pi for a family of no caps.  A family
-    that is not a whole spiral (``is_spiral``) takes the probes in blocks
-    of PAIR_BLOCK // n rows and each probe's smallest squared chord
-    (``_sq_chords``) to every center: quadratic, 1.9 s for 20,000 probes
-    of a 6,500-cap family, 10 s at 41k caps, on two cores.
+    KD-tree k=1 query of the probes.  The family must be a lattice that
+    ``build_lattice`` returned whole (``is_spiral``), which needs no scan;
+    it bounds, then refines.
 
-    A whole spiral needs no scan; it bounds, then refines.  Each probe's
-    four candidate indices (``_spiral_candidates``) give an upper bound b_p
-    on its nearest squared chord d_p.  The probes are visited in descending
-    b_p.  For each, every spiral point whose height is within sqrt(b_p) of
-    the probe's is measured, and the smallest is d_p exactly.  That window
-    is one contiguous index range, because the spiral's y is sorted.  The
-    visit stops at the first b_p at or below the largest d_p so far, since
-    every later d_p <= b_p cannot exceed it.  Usually one window decides.
+    Each probe's four candidate indices (``_spiral_candidates``) give an
+    upper bound b_p on its nearest squared chord d_p.  The probes are
+    visited in descending b_p.  For each, every spiral point whose height
+    is within sqrt(b_p) of the probe's is measured, and the smallest is d_p
+    exactly.  That window is one contiguous index range, because the
+    spiral's y is sorted.  The visit stops at the first b_p at or below the
+    largest d_p so far, since every later d_p <= b_p cannot exceed it.
+    Usually one window decides.
 
     The slack is only rounding, because the window and the chords are taken
     on the same stored rows.  The nearest point's float squared chord is at
@@ -460,24 +446,18 @@ def covering_probe(family: CapFamily, probes: np.ndarray) -> float:
     w = sqrt(b_p) by 2^-48 (w + |y_p| + 1), over six times all of that,
     keeps that point inside the window.
 
-    Raises ConfigError unless the probes are a non-empty, finite (m, 3)
-    stack.
+    Raises ConfigError, before any work, on a family that is not a whole
+    lattice, and unless the probes are a non-empty, finite (m, 3) stack.
     """
+    if not family.is_spiral:
+        raise ConfigError(_WHOLE_LATTICE_ONLY)
     probes = np.asarray(probes, dtype=float)
     if probes.ndim != 2 or probes.shape[1] != 3 or not len(probes):
         raise ConfigError(f"need a non-empty (m, 3) stack of probe "
                           f"directions, got shape {probes.shape}")
     if not np.isfinite(probes).all():
         raise ConfigError("probe directions must be finite")
-    if family.is_spiral:
-        worst = spiral_covering_chord(family.centers, probes)
-    else:
-        rows = max(1, PAIR_BLOCK // max(len(family), 1))
-        nearest = [np.min(_sq_chords(probes, (slice(lo, lo + rows), None),
-                                     family.centers, slice(None)),
-                          axis=1, initial=math.inf)
-                   for lo in range(0, len(probes), rows)]
-        worst = math.sqrt(float(np.max(np.concatenate(nearest))))
+    worst = spiral_covering_chord(family.centers, probes)
     return 2.0 * math.asin(min(1.0, 0.5 * worst))
 
 

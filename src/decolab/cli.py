@@ -24,7 +24,7 @@ import json
 import sys
 
 from . import lab
-from .errors import DecolabError
+from .errors import ConfigError, DecolabError
 
 CONFIG_KEYS = ("lambda", "seed", "samples", "format", "out")
 
@@ -62,10 +62,10 @@ def _load_config(path: str) -> dict:
     with open(path) as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
-        raise ValueError("config must be a flat JSON object")
+        raise ConfigError("config must be a flat JSON object")
     for key in cfg:
         if key not in CONFIG_KEYS:
-            raise ValueError(f"unknown config key {key!r}")
+            raise ConfigError(f"unknown config key {key!r}")
     return cfg
 
 

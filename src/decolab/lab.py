@@ -215,11 +215,13 @@ class LadderFit:
 
 
 def fit_slope(lams, values) -> LadderFit:
-    """Least-squares slope of log(value) against log(lam)."""
+    """Least-squares slope of log(value) against log(lam), over at least
+    three distinct lams."""
     x = np.asarray(lams, dtype=float)
     y = np.asarray(values, dtype=float)
-    if x.shape != y.shape or x.ndim != 1 or x.shape[0] < 3:
-        raise ConfigError("ladder fit needs >= 3 aligned points")
+    if x.shape != y.shape or x.ndim != 1 or len(set(x.tolist())) < 3:
+        raise ConfigError("ladder fit needs >= 3 aligned points at "
+                          "distinct lams")
     if np.any(y <= 0) or np.any(x <= 0):
         raise ConfigError("ladder fit needs positive scales and values")
     slope, intercept = np.polyfit(np.log(x), np.log(y), 1)
@@ -1240,15 +1242,16 @@ def run_ladder(name: str, lams=None, seed: int = DEFAULT_SEED,
                ) -> ExperimentReport:
     """Run an experiment across a frequency ladder and fit the rate.
 
-    The rungs are checked, at least three and each a valid lam, before the
-    first one runs.
+    The rungs are checked, at least three distinct ones and each a valid
+    lam, before the first one runs.
     """
     exp = _lookup(name)
     if exp.ladder_metric is None:
         raise ConfigError(f"experiment {name} declares no ladder metric")
     lams = tuple(exp.ladder_lams if lams is None else lams)
-    if len(lams) < 3:
-        raise ConfigError(f"a ladder needs >= 3 rungs, got {len(lams)}")
+    if len(set(lams)) < 3:
+        raise ConfigError(f"a ladder needs >= 3 rungs at distinct lams, got "
+                          f"{sorted(set(lams))}")
     for lam in lams:
         derive(lam)
     t0 = time.perf_counter()

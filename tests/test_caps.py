@@ -90,28 +90,6 @@ def test_build_lattice_beyond_the_guard_allocates_nothing(monkeypatch):
             build(scale.derive(2.0 ** 18))
 
 
-def _greedy_oracle(pts, r):
-    """Greedy r-separation in spiral order, by dense pairwise angles."""
-    kept = []
-    for j in range(pts.shape[0]):
-        if all(np.arccos(np.clip(pts[i] @ pts[j], -1.0, 1.0)) >= r
-               for i in kept):
-            kept.append(j)
-    return pts[kept]
-
-
-def test_pruning_matches_dense_greedy_oracle(monkeypatch):
-    # at the real density the pruning keeps everything; a denser spiral
-    # makes it drop most points
-    monkeypatch.setattr(caps, "_DENSITY_FACTOR", 24.0)
-    s = scale.derive(16.0)
-    fam = caps.build_lattice(s)
-    assert len(fam) < caps.spiral_size(s)
-    oracle = _greedy_oracle(caps.fibonacci_sphere(caps.spiral_size(s)), s.r)
-    assert np.array_equal(fam.centers, oracle)
-    assert caps.min_separation(fam) >= s.r
-
-
 def _kd_nearest_chord(points, bound=math.inf):
     """Oracle: the smallest second-neighbour distance of a k=2 query.
 
@@ -141,6 +119,21 @@ def test_spiral_nearest_chord_equals_the_kd_query(lam):
 def test_spiral_nearest_chord_equals_the_kd_query_at_any_size(n):
     spiral = caps.fibonacci_sphere(n)
     assert caps.spiral_nearest_chord(spiral) == _kd_nearest_chord(spiral)
+
+
+def test_every_supported_spiral_is_past_chord_r():
+    # build_lattice's check never fires: 200 log-spaced lams over [2, 1024]
+    # and every probe and cap-lattice rung (CI's lam 4096-16384 ladder
+    # covers the top of the range)
+    lams = {*np.geomspace(2.0, 1024.0, 200).tolist(), *lab.PROBE_LAMS,
+            *lab.LADDER_LAMS}
+    close = []
+    for lam in sorted(lams):
+        s = scale.derive(lam)
+        spiral = caps.fibonacci_sphere(caps.spiral_size(s))
+        if not caps.spiral_nearest_chord(spiral) > caps.chord(s.r):
+            close.append(lam)
+    assert close == []
 
 
 def test_whole_lattices_never_scan_all_pairs(monkeypatch):
@@ -207,32 +200,6 @@ def test_spiral_covering_is_exact_from_any_candidates(monkeypatch, pick):
             == _kd_covering_chord(spiral, probes))
 
 
-def test_derived_families_probe_their_covering_by_a_scan(monkeypatch):
-    # every probe is measured against every center exactly once, in
-    # blocks of PAIR_BLOCK // n probes
-    fam = caps.build_lattice(scale.derive(64.0))
-    probes = unit_vectors(keyed_rng(5, "cover-derived"), 3000)
-    measured = []
-    real = caps._sq_chords
-
-    def counting(*args, **kwargs):
-        out = real(*args, **kwargs)
-        measured.append(out.shape)
-        return out
-
-    monkeypatch.setattr(caps, "_sq_chords", counting)
-    for sub in (replace(fam, centers=fam.centers[::2]),
-                fam.restrict_to_cone(fam.centers[len(fam) // 2], 0.5)):
-        assert not sub.is_spiral
-        kd = _kd_covering_chord(sub.centers, probes)
-        before = len(measured)
-        assert (caps.covering_probe(sub, probes)
-                == 2.0 * math.asin(min(1.0, 0.5 * kd)))
-        rows = caps.PAIR_BLOCK // len(sub)
-        assert measured[before:] == [(min(rows, len(probes) - lo), len(sub))
-                                     for lo in range(0, len(probes), rows)]
-
-
 @pytest.mark.parametrize("probes", [np.zeros((0, 3)), np.zeros(3),
                                     np.zeros((4, 2)),
                                     np.array([[0.0, math.nan, 1.0]])],
@@ -242,44 +209,56 @@ def test_covering_probe_rejects_bad_probes(family64, probes):
         caps.covering_probe(family64, probes)
 
 
-def test_derived_families_query_their_own_nearest_chord():
-    # the spiral's closest pair is polar, (0, 3) at lam 64: neither the
-    # even-indexed caps nor an equatorial cone keeps it
-    fam = caps.build_lattice(scale.derive(64.0))
-    for sub in (replace(fam, centers=fam.centers[::2]),
-                fam.restrict_to_cone(fam.centers[len(fam) // 2], 0.5)):
-        assert sub.nearest_chord == _kd_nearest_chord(sub.centers)
-        assert sub.nearest_chord > fam.nearest_chord
+#: families that build_lattice did not return whole, made from its lam-64 one
+NOT_WHOLE = {
+    "replaced": lambda fam: replace(fam),
+    "cone": lambda fam: fam.restrict_to_cone(fam.centers[5], 0.6),
+    "hand-made": lambda fam: caps.CapFamily(scale=fam.scale,
+                                            centers=fam.centers.copy()),
+    "empty": lambda fam: caps.CapFamily(scale=fam.scale,
+                                        centers=np.zeros((0, 3))),
+}
+QUERIES = {
+    "min_separation": caps.min_separation,
+    "covering_probe": lambda fam: caps.covering_probe(
+        fam, np.array([[0.0, 1.0, 0.0]])),
+    "nearest_chord": lambda fam: fam.nearest_chord,
+}
 
 
-def test_min_separation_of_fewer_than_two_caps_is_pi():
-    # and the covering of no caps is pi, as the KD-tree's inf gives it
-    s = scale.derive(64.0)
-    probes = unit_vectors(keyed_rng(19, "cover-few"), 500)
-    for k in (0, 1):
-        fam = caps.CapFamily(scale=s, centers=caps.fibonacci_sphere(2)[:k])
-        assert fam.nearest_chord == math.inf
-        assert caps.min_separation(fam) == math.pi
-        kd = _kd_covering_chord(fam.centers, probes)
-        cover = caps.covering_probe(fam, probes)
-        assert cover == 2.0 * math.asin(min(1.0, 0.5 * kd))
-        assert (cover == math.pi) == (k == 0)
+def _denser_spiral(monkeypatch, fam):
+    # a spiral three times denser than the real one is not r-separated
+    monkeypatch.setattr(caps, "_DENSITY_FACTOR", 24.0)
+    caps.build_lattice(scale.derive(16.0))
+
+
+RAISES = {
+    **{f"{kind}-{name}": (caps.ConfigError,
+                          lambda mp, fam, make=make, query=query:
+                          query(make(fam)))
+       for kind, make in NOT_WHOLE.items() for name, query in QUERIES.items()},
+    "density-24-build_lattice": (caps.DegenerateScaleError, _denser_spiral),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RAISES))
+def test_only_a_whole_lattice_has_separation_and_covering(monkeypatch,
+                                                          family64, case):
+    # each raises before any pair scan or covering search
+    error, call = RAISES[case]
+    monkeypatch.setattr(caps, "_upper_sq_chords", _forbidden)
+    monkeypatch.setattr(caps, "spiral_covering_chord", _forbidden)
+    with pytest.raises(error):
+        call(monkeypatch, family64)
 
 
 def _dense_chords(a, b):
     return np.linalg.norm(a[:, None, :] - b[None, :, :], axis=-1)
 
 
-def _oracle_families():
-    for lam in (16.0, 64.0):
-        yield caps.build_lattice(scale.derive(lam))
-    fam = caps.build_lattice(scale.derive(64.0))
-    yield fam.restrict_to_cone(fam.centers[5], 0.6)
-
-
-@pytest.mark.parametrize("fam", list(_oracle_families()),
-                         ids=["lam16", "lam64", "lam64-cone"])
-def test_tree_queries_match_dense_oracle(fam):
+@pytest.mark.parametrize("lam", [16.0, 64.0], ids=["lam16", "lam64"])
+def test_tree_queries_match_dense_oracle(lam):
+    fam = caps.build_lattice(scale.derive(lam))
     chords = _dense_chords(fam.centers, fam.centers)
     np.fill_diagonal(chords, np.inf)
     sep = 2.0 * math.asin(min(1.0, 0.5 * float(chords.min())))

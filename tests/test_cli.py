@@ -1,4 +1,5 @@
 import json
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -138,6 +139,15 @@ def test_ladder_rungs_are_checked_before_any_runs(name, rungs, message,
     code = cli.main(["ladder", name, "--lambda", rungs])
     assert code == 2
     assert message in capsys.readouterr().err
+
+
+def test_a_ladder_of_one_repeated_rung_is_usage_error(capsys):
+    # refused before polyfit can warn about a fit to one distinct lam
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["ladder", "cap-lattice", "--lambda", "64,64,64"])
+    assert code == 2
+    assert "distinct lams" in capsys.readouterr().err
 
 
 def test_group_below_the_smallest_lam_is_usage_error(capsys):

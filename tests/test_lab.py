@@ -162,6 +162,15 @@ def test_bad_lam_is_a_typed_error_before_any_lattice(call, monkeypatch):
         call()
 
 
+def test_a_ladder_of_one_repeated_rung_is_a_typed_error(monkeypatch):
+    # three rungs at one lam would fit a slope to a single point
+    def no_lattice(scale):
+        raise AssertionError("the lattice was built")
+    monkeypatch.setattr(caps, "build_lattice", no_lattice)
+    with pytest.raises(ConfigError, match="distinct lams"):
+        lab.run_ladder("cap-lattice", lams=(64.0, 64.0, 64.0))
+
+
 def test_run_ladder_report_shape():
     rep = lab.run_ladder("geometry-residual", lams=(64.0, 128.0, 256.0),
                          samples=2000, slope_window=(-2.2, -1.8))
@@ -257,22 +266,12 @@ def test_greedy_coloring_floor_draws_a_conflict_edge():
 _NO_SCIPY_RUN = """
 import sys
 sys.modules["scipy"] = None             # any scipy import now raises
-from dataclasses import replace
 import decolab
-from decolab import caps, lab, scale
-from decolab.rng import keyed_rng, unit_vectors
+from decolab import lab
 lab.run_experiment("cap-lattice", 64.0)
 for name in ("greedy-coloring", "multiplicity", "phase-coverage", "l2-sum"):
     lab.run_experiment(name)
 lab.run_experiment("l2-sum", 16.0)
-fam = caps.build_lattice(scale.derive(64.0))
-sub = replace(fam, centers=fam.centers[::2])
-assert not sub.is_spiral
-caps.min_separation(sub)
-caps.covering_probe(sub, unit_vectors(keyed_rng(7, "no-scipy"), 1000))
-caps._DENSITY_FACTOR = 24.0
-pruned = caps.build_lattice(scale.derive(16.0))
-assert len(pruned) < caps.spiral_size(pruned.scale)
 print(sorted(m for m, mod in sys.modules.items()
              if m.split(".")[0] == "scipy" and mod is not None))
 """

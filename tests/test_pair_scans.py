@@ -4,11 +4,10 @@
 ``query_pairs`` and ``count_neighbors`` calls in ``conflict_pairs`` and
 ``tubes.band_pair_counts``; both sides count a pair when its squared
 chord is at most r * r, so the results must be equal, ties included.
-The nearest chord and the covering of a family that is not a whole
-spiral replace k=2 and k=1 queries, and must equal them too.
+The nearest chord and the covering are known only for a whole lattice,
+and ``test_caps`` checks them against k=2 and k=1 queries.
 """
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -102,25 +101,6 @@ def test_scans_equal_the_kd_tree_on_tie_radii(family):
     for r in radii:
         found = caps.pairs_within(points, r)
         assert [tuple(p) for p in found.tolist()] == _kd_pairs(points, r), r
-
-
-def _kd_angle(chord):
-    return 2.0 * math.asin(min(1.0, 0.5 * chord))
-
-
-def test_nearest_chord_and_covering_equal_the_kd_queries(family):
-    derived = replace(family)           # a new object: never a whole spiral
-    assert not derived.is_spiral
-    tree = cKDTree(family.centers, balanced_tree=False)
-    dist, _ = tree.query(family.centers, k=2)
-    assert derived.nearest_chord == float(np.min(dist[:, 1]))
-    assert caps.min_separation(derived) == _kd_angle(derived.nearest_chord)
-    probes = np.concatenate([
-        unit_vectors(keyed_rng(19, "scan-covering", len(family)), 2000),
-        family.centers[:50]])
-    dist, _ = tree.query(probes, k=1)
-    assert (caps.covering_probe(derived, probes)
-            == _kd_angle(float(np.max(dist))))
 
 
 def test_scans_of_fewer_than_two_rows_find_nothing():

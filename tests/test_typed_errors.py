@@ -1,11 +1,25 @@
 """Bad input raises the package's typed ConfigError, still a ValueError."""
+import json
+import os
+import tempfile
+
 import numpy as np
 import pytest
 
-from decolab import geometry, lab, ledger, phase, scale, shell
+from decolab import cli, geometry, lab, ledger, phase, scale, shell
 from decolab.errors import ConfigError, DecolabError
 
 S64 = scale.derive(64.0)
+
+
+def _load_config_of(doc):
+    """``cli._load_config`` of a config file holding ``doc`` as JSON."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        return cli._load_config(path)
+
 
 SITES = {
     "phase-stack-shape": lambda: phase.check_shell(np.zeros((2, 5, 3)), S64),
@@ -27,6 +41,10 @@ SITES = {
     "lab-fit-two-points": lambda: lab.fit_slope([1.0, 2.0], [1.0, 2.0]),
     "lab-fit-nonpositive": lambda: lab.fit_slope([1.0, 2.0, 4.0],
                                                  [1.0, 0.0, 1.0]),
+    "lab-fit-one-lam": lambda: lab.fit_slope([64.0, 64.0, 64.0],
+                                             [1.0, 2.0, 4.0]),
+    "cli-config-not-an-object": lambda: _load_config_of([64]),
+    "cli-config-unknown-key": lambda: _load_config_of({"lam": 64}),
     "lab-no-ladder-metric": lambda: lab.run_ladder("nested-ball"),
     "ledger-negative-counts": lambda: ledger.kernel_derivation(n_t=-1),
     "ledger-no-cascade-step": lambda: ledger.narrow_derivation(0),
