@@ -64,6 +64,11 @@ _GOLDEN_RATIO = 0.5 * (1.0 + math.sqrt(5.0))
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
 
+def _blocks(n: int):
+    """(lo, hi) of each block of BLOCK_ROWS in range(n), in order."""
+    return ((lo, min(n, lo + BLOCK_ROWS)) for lo in range(0, n, BLOCK_ROWS))
+
+
 def _spiral_rows(i: np.ndarray, n: int) -> np.ndarray:
     """Rows ``i`` (float indices) of the n-point Fibonacci spiral."""
     offset = 2.0 / n
@@ -82,8 +87,7 @@ def fibonacci_sphere(n: int) -> np.ndarray:
     if n < 1:
         raise ConfigError(f"need at least one point, got {n}")
     out = np.empty((n, 3))
-    for lo in range(0, n, BLOCK_ROWS):
-        hi = min(n, lo + BLOCK_ROWS)
+    for lo, hi in _blocks(n):
         out[lo:hi] = _spiral_rows(np.arange(lo, hi, dtype=float), n)
     return out
 
@@ -179,7 +183,9 @@ def spiral_nearest_chord(spiral: np.ndarray) -> float:
     <= (U^2 - (2k/n)^2) / (4 sin^2(k G / 2)).  rho grows from each pole to
     the equator, so for each offset that leaves one index range at each
     pole, found by ``np.searchsorted`` on y.  Only those pairs are measured,
-    in ``geometry.dot``'s summation order, and the smallest is exact.
+    in ``geometry.dot``'s summation order, and the smallest is exact.  The
+    seed offsets and the window pairs are measured BLOCK_ROWS pairs at a
+    time, so the scans hold one block, not arrays as long as the spiral.
 
     The bound holds for the ideal points; the stored ones differ.  Their
     azimuths are fl(i G), within ulp(n G) / 2 <= 2^-53 n G of i G (about
@@ -196,9 +202,10 @@ def spiral_nearest_chord(spiral: np.ndarray) -> float:
     short = np.arange(1, min(n, int(3.0 * math.sqrt(n)) + 1))
     seeds = short[np.argsort(np.abs(np.sin(0.5 * _GOLDEN_ANGLE * short)),
                              kind="stable")[:3]]
-    best = min(float(np.min(_sq_chords(spiral, slice(0, n - k),
-                                       spiral, slice(k, n))))
-               for k in seeds.tolist())
+    best = min(float(np.min(_sq_chords(spiral, slice(lo, hi),
+                                       spiral, slice(lo + k, hi + k))))
+               for k in seeds.tolist()
+               for lo, hi in _blocks(n - k))
     bound = math.sqrt(best) + slack
     ks = np.arange(1, min(n - 1, int(0.5 * bound * n)) + 1)
     ks = ks[~np.isin(ks, seeds)]
@@ -209,14 +216,18 @@ def spiral_nearest_chord(spiral: np.ndarray) -> float:
     south = np.minimum(np.searchsorted(y, slack - h, side="right"), n - ks)
     north = np.clip(np.searchsorted(y, h - slack, side="left") - ks,
                     south, n - ks)
-    # pairs (i, i+k): i in [0, south) and in [north, n - k)
-    starts = np.concatenate([np.zeros_like(ks), north])
+    # pairs (i, i+k): i in [0, south) and in [north, n - k), numbered in
+    # one range and measured a block of that range at a time
     lens = np.concatenate([south, n - ks - north])
     ends = np.cumsum(lens)
-    if ends.size and ends[-1]:
-        i = np.arange(ends[-1]) + np.repeat(starts - (ends - lens), lens)
-        j = i + np.repeat(np.concatenate([ks, ks]), lens)
-        best = min(best, float(np.min(_sq_chords(spiral, i, spiral, j))))
+    shift = np.concatenate([np.zeros_like(ks), north]) - (ends - lens)
+    step = np.concatenate([ks, ks])
+    for lo, hi in _blocks(int(lens.sum())):
+        i = np.arange(lo, hi)
+        run = np.searchsorted(ends, i, side="right")
+        i += shift[run]
+        best = min(best, float(np.min(_sq_chords(spiral, i,
+                                                 spiral, i + step[run]))))
     return math.sqrt(best)
 
 
@@ -258,10 +269,14 @@ def spiral_covering_chord(spiral: np.ndarray, probes: np.ndarray) -> float:
     is ``fibonacci_sphere(n)``, without a KD-tree.
 
     Equal, bit for bit, to the largest distance of a KD-tree k=1 query of
-    the probes; ``covering_probe`` states the argument.
+    the probes; ``covering_probe`` states the argument.  The bounds are
+    taken a block of BLOCK_ROWS probes at a time.
     """
-    bound = np.min(_sq_chords(spiral, _spiral_candidates(probes, len(spiral)),
-                              probes, np.arange(len(probes))[:, None]), axis=1)
+    bound = np.empty(len(probes))
+    for lo, hi in _blocks(len(probes)):
+        near = _spiral_candidates(probes[lo:hi], len(spiral))
+        bound[lo:hi] = np.min(_sq_chords(spiral, near, probes,
+                                         np.arange(lo, hi)[:, None]), axis=1)
     best = 0.0
     for p in np.argsort(bound)[::-1].tolist():
         if bound[p] <= best:
@@ -359,7 +374,8 @@ class CapFamily:
 _DENSITY_FACTOR = 8.0
 
 #: largest spiral build_lattice lays down: 2^22 points are 96 MiB of
-#: coordinates (lam 2^14 asks for 3.3M, lam 2^15 for 8.4M)
+#: coordinates (lam 2^14 asks for 3.3M, lam 2^15 for 8.4M).  The build
+#: peaks at its coordinates plus one block of its chord scans
 MAX_SPIRAL_POINTS = 2 ** 22
 
 

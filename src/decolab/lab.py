@@ -44,8 +44,10 @@ PROBE_LAMS = (4.0, 8.0, 16.0, 32.0, 64.0)
 #: probe grid points per axis, per sqrt(lam)
 PROBE_GRID_FACTOR = 6
 
-#: grid columns per probe GEMM block: the working set is O(n_caps * block)
-_PROBE_BLOCK = 128
+#: grid columns per probe GEMM block: the working set is O(n_caps * block).
+#: The block could change the GEMM's rounding; under numpy 2.4's OpenBLAS
+#: 0.3.31 blocks of 32, 64 and 128 give the same ratios at lam 4 to 256
+_PROBE_BLOCK = 32
 
 #: largest probe working set decoupling_probe accepts, in bytes
 PROBE_MAX_BYTES = 1 << 30
@@ -1087,7 +1089,9 @@ def decoupling_probe(scale: ScaleParams, seed: int,
     The field is computed exactly, with no approximation: exp(i x.xi) is
     the product of one exponential per axis per cap, only the (x2, x3)
     columns inside the disk x2^2 + x3^2 <= 1/4 are formed, and both
-    amplitude sets share one GEMM per block of _PROBE_BLOCK columns.
+    amplitude sets share one GEMM per block of _PROBE_BLOCK (32) columns.
+    Each block gathers two (32, n_caps) complex factors, and the probe at
+    lam 64 peaks at about 11 MiB.
     Refused, before the lattice is built, when the grid is at or under the
     field's Nyquist count lam/pi per axis, or when the working set would
     exceed PROBE_MAX_BYTES.
@@ -1101,9 +1105,9 @@ def decoupling_probe(scale: ScaleParams, seed: int,
             f"Nyquist count lam/pi = {scale.lam / math.pi:.1f} at lam "
             f"{scale.lam:g}")
     # working set in bytes.  Complex: the per-axis exponentials and the
-    # stacked left factor with its temporary (6 nx rows of n), one column
-    # block and its two gathers (3 rows of n per block column).  Real:
-    # |F|^6 on at most 2 nx^3 points
+    # stacked left factor with its temporary (6 nx rows of n), one block of
+    # _PROBE_BLOCK columns and its two gathers (3 rows of n per block
+    # column).  Real: |F|^6 on at most 2 nx^3 points
     n_bound = caps.spiral_size(scale) if family is None else len(family)
     need = 16 * n_bound * (6 * n_axis + 3 * _PROBE_BLOCK) + 16 * n_axis ** 3
     if need > PROBE_MAX_BYTES:

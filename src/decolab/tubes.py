@@ -26,8 +26,8 @@ import numpy as np
 from .caps import (CapFamily, chord, conflict_degrees, pair_counts_within,
                    pairs_within)
 from .errors import ConfigError, DensityError
-from .geometry import angle_between, norm
-from .rng import keyed_rng, unit_vectors
+from .geometry import BLOCK_ROWS, angle_between, norm
+from .rng import keyed_rng
 from .scale import ScaleParams
 
 
@@ -75,12 +75,16 @@ def membership(tube: Tube, t: np.ndarray, x: np.ndarray) -> np.ndarray:
     The one statement of tube coverage.  A (B, 3) stack of centers tests B
     tubes at once: with t[:, None] and x[:, None, :] the result is (n, B).
     """
-    s = tube.scale
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
-    axial = x - 2.0 * t[..., np.newaxis] * tube.xi
-    r_ax = norm(axial)
-    r_x = norm(x)
+    return _covers(tube, t, x, norm(x))
+
+
+def _covers(tube: Tube, t: np.ndarray, x: np.ndarray,
+            r_x: np.ndarray) -> np.ndarray:
+    """``membership`` with |x| given, so tubes that share points share it."""
+    s = tube.scale
+    r_ax = norm(x - 2.0 * t[..., np.newaxis] * tube.xi)
     ok = (r_ax <= s.rho) & (np.abs(t) <= s.t_half) & (r_x <= s.x_half)
     if tube.truncated:
         ok &= r_x > 0.25 * s.rho
@@ -102,18 +106,15 @@ def nested_ball_volume(scale: ScaleParams) -> float:
     return (4.0 / 3.0) * math.pi * (0.5 * scale.rho) ** 3 * (2.0 * scale.t_half)
 
 
+def _in_ball(v: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Points of the unit 3-ball from normal rows v (n, 3) and uniforms u."""
+    return v / norm(v)[:, np.newaxis] * (u ** (1.0 / 3.0))[:, np.newaxis]
+
+
 def _ball(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Uniform points of the unit 3-ball."""
-    return unit_vectors(rng, n) * (rng.random(n) ** (1.0 / 3.0))[:, np.newaxis]
-
-
-def sample_cylinder(tube: Tube, n: int, rng: np.random.Generator
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform samples of the cylinder envelope around the tube axis."""
-    s = tube.scale
-    t = rng.uniform(-s.t_half, s.t_half, size=n)
-    x = 2.0 * t[:, np.newaxis] * tube.xi + s.rho * _ball(rng, n)
-    return t, x
+    """Uniform points of the unit 3-ball: a normal (n, 3) draw, then n
+    uniforms."""
+    return _in_ball(rng.normal(size=(n, 3)), rng.random(n))
 
 
 def _binomial_estimate(hits: int, n: int, volume: float) -> MCEstimate:
@@ -123,15 +124,39 @@ def _binomial_estimate(hits: int, n: int, volume: float) -> MCEstimate:
                       samples=n)
 
 
+def _envelope_hits(tubes: tuple[Tube, ...], samples: int,
+                   rng: np.random.Generator) -> int:
+    """How many of ``samples`` uniform draws over the first tube's cylinder
+    envelope land in every tube.
+
+    The stream is read whole, in one order: the times, a normal (n, 3)
+    draw, then n uniforms for the radii.  The draws are then placed and
+    tested BLOCK_ROWS rows at a time, and |x| is taken once for all tubes;
+    every step acts row by row, so the hits do not depend on the block.
+    """
+    s, axis = tubes[0].scale, tubes[0].xi
+    t = rng.uniform(-s.t_half, s.t_half, size=samples)
+    v = rng.normal(size=(samples, 3))
+    u = rng.random(samples)
+    hits = 0
+    for lo in range(0, samples, BLOCK_ROWS):
+        rows = slice(lo, lo + BLOCK_ROWS)
+        x = 2.0 * t[rows, np.newaxis] * axis + s.rho * _in_ball(v[rows],
+                                                                u[rows])
+        r_x = norm(x)
+        hits += int(np.count_nonzero(np.logical_and.reduce(
+            [_covers(tube, t[rows], x, r_x) for tube in tubes])))
+    return hits
+
+
 def mc_volume(tube: Tube, samples: int, seed: int) -> MCEstimate:
     """Monte Carlo tube volume via rejection against the cylinder envelope."""
     if samples < MIN_SAMPLES:
         raise ConfigError(f"need >= {MIN_SAMPLES} samples, got {samples}")
     rng = keyed_rng(seed, "tube-volume", repr(tube.scale.lam), tube.cap_index,
                     int(tube.truncated))
-    t, x = sample_cylinder(tube, samples, rng)
-    hits = int(np.count_nonzero(membership(tube, t, x)))
-    return _binomial_estimate(hits, samples, cylinder_volume(tube.scale))
+    return _binomial_estimate(_envelope_hits((tube,), samples, rng),
+                              samples, cylinder_volume(tube.scale))
 
 
 def pair_overlap_bound(scale: ScaleParams, delta: float) -> float:
@@ -158,10 +183,8 @@ def mc_pair_overlap(t1: Tube, t2: Tube, samples: int, seed: int) -> MCEstimate:
         raise ConfigError("tubes live at different scales")
     rng = keyed_rng(seed, "pair-overlap", repr(t1.scale.lam), t1.cap_index,
                     t2.cap_index)
-    t, x = sample_cylinder(t1, samples, rng)
-    both = membership(t1, t, x) & membership(t2, t, x)
-    return _binomial_estimate(int(np.count_nonzero(both)), samples,
-                              cylinder_volume(t1.scale))
+    return _binomial_estimate(_envelope_hits((t1, t2), samples, rng),
+                              samples, cylinder_volume(t1.scale))
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,66 @@
+"""Whole-array oracles for caps.spiral_nearest_chord and
+caps.spiral_covering_chord.
+
+These are the two scans with every pair, and every probe's candidate
+bound, formed at once: arrays as long as the spiral, or as the probe set.
+The package takes the same pairs and probes a block at a time; tests
+compare the two bit for bit.  Nothing outside tests uses them.
+"""
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from decolab import caps
+
+
+def nearest_chord(spiral: np.ndarray) -> float:
+    """``caps.spiral_nearest_chord`` with each scan gathered whole."""
+    n = spiral.shape[0]
+    if n < 2:
+        return math.inf
+    golden = caps._GOLDEN_ANGLE
+    slack = 2.0 ** -46 * (n * golden + math.sqrt(n))
+    short = np.arange(1, min(n, int(3.0 * math.sqrt(n)) + 1))
+    seeds = short[np.argsort(np.abs(np.sin(0.5 * golden * short)),
+                             kind="stable")[:3]]
+    best = min(float(np.min(caps._sq_chords(spiral, slice(0, n - k),
+                                            spiral, slice(k, n))))
+               for k in seeds.tolist())
+    bound = math.sqrt(best) + slack
+    ks = np.arange(1, min(n - 1, int(0.5 * bound * n)) + 1)
+    ks = ks[~np.isin(ks, seeds)]
+    sin_half = np.sin(0.5 * golden * ks)
+    rho2 = (bound * bound - (2.0 * ks / n) ** 2) / (4.0 * sin_half * sin_half)
+    h = np.sqrt(np.clip(1.0 - rho2, 0.0, None))
+    y = spiral[:, 1]
+    south = np.minimum(np.searchsorted(y, slack - h, side="right"), n - ks)
+    north = np.clip(np.searchsorted(y, h - slack, side="left") - ks,
+                    south, n - ks)
+    starts = np.concatenate([np.zeros_like(ks), north])
+    lens = np.concatenate([south, n - ks - north])
+    ends = np.cumsum(lens)
+    if ends.size and ends[-1]:
+        i = np.arange(ends[-1]) + np.repeat(starts - (ends - lens), lens)
+        j = i + np.repeat(np.concatenate([ks, ks]), lens)
+        best = min(best, float(np.min(caps._sq_chords(spiral, i, spiral, j))))
+    return math.sqrt(best)
+
+
+def covering_chord(spiral: np.ndarray, probes: np.ndarray) -> float:
+    """``caps.spiral_covering_chord`` with every probe's bound at once."""
+    bound = np.min(caps._sq_chords(
+        spiral, caps._spiral_candidates(probes, len(spiral)),
+        probes, np.arange(len(probes))[:, None]), axis=1)
+    best = 0.0
+    for p in np.argsort(bound)[::-1].tolist():
+        if bound[p] <= best:
+            break
+        w = math.sqrt(bound[p])
+        yp = float(probes[p, 1])
+        w += 2.0 ** -48 * (w + abs(yp) + 1.0)
+        lo, hi = np.searchsorted(spiral[:, 1], [yp - w, yp + w])
+        best = max(best, float(np.min(
+            caps._sq_chords(spiral, slice(lo, hi), probes, p))))
+    return math.sqrt(best)

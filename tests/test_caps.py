@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.spatial import cKDTree
 
+import spiral_oracle
 from decolab import caps, lab, scale
 from decolab.geometry import BLOCK_ROWS
 from decolab.rng import keyed_rng, unit_vectors
@@ -180,6 +181,20 @@ def test_spiral_covering_equals_the_kd_query_at_any_size(n):
     for name, probes in _probe_sets(spiral, n, 2000).items():
         assert (caps.spiral_covering_chord(spiral, probes)
                 == _kd_covering_chord(spiral, probes)), name
+
+
+@pytest.mark.parametrize("lam", sorted({*lab.PROBE_LAMS, *lab.LADDER_LAMS,
+                                        8192.0}))
+def test_blocked_spiral_scans_equal_the_whole_array_oracles(lam):
+    # every probe and cap-lattice rung and lam 8192; the probes fill two
+    # blocks and one row of a third
+    spiral = caps.fibonacci_sphere(caps.spiral_size(scale.derive(lam)))
+    assert (caps.spiral_nearest_chord(spiral)
+            == spiral_oracle.nearest_chord(spiral))
+    probes = unit_vectors(keyed_rng(int(lam), "block-oracle"),
+                          2 * BLOCK_ROWS + 1)
+    assert (caps.spiral_covering_chord(spiral, probes)
+            == spiral_oracle.covering_chord(spiral, probes))
 
 
 @pytest.mark.parametrize("pick", ["spiral-start", "random"])

@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
+import tube_oracle
 from decolab import caps, scale, tubes
 from decolab.errors import ConfigError
+from decolab.geometry import BLOCK_ROWS
 from decolab.rng import keyed_rng
 
 
@@ -112,6 +114,27 @@ def test_mc_pair_overlap_self_is_volume():
     vol = tubes.mc_volume(tube, 50_000, seed=7)
     ovl = tubes.mc_pair_overlap(tube, tube, 50_000, seed=7)
     assert abs(vol.value - ovl.value) <= 4.0 * (vol.stderr + ovl.stderr)
+
+
+@pytest.mark.parametrize("samples", [
+    tubes.MIN_SAMPLES, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+    3 * BLOCK_ROWS + 7])
+@pytest.mark.parametrize("truncated", [(False, False), (True, True),
+                                       (False, True)],
+                         ids=["full", "truncated", "mixed"])
+def test_blocked_monte_carlo_equals_the_whole_array_oracle(fam, samples,
+                                                           truncated):
+    # the draws are placed and tested a block of rows at a time; the last
+    # block is short, full, one row, or a block and seven rows past it
+    t1, t2 = (tubes.tube_for_cap(fam, i, trunc)
+              for i, trunc in zip((0, 5), truncated))
+    envelope = tubes.cylinder_volume(fam.scale)
+    vol = tubes.mc_volume(t1, samples, seed=13)
+    assert vol == tube_oracle.mc_volume(t1, samples, seed=13)
+    both = tubes.mc_pair_overlap(t1, t2, samples, seed=13)
+    assert both == tube_oracle.mc_pair_overlap(t1, t2, samples, seed=13)
+    # neither stream lands all in or all out
+    assert 0.0 < both.value < envelope and 0.0 < vol.value < envelope
 
 
 def test_tube_for_cap_reads_one_row(monkeypatch):

@@ -1,0 +1,42 @@
+"""Whole-array oracles for tubes.mc_volume and tubes.mc_pair_overlap.
+
+These draw the cylinder envelope's samples, place every one, and test
+every one against each tube with ``tubes.membership``, all at once.  The
+package reads the same keyed stream in the same order but places and
+tests the draws a block of rows at a time; tests compare the two with
+``==``.  Nothing outside tests uses them.
+"""
+from __future__ import annotations
+
+import numpy as np
+
+from decolab import tubes
+from decolab.rng import keyed_rng, unit_vectors
+
+
+def sample_cylinder(tube: tubes.Tube, n: int, rng: np.random.Generator
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Uniform samples of the cylinder envelope around the tube axis."""
+    s = tube.scale
+    t = rng.uniform(-s.t_half, s.t_half, size=n)
+    ball = unit_vectors(rng, n) * (rng.random(n) ** (1.0 / 3.0))[:, None]
+    return t, 2.0 * t[:, None] * tube.xi + s.rho * ball
+
+
+def mc_volume(tube: tubes.Tube, samples: int, seed: int) -> tubes.MCEstimate:
+    rng = keyed_rng(seed, "tube-volume", repr(tube.scale.lam), tube.cap_index,
+                    int(tube.truncated))
+    t, x = sample_cylinder(tube, samples, rng)
+    hits = int(np.count_nonzero(tubes.membership(tube, t, x)))
+    return tubes._binomial_estimate(hits, samples,
+                                    tubes.cylinder_volume(tube.scale))
+
+
+def mc_pair_overlap(t1: tubes.Tube, t2: tubes.Tube, samples: int,
+                    seed: int) -> tubes.MCEstimate:
+    rng = keyed_rng(seed, "pair-overlap", repr(t1.scale.lam), t1.cap_index,
+                    t2.cap_index)
+    t, x = sample_cylinder(t1, samples, rng)
+    both = tubes.membership(t1, t, x) & tubes.membership(t2, t, x)
+    return tubes._binomial_estimate(int(np.count_nonzero(both)), samples,
+                                    tubes.cylinder_volume(t1.scale))
