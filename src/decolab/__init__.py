@@ -6,6 +6,7 @@ Modules:
 * geometry: paraboloid normals, angles, Gram determinants
 * caps: separated direction families on the sphere
 * tubes: space-time tubes, volumes, overlap and multiplicity statistics
+* overlap: the exact overlap of two tubes in the lam-free cell
 * phase: sextuple resonance sums and their classifications
 * shell: polynomial level-set bands in the rescaled unit box
 * ledger: exact exponent bookkeeping with golden checkpoints

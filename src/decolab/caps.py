@@ -130,24 +130,17 @@ def _upper_sq_chords(points: np.ndarray):
         yield lo, sq
 
 
-def pairs_within(points: np.ndarray, radius: float,
-                 inner: float = 0.0) -> np.ndarray:
+def pairs_within(points: np.ndarray, radius: float) -> np.ndarray:
     """Pairs (i < k) of rows within chord ``radius``, (m, 2), lexicographic.
 
     A pair is within when its squared chord, summed x, then y, then z, is
     at most radius * radius: the rule, and the sums, of a KD-tree's
-    ``query_pairs``, so the two give the same set bit for bit.  A positive
-    ``inner`` also drops the pairs whose squared chord is under
-    inner * inner.  An exact scan, quadratic in the rows; meant for
-    desk-scale families.
+    ``query_pairs``, so the two give the same set bit for bit.  An exact
+    scan, quadratic in the rows; meant for desk-scale families.
     """
-    r2, in2 = radius * radius, inner * inner
-    found = []
-    for lo, sq in _upper_sq_chords(points):
-        hit = sq <= r2
-        if inner > 0.0:
-            hit &= sq >= in2
-        found.append(np.stack(np.nonzero(hit), axis=1) + lo)
+    r2 = radius * radius
+    found = [np.stack(np.nonzero(sq <= r2), axis=1) + lo
+             for lo, sq in _upper_sq_chords(points)]
     return np.concatenate(found) if found else np.zeros((0, 2), np.intp)
 
 
@@ -155,14 +148,21 @@ def pair_counts_within(points: np.ndarray, radii) -> np.ndarray:
     """Pairs (i < k) of rows within each chord radius, as in ``pairs_within``.
 
     Equal to a KD-tree's ``count_neighbors`` of the rows against
-    themselves, less the n self-pairs, halved.  Each radius costs one
-    comparison per pair, an infinite one too.
+    themselves, less the n self-pairs, halved.  The squared radii must not
+    decrease; repeated and infinite radii are fine.  Each pair costs one
+    binary search, ``np.searchsorted`` for the first radius it is within,
+    and one ``bincount`` per row block, so hundreds of radii cost about
+    what one does.
     """
-    r2 = [r * r for r in np.asarray(radii, dtype=float).tolist()]
-    counts = np.zeros(len(r2), dtype=np.int64)
+    r2 = np.square(np.asarray(radii, dtype=float))
+    if np.isnan(r2).any() or np.any(r2[1:] < r2[:-1]):
+        raise ConfigError("pair count radii must be ascending numbers")
+    counts = np.zeros(len(r2) + 1, dtype=np.int64)
     for _, sq in _upper_sq_chords(points):
-        counts += [np.count_nonzero(sq <= v) for v in r2]
-    return counts
+        # NaN, the diagonal and below, sorts past every radius
+        counts += np.bincount(np.searchsorted(r2, sq.ravel()),
+                              minlength=len(r2) + 1)
+    return np.cumsum(counts[:-1])
 
 
 def spiral_nearest_chord(spiral: np.ndarray) -> float:

@@ -10,11 +10,16 @@ cross-section radius rho equals twice the spatial half-width of the cell, so
 tubes here are fat slabs that all meet near t = 0.  The boundary-layer
 fraction below quantifies exactly that.
 
-Volume and overlap estimates are hit-or-miss Monte Carlo: the share of
-uniform draws over the analytic cylinder envelope that land in the tube (or
-in both tubes), times the envelope's volume.  Only the multiplicity
-statistics reweight their draws, by 1/M.  Counter-based keyed streams make
-the results independent of evaluation order.
+In the lam-free cell x' = x/rho, t' = t/t_half every tube is the same set
+up to a rotation, so a pair overlap is lam**-3 times a function of the
+angle between the two caps alone: ``overlap.overlap_profile``, a
+deterministic quadrature.  The overlap sum ``l2_sum`` is exact from it
+and from exact pair counts, and draws nothing.  Only the estimators under
+audit sample: ``mc_volume`` and ``mc_pair_overlap`` (hit-or-miss Monte
+Carlo over the analytic cylinder envelope, which the tests z-test against
+the profile), the boundary layer, and the multiplicity statistics, which
+reweight their draws by 1/M.  Counter-based keyed streams make the
+results independent of evaluation order.
 """
 from __future__ import annotations
 
@@ -23,10 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .caps import (CapFamily, chord, conflict_degrees, pair_counts_within,
-                   pairs_within)
+from .caps import CapFamily, conflict_degrees, pair_counts_within
 from .errors import ConfigError, DensityError
-from .geometry import BLOCK_ROWS, angle_between, norm
+from .geometry import BLOCK_ROWS, norm
+from .overlap import PROFILE_RTOL, overlap_profile
 from .rng import keyed_rng
 from .scale import ScaleParams
 
@@ -43,9 +48,8 @@ DENSITY_C_STAR = 0.5
 #: tubes per block in multiplicity_counts, which bounds its memory
 COUNT_CHUNK = 256
 
-#: anchors of l2_sum's sampled panel, and the most pairs it draws per band
-L2_ANCHORS = 32
-L2_PAIRS_PER_BAND = 48
+#: equal angular cells per dyadic band in l2_sum's exact pair count
+L2_CELLS = 16
 
 
 @dataclass(frozen=True)
@@ -323,141 +327,75 @@ def boundary_layer_mc(scale: ScaleParams, samples: int, seed: int) -> MCEstimate
 
 
 # ---------------------------------------------------------------------------
-# overlap sum over a family
+# exact overlap sum over a family
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class AnnulusRow:
-    j: int                    # dyadic index: separations in [2^j, 2^(j+1)) alpha
-    delta: float              # left edge of the dyadic angular band
-    pair_count: int
-    sampled_pairs: int
-    mean_overlap: float
-    analytic_bound: float     # rho^4 / (lam * delta) at the band's left edge
-
-
-@dataclass(frozen=True)
 class L2SumResult:
-    n_caps: int
-    tube_volume: MCEstimate
+    tube_volume: float
     diagonal: float
     off_diagonal: float
     total: float              # S = diagonal + 2 * sum of unordered overlaps
-    rows: tuple[AnnulusRow, ...]
+    error_bound: float        # bound on |total - S|
+    # per dyadic band j, separations in [2^j, 2^(j+1)) alpha: unordered
+    # pairs, the sum of their overlaps, and a bound on that sum's error
+    pair_counts: np.ndarray
+    band_sums: np.ndarray
+    band_errors: np.ndarray
 
 
-def band_pair_counts(family: CapFamily) -> np.ndarray:
-    """Unordered cap pairs per dyadic band [2^j, 2^(j+1)) alpha, j = 0..jmax.
+def band_cells(family: CapFamily) -> tuple[np.ndarray, np.ndarray]:
+    """Angle edges of every dyadic band's L2_CELLS cells, and their pairs.
 
-    Band 0 also takes every closer pair, band jmax every farther one; jmax
-    is one past the first band whose lower edge reaches pi.  One scan of
-    ``caps.pair_counts_within`` counts the pairs within the chord of each
-    edge 2^j alpha under pi, exactly as a KD-tree's ``count_neighbors``
-    does.  That rule counts d <= r, so each radius sits one float below its
-    chord to keep the upper edges strict.  An edge at or past pi takes
-    every pair, with no comparison.
-    """
-    n, alpha = len(family), family.scale.alpha
-    jmax = max(1, int(math.ceil(math.log(math.pi / alpha, 2.0))) + 1)
-    edges = alpha * 2.0 ** np.arange(1, jmax + 1)
-    below_pi = edges[edges < math.pi]
-    closer = np.full(jmax + 1, n * (n - 1) // 2)
-    closer[:len(below_pi)] = pair_counts_within(
-        family.centers, np.nextafter(2.0 * np.sin(0.5 * below_pi), 0.0))
-    return np.diff(closer, prepend=0)
-
-
-def _dyadic_band(angles: np.ndarray, alpha: float, jmax: int) -> np.ndarray:
-    return np.clip(np.floor(np.log2(angles / alpha)), 0, jmax)
-
-
-def band_pairs(family: CapFamily, j: int,
-               pair_counts: np.ndarray) -> np.ndarray:
-    """Every unordered pair (i < k) of dyadic band j, as a sorted (m, 2) array.
-
-    Pairs are banded as l2_sum bands its panel, by the angle between the
-    centers.  The scan keeps the pairs whose chord lies between the chords
-    of the band's edges 2^j alpha and 2^(j+1) alpha, each widened outward
-    by a relative 1e-9, so only about the band's own pairs are held; the
-    angle filter then keeps band j.  Band 0 reaches down to 0.
+    Band j spans [2^j alpha, 2^(j+1) alpha), j = 0..jmax, cut into L2_CELLS
+    equal cells; band 0 reaches down to 0, edges past pi clip to pi, and
+    jmax is one past the first band whose lower edge reaches pi.  Returns
+    the edges, (jmax + 1, L2_CELLS + 1), and the unordered cap pairs per
+    cell, (jmax + 1, L2_CELLS), from one ``caps.pair_counts_within`` scan at
+    every cell's upper edge.  That rule counts d <= r, so each radius sits
+    one float below its chord to keep the upper edges strict; an edge at pi
+    takes every pair.
     """
     alpha = family.scale.alpha
-    jmax = len(pair_counts) - 1
-    widen = 1.0 + 1e-9
-    lo = (2.0 ** j) * alpha if j > 0 else 0.0
-    hi = (2.0 ** (j + 1)) * alpha
-    centers = family.centers
-    pairs = pairs_within(centers, widen * chord(min(math.pi, hi)),
-                         chord(min(math.pi, lo)) / widen)
-    band = _dyadic_band(angle_between(centers[pairs[:, 0]],
-                                      centers[pairs[:, 1]]), alpha, jmax)
-    return pairs[band == j]
+    jmax = max(1, int(math.ceil(math.log(math.pi / alpha, 2.0))) + 1)
+    lower = alpha * 2.0 ** np.arange(jmax + 1)
+    upper = np.minimum(2.0 * lower, math.pi)
+    lower[0] = 0.0
+    edges = np.linspace(np.minimum(lower, math.pi), upper, L2_CELLS + 1,
+                        axis=1)
+    top = edges[:, 1:].ravel()
+    radii = np.where(top < math.pi,
+                     np.nextafter(2.0 * np.sin(0.5 * top), 0.0), math.inf)
+    within = pair_counts_within(family.centers, radii)
+    return edges, np.diff(within, prepend=0).reshape(jmax + 1, L2_CELLS)
 
 
-def l2_sum(family: CapFamily, seed: int,
-           samples_per_pair: int = 2048) -> L2SumResult:
-    """Overlap sum S = sum over ordered cap pairs of |T cap T'|.
+def l2_sum(family: CapFamily) -> L2SumResult:
+    """Overlap sum S = sum over ordered cap pairs of |T cap T'|, exactly.
 
-    The diagonal uses one volume estimate (all on-shell tubes are congruent
-    by rotation).  Off-diagonal pairs are grouped into dyadic angular bands;
-    each band's mean overlap is estimated on a keyed-random panel of pairs
-    anchored at L2_ANCHORS fixed caps, then extrapolated by the exact pair
-    count of the band.  A band the anchors miss draws its panel from its
-    own pairs (``band_pairs``), so every band with pairs is in the sum.
-    Tubes are truncated.  Desk-scale families only.
+    S = n f(0) / lam^3 + 2 sum over unordered pairs of f(delta) / lam^3,
+    with f = ``overlap_profile`` of the truncated tube.  The pairs come
+    counted per cell of each dyadic band (``band_cells``).  f is
+    nonincreasing, so a cell's pairs lie between f at its two edges: each
+    takes their mean, within half their gap plus the quadrature's
+    PROFILE_RTOL; ``band_errors`` and ``error_bound`` add these up.
+    Desk-scale families only.
     """
     n = len(family)
     if n < 2:
         raise ConfigError("overlap sum needs at least two caps")
     if n > 10_000:
         raise ConfigError("family too large; restrict to a local cone first")
-    lam, alpha = family.scale.lam, family.scale.alpha
-    pair_counts = band_pair_counts(family)
-    jmax = len(pair_counts) - 1
-
-    vol = mc_volume(tube_for_cap(family, 0, True), max(20_000, samples_per_pair),
-                    seed)
-
-    # sampled panel: (anchor, cap) pairs in anchor order, then cap order
-    rng = keyed_rng(seed, "l2-anchors", repr(lam))
-    anchors = rng.choice(n, size=min(n, L2_ANCHORS), replace=False)
-    ang = family.angles_from(anchors)
-    a_idx, c_idx = np.nonzero(ang > 0)
-    bands = _dyadic_band(ang[a_idx, c_idx], alpha, jmax)
-    panel = np.stack([anchors[a_idx], c_idx], axis=1)
-
-    rows = []
-    off_total = 0.0
-    for j in np.nonzero(pair_counts)[0].tolist():
-        cand = panel[bands == j]
-        if not len(cand):
-            cand = band_pairs(family, j, pair_counts)
-            if not len(cand):       # the band's pairs sit on an edge tie
-                continue
-        pick = keyed_rng(seed, "l2-band", repr(lam), j)
-        take = min(len(cand), L2_PAIRS_PER_BAND)
-        chosen = cand[pick.choice(len(cand), size=take, replace=False)]
-        # one keyed Monte Carlo stream per pair
-        mean_ov = float(np.mean([
-            mc_pair_overlap(tube_for_cap(family, a, True),
-                            tube_for_cap(family, c, True),
-                            samples_per_pair, seed).value
-            for a, c in chosen.tolist()]))
-        count = int(pair_counts[j])
-        delta = (2.0 ** j) * alpha
-        rows.append(AnnulusRow(
-            j=j, delta=delta, pair_count=count, sampled_pairs=take,
-            mean_overlap=mean_ov,
-            analytic_bound=family.scale.rho ** 4 / (lam * delta),
-        ))
-        off_total += mean_ov * count
-
-    diagonal = n * vol.value
+    edges, counts = band_cells(family)
+    f = overlap_profile(edges, truncated=True) / family.scale.lam ** 3
+    band_sums = np.sum(counts * 0.5 * (f[:, :-1] + f[:, 1:]), axis=1)
+    band_errors = np.sum(counts * (0.5 * (f[:, :-1] - f[:, 1:])
+                                   + PROFILE_RTOL * f[:, :-1]), axis=1)
+    # band 0 starts at delta = 0, so f[0, 0] is the tube volume
+    volume, off_diagonal = float(f[0, 0]), 2.0 * float(np.sum(band_sums))
     return L2SumResult(
-        n_caps=n,
-        tube_volume=vol,
-        diagonal=diagonal,
-        off_diagonal=2.0 * off_total,
-        total=diagonal + 2.0 * off_total,
-        rows=tuple(rows),
-    )
+        tube_volume=volume, diagonal=n * volume,
+        off_diagonal=off_diagonal, total=n * volume + off_diagonal,
+        error_bound=n * PROFILE_RTOL * volume + 2.0 * float(np.sum(band_errors)),
+        pair_counts=counts.sum(axis=1), band_sums=band_sums,
+        band_errors=band_errors)

@@ -209,7 +209,7 @@ def test_samples_below_the_evidence_floor_are_usage_errors(group, samples,
 
 
 @pytest.mark.parametrize("name", [
-    "tube-volume", "nested-ball", "boundary-layer", "pair-overlap", "l2-sum",
+    "tube-volume", "nested-ball", "boundary-layer", "pair-overlap",
     "multiplicity",
 ])
 def test_tubes_floor_is_checked_before_any_lattice(name, monkeypatch):
@@ -228,6 +228,8 @@ def test_experiments_that_draw_nothing_record_zero_samples(capsys):
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     assert [r["params"]["samples"] for r in doc["reports"]] == [0, 0]
+    assert lab.run_experiment("l2-sum", 16.0, samples=5).params == {
+        "samples": 0}
 
 
 def test_lattice_beyond_its_memory_guard_is_usage_error(capsys):

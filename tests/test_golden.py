@@ -39,3 +39,25 @@ def test_golden_report(path):
     else:
         rep = lab.run_experiment(name, doc["lam"], doc["seed"], samples)
     assert rep.canonical_json() == expected
+
+
+def test_a_registry_pass_has_five_statistical_verdicts():
+    # one report per experiment, at its golden's inputs; these are the
+    # verdicts that can FAIL by chance, which a false-FAIL budget counts
+    docs = {}
+    for path in _golden_files():
+        doc = json.loads(path.read_text())
+        if not doc["experiment"].startswith(LADDER_PREFIX):
+            docs[doc["experiment"]] = doc
+    found = [(name, v.name)
+             for name, doc in sorted(docs.items())
+             for v in lab.run_experiment(name, doc["lam"], doc["seed"],
+                                         doc["params"]["samples"]).verdicts
+             if v.statistical]
+    assert found == [
+        ("boundary-layer", "matches_exact_fraction"),
+        ("hyperplane-shell", "matches_exact_fraction"),
+        ("nested-ball", "matches_closed_form"),
+        ("pair-overlap", "estimates_below_bound"),
+        ("tube-volume", "truncation_shrinks"),
+    ]

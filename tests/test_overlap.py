@@ -1,0 +1,67 @@
+"""The exact overlap profile, and the Monte Carlo estimators audited by it.
+
+``overlap.overlap_profile`` is lam^3 |T cap T'| as a function of the angle
+between the caps.  Its ends are pinned to the closed 1-D volumes, and
+``tubes.mc_volume`` and ``tubes.mc_pair_overlap`` are z-tested against it.
+"""
+import functools
+import math
+
+import numpy as np
+import pytest
+
+from decolab import overlap, scale, tubes
+from decolab.errors import ConfigError
+
+
+# lam^3 |T| from the closed 1-D form of the two-ball lens, full and truncated
+VOLUME_LAM3 = {False: 0.4587220422766958, True: 0.396785419272855}
+# lam^3 |T cap T'| for antipodal caps
+ANTIPODAL_LAM3 = {False: 0.39822089230636654, True: 0.3397325529205425}
+
+
+@pytest.mark.parametrize("truncated", [False, True])
+def test_overlap_profile_pins(truncated, monkeypatch):
+    f = functools.partial(overlap.overlap_profile, truncated=truncated)
+    assert f(0.0) == pytest.approx(VOLUME_LAM3[truncated], rel=1e-12)
+    assert f(math.pi) == pytest.approx(ANTIPODAL_LAM3[truncated],
+                                       rel=overlap.PROFILE_RTOL)
+    delta = np.linspace(0.0, math.pi, 2001)
+    coarse = f(delta)
+    assert np.all(np.diff(coarse) <= 0.0)
+    n_r, n_m = overlap._PROFILE_NODES
+    monkeypatch.setattr(overlap, "_PROFILE_NODES", (4 * n_r, 4 * n_m))
+    fine = f(delta[::10])
+    assert np.max(np.abs(coarse[::10] - fine) / fine) <= overlap.PROFILE_RTOL
+    with pytest.raises(ConfigError):
+        f(np.array([0.5, 4.0]))
+
+
+def _audit_z_scores(profile, samples=20_000):
+    """z of mc_volume and mc_pair_overlap against profile / lam^3.
+
+    Full and truncated tubes at lam 64 and 4096, the pairs about 1.5 r, 1
+    and 3 apart; each estimate reads its own keyed stream.
+    """
+    z = []
+    for lam in (64.0, 4096.0):
+        s = scale.derive(lam)
+        for truncated in (False, True):
+            u = tubes.Tube(s, lam * np.array([0.0, 0.0, 1.0]), truncated, 0)
+            est = tubes.mc_volume(u, samples, seed=31)
+            z.append((est.value - profile(0.0, truncated) / lam ** 3)
+                     / est.stderr)
+            for k, delta in enumerate((1.5 * s.r, 1.0, 3.0), start=1):
+                v = tubes.Tube(s, lam * np.array(
+                    [math.sin(delta), 0.0, math.cos(delta)]), truncated, k)
+                est = tubes.mc_pair_overlap(u, v, samples, seed=31)
+                z.append((est.value - profile(delta, truncated) / lam ** 3)
+                         / est.stderr)
+    return np.abs(z)
+
+
+def test_monte_carlo_estimators_match_the_profile():
+    assert np.max(_audit_z_scores(overlap.overlap_profile)) <= 3.0
+    # a profile that ignores the truncation is caught
+    ignores = _audit_z_scores(lambda d, truncated: overlap.overlap_profile(d))
+    assert np.max(ignores) > 3.0

@@ -2,7 +2,7 @@
 
 ``caps.pairs_within`` and ``caps.pair_counts_within`` replace KD-tree
 ``query_pairs`` and ``count_neighbors`` calls in ``conflict_pairs`` and
-``tubes.band_pair_counts``; both sides count a pair when its squared
+``tubes.band_cells``; both sides count a pair when its squared
 chord is at most r * r, so the results must be equal, ties included.
 The nearest chord and the covering are known only for a whole lattice,
 and ``test_caps`` checks them against k=2 and k=1 queries.
@@ -74,8 +74,16 @@ def test_conflict_pairs_equal_the_kd_pairs(family):
 
 
 def test_band_pair_counts_equal_the_kd_counts(family):
-    counts = tubes.band_pair_counts(family)
-    assert counts.tolist() == _kd_band_counts(family).tolist()
+    edges, counts = tubes.band_cells(family)
+    assert counts.sum(axis=1).tolist() == _kd_band_counts(family).tolist()
+    if len(family) <= 2500:     # the tree's hundreds of radii take seconds
+        # every cell's pairs: the tree's pairs strictly within its upper
+        # edge, less those within the one before; an edge at pi takes all
+        top = edges[:, 1:].ravel()
+        within = _kd_counts(family.centers, np.where(
+            top < math.pi, np.nextafter(2.0 * np.sin(0.5 * top), 0.0),
+            np.inf))
+        assert counts.ravel().tolist() == np.diff(within, prepend=0).tolist()
     assert counts.sum() == len(family) * (len(family) - 1) // 2
 
 
@@ -95,10 +103,12 @@ def test_scans_equal_the_kd_tree_on_tie_radii(family):
     n_rows = 6 if len(points) <= 2500 else 2 if len(points) <= 8000 else 1
     rows = keyed_rng(5, "scan-ties", len(points)).choice(
         len(points), size=n_rows, replace=False)
-    radii = _tie_radii(points, rows.tolist())
+    ties = _tie_radii(points, rows.tolist())
+    # ascending, each exact tie twice, and two infinite radii
+    radii = sorted(ties + ties[1::3]) + [math.inf, math.inf]
     assert (caps.pair_counts_within(points, radii).tolist()
             == _kd_counts(points, radii).tolist())
-    for r in radii:
+    for r in ties:
         found = caps.pairs_within(points, r)
         assert [tuple(p) for p in found.tolist()] == _kd_pairs(points, r), r
 

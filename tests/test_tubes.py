@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import tube_oracle
-from decolab import caps, scale, tubes
+from decolab import caps, lab, overlap, scale, tubes
 from decolab.errors import ConfigError
 from decolab.geometry import BLOCK_ROWS
 from decolab.rng import keyed_rng
@@ -287,10 +287,10 @@ def test_l2_sum_guards():
     s = scale.derive(64.0)
     single = caps.CapFamily(scale=s, centers=np.array([[0.0, 0.0, 1.0]]))
     with pytest.raises(tubes.ConfigError):
-        tubes.l2_sum(single, seed=0)
+        tubes.l2_sum(single)
     huge = caps.CapFamily(scale=s, centers=np.zeros((10_001, 3)))
     with pytest.raises(tubes.ConfigError):
-        tubes.l2_sum(huge, seed=0)
+        tubes.l2_sum(huge)
 
 
 def _dense_band_counts(family):
@@ -323,63 +323,58 @@ def _lab_family(lam):
 
 def test_l2_sum_bookkeeping():
     fam = caps.build_lattice(scale.derive(8.0))
-    res = tubes.l2_sum(fam, seed=23, samples_per_pair=1024)
-    assert res.n_caps == len(fam)
-    assert res.diagonal == res.n_caps * res.tube_volume.value
+    res = tubes.l2_sum(fam)
+    lam3 = fam.scale.lam ** 3
+    assert res.tube_volume == overlap.overlap_profile(0.0, True) / lam3
+    assert res.diagonal == len(fam) * res.tube_volume
     assert res.total == res.diagonal + res.off_diagonal
-    assert res.off_diagonal >= 0.0
-    total_pairs = res.n_caps * (res.n_caps - 1) // 2
-    assert sum(row.pair_count for row in res.rows) <= total_pairs
-    js = [row.j for row in res.rows]
-    assert js == sorted(js)
-    counts = _dense_band_counts(fam)
-    for row in res.rows:
-        assert row.pair_count == counts[row.j]
-        assert row.sampled_pairs <= tubes.L2_PAIRS_PER_BAND
-        assert row.analytic_bound == pytest.approx(
-            fam.scale.rho ** 4 / (fam.scale.lam * row.delta), rel=1e-13)
-    again = tubes.l2_sum(fam, seed=23, samples_per_pair=1024)
-    assert res == again
+    assert res.off_diagonal == 2.0 * np.sum(res.band_sums)
+    assert res.pair_counts.tolist() == _dense_band_counts(fam).tolist()
+    # every pair overlaps by between f(pi) and f(0), and a cell's error
+    # is at most half of that range
+    f_pi = overlap.overlap_profile(math.pi, True) / lam3
+    pairs = res.pair_counts
+    assert np.all(pairs * f_pi <= res.band_sums)
+    assert np.all(res.band_sums <= pairs * res.tube_volume)
+    assert np.all(res.band_errors <= pairs * 0.5 * (res.tube_volume - f_pi))
+    assert np.all((res.band_errors > 0.0) == (pairs > 0))
+    assert res.error_bound > 2.0 * np.sum(res.band_errors)
+    again = tubes.l2_sum(fam)
+    assert (again.total, again.error_bound) == (res.total, res.error_bound)
 
 
 @pytest.mark.parametrize("lam", [8.0, 16.0, 64.0, 256.0, 4096.0])
 def test_band_pair_counts_match_dense_oracle(lam):
     fam = _lab_family(lam)
-    counts = tubes.band_pair_counts(fam)
-    assert counts.tolist() == _dense_band_counts(fam).tolist()
+    edges, counts = tubes.band_cells(fam)
+    assert counts.sum(axis=1).tolist() == _dense_band_counts(fam).tolist()
     assert counts.sum() == len(fam) * (len(fam) - 1) // 2
+    assert edges.shape == (len(counts), tubes.L2_CELLS + 1)
+    assert np.all(np.diff(edges.ravel()) >= 0.0) and edges[-1, -1] == math.pi
 
 
 LADDER = [float(2 ** k) for k in range(3, 13)]
 
 
 @pytest.mark.parametrize("lam", LADDER)
-def test_l2_sum_has_a_row_for_every_band_with_pairs(lam):
+def test_l2_sum_has_a_row_for_every_band_with_pairs(lam, monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("l2-sum drew a Monte Carlo sample")
+    for module, name in ((tubes, "keyed_rng"), (tubes, "mc_volume"),
+                         (tubes, "mc_pair_overlap"), (lab, "keyed_rng")):
+        monkeypatch.setattr(module, name, no_draws)
     fam = _lab_family(lam)
-    res = tubes.l2_sum(fam, seed=7, samples_per_pair=tubes.MIN_SAMPLES)
-    counts = tubes.band_pair_counts(fam)
-    assert [row.j for row in res.rows] == np.flatnonzero(counts).tolist()
-    assert [row.pair_count for row in res.rows] == counts[counts > 0].tolist()
-
-
-def test_band_missed_by_the_panel_draws_its_own_pairs():
-    # at lam 16, seed 7, no anchor pair falls in band 9, which has 2 pairs
-    fam = _lab_family(16.0)
-    res = tubes.l2_sum(fam, seed=7, samples_per_pair=tubes.MIN_SAMPLES)
-    row = res.rows[0]
-    assert (row.j, row.pair_count, row.sampled_pairs) == (9, 2, 2)
-    assert row.mean_overlap > 0.0
-
-
-@pytest.mark.parametrize("lam", [8.0, 16.0])
-def test_band_pairs_match_dense_oracle(lam):
-    fam = _lab_family(lam)
-    counts = tubes.band_pair_counts(fam)
-    ang = fam.angles_from(np.arange(len(fam)))
-    i, k = np.triu_indices(len(fam), 1)
-    band = np.clip(np.floor(np.log2(ang[i, k] / fam.scale.alpha)), 0,
-                   len(counts) - 1)
-    for j in np.flatnonzero(counts).tolist():
-        pairs = tubes.band_pairs(fam, j, counts)
-        expect = np.stack([i[band == j], k[band == j]], axis=1)
-        assert pairs.tolist() == expect.tolist(), j
+    monkeypatch.setattr(caps, "build_lattice", lambda s: fam)
+    rep = lab.run_experiment("l2-sum", lam)
+    assert rep.params["samples"] == 0
+    rows = rep.results["rows"]
+    # the rows hold every pair, and no row is empty
+    assert sum(row["pair_count"] for row in rows) \
+        == len(fam) * (len(fam) - 1) // 2
+    assert all(row["pair_count"] > 0 for row in rows)
+    js = [int(row["pair"].removeprefix("band-")) for row in rows]
+    assert js == sorted(set(js))
+    if lam == 16.0:             # the band a sampled panel once missed
+        assert (js[0], rows[0]["pair_count"]) == (9, 2)
+    # 16 cells per band bound the sum to 1.7e-3 of itself at lam 16 and 64
+    assert 0.0 < rep.results["error_bound"] <= 2e-3 * rep.results["total"]

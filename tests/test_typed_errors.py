@@ -1,12 +1,13 @@
 """Bad input raises the package's typed ConfigError, still a ValueError."""
 import json
+import math
 import os
 import tempfile
 
 import numpy as np
 import pytest
 
-from decolab import cli, geometry, lab, ledger, phase, scale, shell
+from decolab import caps, cli, geometry, lab, ledger, phase, scale, shell
 from decolab.errors import ConfigError, DecolabError
 
 S64 = scale.derive(64.0)
@@ -48,6 +49,10 @@ SITES = {
     "lab-no-ladder-metric": lambda: lab.run_ladder("nested-ball"),
     "ledger-negative-counts": lambda: ledger.kernel_derivation(n_t=-1),
     "ledger-no-cascade-step": lambda: ledger.narrow_derivation(0),
+    "caps-radii-descending": lambda: caps.pair_counts_within(
+        caps.fibonacci_sphere(8), [1.0, 0.5]),
+    "caps-radii-nan": lambda: caps.pair_counts_within(
+        caps.fibonacci_sphere(8), [0.5, math.nan]),
 }
 
 
