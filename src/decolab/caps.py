@@ -4,18 +4,20 @@ A cap family at scale r = lam**(-2/3) is a maximal r-separated set of unit
 vectors: pairwise angular separation >= r, covering radius <= 2r.  The
 lattice ``build_lattice`` returns is a deterministic Fibonacci spiral
 slightly denser than the target separation, returned whole, so it is
-reproducible bit for bit.  The builder checks that the spiral is
-r-separated from its nearest chord, which comes from the spiral's index
-structure, not from a nearest-neighbour search: point i sits at height
-(2i+1)/n - 1 and azimuth i*G, so a pair (i, i+k) has height gap 2k/n and
-azimuth step k*G, and only a few offsets k and two polar index ranges per
-offset can hold a chord under a known one (``spiral_nearest_chord``;
-Swinbank & Purser, QJRMS 132, 2006).  At the real spiral density the
-nearest chord sits about 9% past chord(r) at every lam the builder
-supports, and a spiral that is not r-separated raises.  The same index
-structure answers a probe's nearest spiral point: the inverse spherical
-Fibonacci mapping (Keinert et al., ACM TOG 34(6), 2015) bounds it, and one
-contiguous height window settles it exactly.
+reproducible bit for bit.  It is a SpiralLattice, known by its size: its
+coordinates are laid down only when its centers are read, and its
+separation and covering never read them.  The builder checks that the
+spiral is r-separated from its nearest chord, which comes from the
+spiral's index structure, not from a nearest-neighbour search: point i
+sits at height (2i+1)/n - 1 and azimuth i*G, so a pair (i, i+k) has
+height gap 2k/n and azimuth step k*G, and only a few offsets k and two
+polar index ranges per offset can hold a chord under a known one
+(``spiral_nearest_chord``; Swinbank & Purser, QJRMS 132, 2006).  At the
+real spiral density the nearest chord sits about 9% past chord(r) at
+every lam the builder supports, and a spiral that is not r-separated
+raises.  The same index structure answers a probe's nearest spiral point:
+the inverse spherical Fibonacci mapping (Keinert et al., ACM TOG 34(6),
+2015) bounds it, and one contiguous height window settles it exactly.
 
 Angular bookkeeping on a family:
 
@@ -43,7 +45,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -69,13 +71,44 @@ def _blocks(n: int):
     return ((lo, min(n, lo + BLOCK_ROWS)) for lo in range(0, n, BLOCK_ROWS))
 
 
-def _spiral_rows(i: np.ndarray, n: int) -> np.ndarray:
-    """Rows ``i`` (float indices) of the n-point Fibonacci spiral."""
+def _spiral_y(i, n: int):
+    """Heights of rows ``i`` (float indices) of the n-point Fibonacci spiral."""
     offset = 2.0 / n
-    y = i * offset - 1.0 + 0.5 * offset
+    return i * offset - 1.0 + 0.5 * offset
+
+
+def _spiral_rows(i: np.ndarray, n: int) -> np.ndarray:
+    """Rows ``i`` (float indices) of the n-point Fibonacci spiral.
+
+    Every formula acts index by index, so a row is the same bits whichever
+    indices it is laid down with.
+    """
+    y = _spiral_y(i, n)
     rad = np.sqrt(np.clip(1.0 - y * y, 0.0, None))
     phi = i * _GOLDEN_ANGLE
     return np.stack([np.cos(phi) * rad, y, np.sin(phi) * rad], axis=-1)
+
+
+def _spiral_count(v, n: int, side: str) -> np.ndarray:
+    """``np.searchsorted(fibonacci_sphere(n)[:, 1], v, side)``, without the
+    column.
+
+    The height y_i = (2i + 1)/n - 1 inverts to a count, which is then fixed
+    up exactly: it moves down while the height before it is not below v and
+    up while the height at it is (below means <= v for side "right" and < v
+    for "left"), each height computed as ``_spiral_rows`` computes it.  The
+    stored heights ascend, so the fixed-up count is the binary search's.
+    """
+    v = np.asarray(v, dtype=float)
+    below = np.less_equal if side == "right" else np.less
+    count = np.clip(np.floor((v + 1.0) * (0.5 * n) + 0.5), 0.0, n)
+    while True:
+        down = (count > 0) & ~below(_spiral_y(count - 1.0, n), v)
+        up = (count < n) & below(_spiral_y(count, n), v)
+        if not (down.any() or up.any()):
+            return count.astype(np.intp)
+        count += up
+        count -= down
 
 
 def fibonacci_sphere(n: int) -> np.ndarray:
@@ -165,11 +198,13 @@ def pair_counts_within(points: np.ndarray, radii) -> np.ndarray:
     return np.cumsum(counts[:-1])
 
 
-def spiral_nearest_chord(spiral: np.ndarray) -> float:
-    """Smallest chord between two points of ``fibonacci_sphere(n)``.
+def spiral_nearest_chord(n: int) -> float:
+    """Smallest chord between two points of ``fibonacci_sphere(n)``, from
+    the spiral's size alone.
 
     Equal, bit for bit, to the minimum second-neighbour distance of a
-    KD-tree k=2 query over the same rows; inf for fewer than two points.
+    KD-tree k=2 query over ``fibonacci_sphere(n)``; inf for fewer than two
+    points.
 
     With y_i = (2i+1)/n - 1, rho = sqrt(1 - y^2) and G the golden angle, the
     pair (i, i+k) has
@@ -182,10 +217,12 @@ def spiral_nearest_chord(spiral: np.ndarray) -> float:
     A chord at most U then needs k <= U n / 2, and min(rho_i, rho_{i+k})^2
     <= (U^2 - (2k/n)^2) / (4 sin^2(k G / 2)).  rho grows from each pole to
     the equator, so for each offset that leaves one index range at each
-    pole, found by ``np.searchsorted`` on y.  Only those pairs are measured,
+    pole, found by ``_spiral_count`` on y.  Only those pairs are measured,
     in ``geometry.dot``'s summation order, and the smallest is exact.  The
-    seed offsets and the window pairs are measured BLOCK_ROWS pairs at a
-    time, so the scans hold one block, not arrays as long as the spiral.
+    rows are laid down by ``_spiral_rows`` as the scans need them: for the
+    seed offsets, rows [lo, hi + largest seed) of each block of BLOCK_ROWS,
+    which all three seeds share, and for the window pairs, both ends of
+    BLOCK_ROWS pairs at a time.  So no array is as long as the spiral.
 
     The bound holds for the ideal points; the stored ones differ.  Their
     azimuths are fl(i G), within ulp(n G) / 2 <= 2^-53 n G of i G (about
@@ -195,27 +232,29 @@ def spiral_nearest_chord(spiral: np.ndarray) -> float:
     widens U, and the y cut-offs, by slack = 2^-46 (n G + sqrt(n)), at
     least 16 times that, which also covers the rounding of the bound.
     """
-    n = spiral.shape[0]
     if n < 2:
         return math.inf
     slack = 2.0 ** -46 * (n * _GOLDEN_ANGLE + math.sqrt(n))
     short = np.arange(1, min(n, int(3.0 * math.sqrt(n)) + 1))
     seeds = short[np.argsort(np.abs(np.sin(0.5 * _GOLDEN_ANGLE * short)),
-                             kind="stable")[:3]]
-    best = min(float(np.min(_sq_chords(spiral, slice(lo, hi),
-                                       spiral, slice(lo + k, hi + k))))
-               for k in seeds.tolist()
-               for lo, hi in _blocks(n - k))
+                             kind="stable")[:3]].tolist()
+    best = math.inf
+    for lo, hi in _blocks(n - min(seeds)):
+        rows = _spiral_rows(np.arange(lo, min(n, hi + max(seeds)),
+                                      dtype=float), n)
+        for k in seeds:
+            pairs = min(hi, n - k) - lo      # (i, i + k), i in [lo, lo + pairs)
+            if pairs > 0:
+                best = min(best, float(np.min(_sq_chords(
+                    rows, slice(0, pairs), rows, slice(k, k + pairs)))))
     bound = math.sqrt(best) + slack
     ks = np.arange(1, min(n - 1, int(0.5 * bound * n)) + 1)
     ks = ks[~np.isin(ks, seeds)]
     sin_half = np.sin(0.5 * _GOLDEN_ANGLE * ks)
     rho2 = (bound * bound - (2.0 * ks / n) ** 2) / (4.0 * sin_half * sin_half)
     h = np.sqrt(np.clip(1.0 - rho2, 0.0, None))   # rho <= sqrt(rho2): |y| >= h
-    y = spiral[:, 1]
-    south = np.minimum(np.searchsorted(y, slack - h, side="right"), n - ks)
-    north = np.clip(np.searchsorted(y, h - slack, side="left") - ks,
-                    south, n - ks)
+    south = np.minimum(_spiral_count(slack - h, n, "right"), n - ks)
+    north = np.clip(_spiral_count(h - slack, n, "left") - ks, south, n - ks)
     # pairs (i, i+k): i in [0, south) and in [north, n - k), numbered in
     # one range and measured a block of that range at a time
     lens = np.concatenate([south, n - ks - north])
@@ -226,8 +265,9 @@ def spiral_nearest_chord(spiral: np.ndarray) -> float:
         i = np.arange(lo, hi)
         run = np.searchsorted(ends, i, side="right")
         i += shift[run]
-        best = min(best, float(np.min(_sq_chords(spiral, i,
-                                                 spiral, i + step[run]))))
+        best = min(best, float(np.min(_sq_chords(
+            _spiral_rows(i.astype(float), n), slice(None),
+            _spiral_rows((i + step[run]).astype(float), n), slice(None)))))
     return math.sqrt(best)
 
 
@@ -264,19 +304,24 @@ def _spiral_candidates(probes: np.ndarray, n: int) -> np.ndarray:
     return np.clip(idx, 0, n - 1).astype(np.intp)
 
 
-def spiral_covering_chord(spiral: np.ndarray, probes: np.ndarray) -> float:
-    """Largest chord from a probe to its nearest point of ``spiral``, which
-    is ``fibonacci_sphere(n)``, without a KD-tree.
+def spiral_covering_chord(n: int, probes: np.ndarray) -> float:
+    """Largest chord from a probe to its nearest point of
+    ``fibonacci_sphere(n)``, from the spiral's size alone, without a
+    KD-tree.
 
     Equal, bit for bit, to the largest distance of a KD-tree k=1 query of
     the probes; ``covering_probe`` states the argument.  The bounds are
-    taken a block of BLOCK_ROWS probes at a time.
+    taken a block of BLOCK_ROWS probes at a time, and only the candidate
+    rows and the height windows are laid down, by ``_spiral_rows``, with
+    ``_spiral_count`` in place of a search of the stored heights.
     """
     bound = np.empty(len(probes))
     for lo, hi in _blocks(len(probes)):
-        near = _spiral_candidates(probes[lo:hi], len(spiral))
-        bound[lo:hi] = np.min(_sq_chords(spiral, near, probes,
-                                         np.arange(lo, hi)[:, None]), axis=1)
+        near = _spiral_candidates(probes[lo:hi], n)
+        rows = _spiral_rows(near.ravel().astype(float), n)
+        bound[lo:hi] = np.min(_sq_chords(
+            rows, np.arange(near.size).reshape(near.shape),
+            probes, np.arange(lo, hi)[:, None]), axis=1)
     best = 0.0
     for p in np.argsort(bound)[::-1].tolist():
         if bound[p] <= best:
@@ -284,9 +329,10 @@ def spiral_covering_chord(spiral: np.ndarray, probes: np.ndarray) -> float:
         w = math.sqrt(bound[p])
         yp = float(probes[p, 1])
         w += 2.0 ** -48 * (w + abs(yp) + 1.0)
-        lo, hi = np.searchsorted(spiral[:, 1], [yp - w, yp + w])
-        best = max(best, float(np.min(
-            _sq_chords(spiral, slice(lo, hi), probes, p))))
+        lo, hi = _spiral_count([yp - w, yp + w], n, "left").tolist()
+        best = max(best, float(np.min(_sq_chords(
+            _spiral_rows(np.arange(lo, hi, dtype=float), n), slice(None),
+            probes, p))))
     return math.sqrt(best)
 
 
@@ -366,16 +412,43 @@ class CapFamily:
         """Sub-family of caps within angular ``radius`` of ``axis``."""
         keep = angle_between(np.asarray(axis, float), self.centers) <= radius
         colors = None if self.colors is None else self.colors[keep]
-        return replace(self, centers=self.centers[keep], colors=colors)
+        return CapFamily(self.scale, self.centers[keep], colors)
+
+
+@dataclass(frozen=True)
+class SpiralLattice(CapFamily):
+    """The family ``build_lattice`` returns: the whole Fibonacci spiral of
+    ``size`` points.
+
+    Its length is its size, and its separation and covering come from the
+    spiral's index, so it holds no coordinates until ``centers`` is first
+    read; then it lays down ``fibonacci_sphere(size)`` and keeps it.
+    """
+
+    centers: np.ndarray = field(init=False, repr=False, compare=False)
+    size: int = field(kw_only=True)
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getattr__(self, name: str):
+        # reached only while no centers are laid down: the field has no
+        # class default, so the normal lookup misses
+        if name != "centers":
+            raise AttributeError(name)
+        centers = fibonacci_sphere(self.size)
+        object.__setattr__(self, "centers", centers)
+        return centers
 
 
 # a spiral of ~8/r^2 points has covering radius just under r, well under 2r,
 # and its nearest chord about 9% past chord(r): r-separated as it stands
 _DENSITY_FACTOR = 8.0
 
-#: largest spiral build_lattice lays down: 2^22 points are 96 MiB of
+#: largest spiral build_lattice accepts: 2^22 points are 96 MiB of
 #: coordinates (lam 2^14 asks for 3.3M, lam 2^15 for 8.4M).  The build
-#: peaks at its coordinates plus one block of its chord scans
+#: and its separation and covering hold one block of rows; the coordinates
+#: are laid down only when a user reads the lattice's centers
 MAX_SPIRAL_POINTS = 2 ** 22
 
 
@@ -396,23 +469,24 @@ def spiral_size(scale: ScaleParams) -> int:
     return n
 
 
-def build_lattice(scale: ScaleParams) -> CapFamily:
+def build_lattice(scale: ScaleParams) -> SpiralLattice:
     """Deterministic maximal r-separated cap family for ``scale``: the whole
-    Fibonacci spiral of ``spiral_size(scale)`` points.
+    Fibonacci spiral of ``spiral_size(scale)`` points, as a SpiralLattice
+    that lays down its coordinates on first use.
 
-    ``spiral_nearest_chord`` checks, exactly and without a pair scan, that
-    the spiral's nearest chord is strictly past chord(r), and the family
-    carries that value as its ``nearest_chord``.  At the real spiral density
-    it is at least 1.09 chord(r) at every lam the builder supports.  A
-    spiral that fails the check is no r-separated lattice and raises
-    DegenerateScaleError.
+    ``spiral_nearest_chord`` checks, exactly, from the size alone and
+    without a pair scan, that the spiral's nearest chord is strictly past
+    chord(r), and the family carries that value as its ``nearest_chord``.
+    At the real spiral density it is at least 1.09 chord(r) at every lam
+    the builder supports.  A spiral that fails the check is no r-separated
+    lattice and raises DegenerateScaleError.
     """
-    lattice = CapFamily(scale=scale,
-                        centers=fibonacci_sphere(spiral_size(scale)))
-    nearest = spiral_nearest_chord(lattice.centers)
+    n = spiral_size(scale)
+    nearest = spiral_nearest_chord(n)
     if not nearest > chord(scale.r):
         raise DegenerateScaleError(f"spiral at lam {scale.lam:g} is not "
                                    f"r-separated: nearest chord {nearest:.6g}")
+    lattice = SpiralLattice(scale=scale, size=n)
     # seed the cached_properties: the family is exactly this spiral
     lattice.__dict__["nearest_chord"] = nearest
     lattice.__dict__["is_spiral"] = True
@@ -455,7 +529,9 @@ def covering_probe(family: CapFamily, probes: np.ndarray) -> float:
     Usually one window decides.
 
     The slack is only rounding, because the window and the chords are taken
-    on the same stored rows.  The nearest point's float squared chord is at
+    on the same rows: ``_spiral_rows`` lays each one down as
+    ``fibonacci_sphere`` stores it, and ``_spiral_count`` finds the window
+    that a search of the stored heights finds.  The nearest point's float squared chord is at
     least dy^2 (1 - 2^-53)^5, with dy its exact height gap, so |dy| <=
     sqrt(b_p) (1 + 3 * 2^-53), and the float sqrt(b_p) rounds once more.
     Forming y_p +- w rounds by at most 2^-53 (|y_p| + w).  Widening
@@ -473,7 +549,7 @@ def covering_probe(family: CapFamily, probes: np.ndarray) -> float:
                           f"directions, got shape {probes.shape}")
     if not np.isfinite(probes).all():
         raise ConfigError("probe directions must be finite")
-    worst = spiral_covering_chord(family.centers, probes)
+    worst = spiral_covering_chord(len(family), probes)
     return 2.0 * math.asin(min(1.0, 0.5 * worst))
 
 

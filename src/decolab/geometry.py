@@ -13,6 +13,7 @@ stays accurate for both tiny and near-pi angles.
 from __future__ import annotations
 
 import itertools
+from typing import Callable
 
 import numpy as np
 
@@ -24,11 +25,34 @@ TRIPLES: tuple[tuple[int, int, int], ...] = tuple(
 )
 _TRIPLE_COLS = tuple(np.asarray(TRIPLES).T)
 
-#: rows per block of the blocked row kernels (``bilipschitz_ratio`` here and
-#: ``caps.fibonacci_sphere``).  A block's temporaries stay in cache instead
-#: of costing fresh pages per call.  Every operation in those kernels acts
-#: row by row, so the output does not depend on the block size.
+#: rows per block of the blocked row kernels: ``blockwise`` and its users
+#: (``bilipschitz_ratio``, the sampled geometry-audit bodies in ``lab``,
+#: the tube and band Monte Carlo), and ``caps``' spiral scans.  A block's
+#: temporaries stay in cache instead of costing fresh pages per call.
+#: Every operation in those kernels acts row by row, so the output does not
+#: depend on the block size.
 BLOCK_ROWS = 4096
+
+
+def blockwise(fn: Callable, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """fn over blocks of BLOCK_ROWS rows of ``arrays``, its outputs joined.
+
+    fn takes one block of each array and returns a tuple of arrays with one
+    entry per row.  They are written into outputs preallocated as long as
+    the arrays, so fn's temporaries never span more than a block.  fn must
+    act row by row; then the outputs do not depend on the block.  Empty
+    arrays make one empty block.
+    """
+    n = len(arrays[0])
+    outs = ()
+    for lo in range(0, max(n, 1), BLOCK_ROWS):
+        rows = slice(lo, lo + BLOCK_ROWS)
+        got = fn(*(a[rows] for a in arrays))
+        if not outs:
+            outs = tuple(np.empty((n,) + g.shape[1:], g.dtype) for g in got)
+        for out, g in zip(outs, got):
+            out[rows] = g
+    return outs
 
 
 def dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -108,23 +132,21 @@ def bilipschitz_ratio(xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
     For coincident directions the ratio is 1 by the continuity convention
     when the normals also coincide, and +inf when they do not (parallel
     frequencies at different radii have distinct normals).  The broadcast
-    rows go through in blocks of BLOCK_ROWS into one output; a single pair
-    gives a float.
+    rows go through ``blockwise``; a single pair gives a float.
     """
     xi, eta = np.broadcast_arrays(np.asarray(xi, dtype=float),
                                   np.asarray(eta, dtype=float))
     lead = xi.shape[:-1]
-    xi = xi.reshape(-1, xi.shape[-1])
-    eta = eta.reshape(-1, eta.shape[-1])
-    out = np.empty(xi.shape[0])
-    for lo in range(0, out.size, BLOCK_ROWS):
-        rows = slice(lo, lo + BLOCK_ROWS)
-        theta_dir = angle_between(xi[rows], eta[rows])
-        theta_nor = angle_between(normal(xi[rows]), normal(eta[rows]))
+
+    def ratio(xi, eta):
+        theta_dir = angle_between(xi, eta)
+        theta_nor = angle_between(normal(xi), normal(eta))
         zero = theta_dir == 0.0
-        out[rows] = np.where(zero,
-                             np.where(theta_nor == 0.0, 1.0, np.inf),
-                             theta_nor / np.where(zero, 1.0, theta_dir))
+        return (np.where(zero, np.where(theta_nor == 0.0, 1.0, np.inf),
+                         theta_nor / np.where(zero, 1.0, theta_dir)),)
+
+    (out,) = blockwise(ratio, xi.reshape(-1, xi.shape[-1]),
+                       eta.reshape(-1, eta.shape[-1]))
     out = out.reshape(lead)
     if out.ndim == 0:
         return float(out)

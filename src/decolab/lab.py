@@ -30,6 +30,7 @@ import numpy as np
 
 from . import caps, geometry, ledger, phase, shell, tubes
 from .errors import ConfigError, UnknownExperimentError
+from .geometry import blockwise
 from .rng import jittered_stack, keyed_rng, unit_vectors
 from .scale import (LAMBDA_EXPONENTS, ScaleParams, derive,
                     effective_lambda_exponent)
@@ -54,6 +55,11 @@ _PROBE_BLOCK = 32
 
 #: largest probe working set decoupling_probe accepts, in bytes
 PROBE_MAX_BYTES = 1 << 30
+
+#: most samples an experiment accepts: that many of the largest per-sample
+#: draw, a generic sextuple replicate of six normal 3-vectors and six radii
+#: (24 floats), fill PROBE_MAX_BYTES
+MAX_SAMPLES = PROBE_MAX_BYTES // (24 * 8)
 
 #: text reports wrap result lines at this many characters
 TEXT_WIDTH = 120
@@ -386,8 +392,8 @@ def _exp_ledger_goldens(run):
 def _exp_geometry_residual(run):
     """normal vs its large-frequency limit"""
     lam, samples = run.lam, run.samples
-    xi = lam * unit_vectors(run.rng(), samples)
-    res = geometry.normal_residual(xi)
+    (res,) = blockwise(lambda u: (geometry.normal_residual(lam * u),),
+                       unit_vectors(run.rng(), samples))
     u = 1.0 / (4.0 * lam * lam)
     closed = u / (math.sqrt(1.0 + u) + 1.0)   # sqrt(1+u) - 1, stable form
     spread = float((res.max() - res.min()) / closed)
@@ -420,12 +426,15 @@ def _exp_bilipschitz(run):
     rng = run.rng()
     u = unit_vectors(rng, samples)
     v = unit_vectors(rng, samples)
-    fixed = geometry.bilipschitz_ratio(lam * u, lam * v)
-    violations = int(np.count_nonzero((fixed < 0.5) | (fixed > 2.0)))
-    # same directions at independent shell radii: reported, not gated
+    # the same directions at independent shell radii: reported, not gated
     r1 = rng.uniform(0.5 * lam, 2.0 * lam, size=samples)
     r2 = rng.uniform(0.5 * lam, 2.0 * lam, size=samples)
-    band = geometry.bilipschitz_ratio(r1[:, None] * u, r2[:, None] * v)
+    fixed, band = blockwise(
+        lambda u, v, r1, r2: (
+            geometry.bilipschitz_ratio(lam * u, lam * v),
+            geometry.bilipschitz_ratio(r1[:, None] * u, r2[:, None] * v)),
+        u, v, r1, r2)
+    violations = int(np.count_nonzero((fixed < 0.5) | (fixed > 2.0)))
     results = {
         "min_ratio_fixed": float(np.min(fixed)),
         "max_ratio_fixed": float(np.max(fixed)),
@@ -448,17 +457,22 @@ def _exp_gram_identity(run):
     """cosine-form Gram determinant vs brute determinant"""
     s, lam, samples = run.scale, run.lam, run.samples
     rng = run.rng()
-    # generic unit 4-vectors
-    v = unit_vectors(rng, 3 * samples, 4).reshape(samples, 3, 4)
-    closed = geometry.gram_det3(v[:, 0], v[:, 1], v[:, 2])
-    brute = np.linalg.det(v @ np.transpose(v, (0, 2, 1)))
-    diff_generic = float(np.max(np.abs(closed - brute)))
+
+    def gram_gap(v):
+        closed = geometry.gram_det3(v[:, 0], v[:, 1], v[:, 2])
+        brute = np.linalg.det(v @ np.transpose(v, (0, 2, 1)))
+        return np.abs(closed - brute), closed
+
+    # generic unit 4-vectors, dropped before the clustered draw
+    (gap,) = blockwise(lambda v: gram_gap(v)[:1], unit_vectors(
+        rng, 3 * samples, 4).reshape(samples, 3, 4))
+    diff_generic = float(np.max(gap))
     # nearly parallel normals of r-clustered frequencies (tiny wedges)
-    d = jittered_stack(rng, samples, 3, s.r)
-    n = geometry.normal(lam * d / geometry.norm(d)[..., np.newaxis])
-    closed_c = geometry.gram_det3(n[:, 0], n[:, 1], n[:, 2])
-    brute_c = np.linalg.det(n @ np.transpose(n, (0, 2, 1)))
-    diff_clustered = float(np.max(np.abs(closed_c - brute_c)))
+    gap, closed_c = blockwise(
+        lambda d: gram_gap(geometry.normal(
+            lam * d / geometry.norm(d)[..., np.newaxis])),
+        jittered_stack(rng, samples, 3, s.r))
+    diff_clustered = float(np.max(gap))
     worst = max(diff_generic, diff_clustered)
     results = {
         "max_abs_diff_generic": diff_generic,
@@ -476,11 +490,16 @@ def _exp_gram_identity(run):
 def _exp_broad3_identity(run):
     """geometric-mean bound for the minimal amplitude triple"""
     rng = run.rng()
-    mags = np.exp(rng.normal(size=(run.samples, 6)))
-    mt = geometry.min_triple(mags)
-    geo = np.prod(mags, axis=1) ** (1.0 / 6.0)
-    ok_rows = mt <= geo * (1.0 + 1e-12)
-    margin = float(np.min(geo / mt))
+    mags = rng.normal(size=(run.samples, 6))
+    np.exp(mags, out=mags)
+
+    def bound(mags):
+        mt = geometry.min_triple(mags)
+        geo = np.prod(mags, axis=1) ** (1.0 / 6.0)
+        return mt <= geo * (1.0 + 1e-12), geo / mt
+
+    ok_rows, margins = blockwise(bound, mags)
+    margin = float(np.min(margins))
     # the functional stays finite and positive on random normal sextuples
     check = min(200, run.samples)
     dirs = unit_vectors(rng, 6 * check, 4).reshape(check, 6, 4)
@@ -506,27 +525,31 @@ def _exp_broad3_identity(run):
 def _exp_mixed_minor(run):
     """clustered 4-column minors with one defect column"""
     s, lam, samples = run.scale, run.lam, run.samples
-    rng = run.rng()
-    d = jittered_stack(rng, samples, 4, s.r)
-    dirs = d / geometry.norm(d)[..., np.newaxis]
-    a1, a2, a3 = (geometry.asymptotic_normal(lam * dirs[:, m])
-                  for m in range(3))
-    xi4 = lam * dirs[:, 3]
-    rho4 = geometry.normal_defect(xi4)
-    det = geometry.mixed_minor4(a1, a2, a3, rho4)
-    # wedge via the brute Gram determinant: the cosine closed form assumes
-    # unit columns, and these carry norm sqrt(1 + 1/(4 lam^2))
-    stacked = np.stack([a1, a2, a3], axis=1)
-    gram = stacked @ np.transpose(stacked, (0, 2, 1))
-    wedge = np.sqrt(np.clip(np.linalg.det(gram), 0.0, None))
-    rho_norm = geometry.norm(rho4)
-    bound = wedge * rho_norm
-    hadamard = bool(np.all(det <= bound * (1.0 + 1e-6) + 1e-18))
-    # the defect points exactly against the large-frequency limit vector
-    a4 = geometry.asymptotic_normal(xi4)
-    anti = math.pi - geometry.angle_between(rho4, a4)
-    max_anti = float(np.max(np.abs(anti)))
-    ratio = float(np.max((det + 1e-18) / (bound + 1e-18)))
+
+    def minors(d):
+        dirs = d / geometry.norm(d)[..., np.newaxis]
+        a1, a2, a3 = (geometry.asymptotic_normal(lam * dirs[:, m])
+                      for m in range(3))
+        xi4 = lam * dirs[:, 3]
+        rho4 = geometry.normal_defect(xi4)
+        det = geometry.mixed_minor4(a1, a2, a3, rho4)
+        # wedge via the brute Gram determinant: the cosine closed form
+        # assumes unit columns, and these carry norm sqrt(1 + 1/(4 lam^2))
+        stacked = np.stack([a1, a2, a3], axis=1)
+        gram = stacked @ np.transpose(stacked, (0, 2, 1))
+        wedge = np.sqrt(np.clip(np.linalg.det(gram), 0.0, None))
+        bound = wedge * geometry.norm(rho4)
+        # the defect points exactly against the large-frequency limit vector
+        anti = math.pi - geometry.angle_between(
+            rho4, geometry.asymptotic_normal(xi4))
+        return (det, det <= bound * (1.0 + 1e-6) + 1e-18, np.abs(anti),
+                (det + 1e-18) / (bound + 1e-18))
+
+    det, under, anti, ratios = blockwise(
+        minors, jittered_stack(run.rng(), samples, 4, s.r))
+    hadamard = bool(np.all(under))
+    max_anti = float(np.max(anti))
+    ratio = float(np.max(ratios))
     results = {
         "max_abs_det": float(np.max(det)),
         "mean_abs_det": float(np.mean(det)),
@@ -1228,23 +1251,34 @@ def _lookup(name: str) -> Experiment:
         raise UnknownExperimentError(name) from None
 
 
+def _checked_samples(exp: Experiment, samples: int | None) -> int:
+    """The samples ``exp`` runs with, checked before anything is drawn.
+
+    Below the experiment's declared minimum no verdict rests on enough
+    draws; above MAX_SAMPLES the largest per-sample draw would pass the
+    1 GiB PROBE_MAX_BYTES.  An experiment that draws nothing by default runs
+    with samples 0, whatever it was given.
+    """
+    n = int(samples if samples is not None else exp.default_samples)
+    if n < exp.min_samples:
+        raise ConfigError(
+            f"{exp.name} needs samples >= {exp.min_samples}, got {n}")
+    if n > MAX_SAMPLES:
+        raise ConfigError(f"{exp.name} takes samples <= {MAX_SAMPLES} (a "
+                          f"1 GiB draw bound), got {n}")
+    return n if exp.default_samples else 0
+
+
 def run_experiment(name: str, lam: float | None = None,
                    seed: int = DEFAULT_SEED, samples: int | None = None
                    ) -> ExperimentReport:
     """Run one registered experiment and stamp the measured wall time.
 
-    Samples below the experiment's declared minimum are rejected before it
-    runs, so that no verdict rests on too few draws.  An experiment that
-    draws nothing by default runs and records samples 0 whatever it was
-    given.
+    The samples are checked (``_checked_samples``) before it runs, and an
+    experiment that draws nothing records samples 0.
     """
     exp = _lookup(name)
-    n = int(samples if samples is not None else exp.default_samples)
-    if n < exp.min_samples:
-        raise ConfigError(
-            f"{name} needs samples >= {exp.min_samples}, got {n}")
-    if not exp.default_samples:
-        n = 0                   # it draws nothing, so its report says so
+    n = _checked_samples(exp, samples)
     if exp.needs_lam:
         lam = float(lam if lam is not None else exp.default_lam)
     else:
@@ -1263,8 +1297,8 @@ def run_ladder(name: str, lams=None, seed: int = DEFAULT_SEED,
                ) -> ExperimentReport:
     """Run an experiment across a frequency ladder and fit the rate.
 
-    The rungs are checked, at least three distinct ones and each a valid
-    lam, before the first one runs.
+    The rungs, at least three distinct ones and each a valid lam, and the
+    samples are checked before the first rung runs.
     """
     exp = _lookup(name)
     if exp.ladder_metric is None:
@@ -1275,6 +1309,7 @@ def run_ladder(name: str, lams=None, seed: int = DEFAULT_SEED,
                           f"{sorted(set(lams))}")
     for lam in lams:
         derive(lam)
+    _checked_samples(exp, samples)
     t0 = time.perf_counter()
     values = []
     rows = []

@@ -67,9 +67,11 @@ def keyed_rngs(seed: int, parts: tuple,
 
 
 def unit_vectors(gen: np.random.Generator, n: int, dim: int = 3) -> np.ndarray:
-    """n uniform directions in R^dim: one (n, dim) normal draw, normalized."""
+    """n uniform directions in R^dim: one (n, dim) normal draw, normalized
+    in place."""
     v = gen.normal(size=(n, dim))
-    return v / norm(v)[:, np.newaxis]
+    v /= norm(v)[:, np.newaxis]
+    return v
 
 
 def jittered_stack(gen: np.random.Generator, n: int, k: int,
@@ -77,8 +79,13 @@ def jittered_stack(gen: np.random.Generator, n: int, k: int,
     """(n, k, 3) stack of n uniform directions, each copied k times and
     displaced by spread * N(0, I); the rows are left unnormalized.
 
-    Draws the n base directions, then the k displacements copy by copy.
+    Draws the n base directions, then the k displacements copy by copy,
+    and scales and shifts the displacements in place, so the stack holds
+    its draws and nothing more.  It is returned as a (n, k, 3) view of the
+    (k, n, 3) draw.
     """
     base = unit_vectors(gen, n)
-    jitter = gen.normal(size=(k, n, 3)).transpose(1, 0, 2)
-    return base[:, np.newaxis, :] + spread * jitter
+    jitter = gen.normal(size=(k, n, 3))
+    jitter *= spread
+    jitter += base
+    return jitter.transpose(1, 0, 2)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import dot, norm
+from .geometry import blockwise, dot, norm
 from .rng import keyed_rng
 from .scale import ScaleParams
 
@@ -188,7 +188,10 @@ class BandFraction:
 
 def band_fraction(scale: ScaleParams, poly: Poly4, samples: int, seed: int,
                   tag: str = "band") -> BandFraction:
-    """Monte Carlo fraction of the unit box inside the band of one polynomial."""
+    """Monte Carlo fraction of the unit box inside the band of one polynomial.
+
+    The (samples, 4) points are drawn whole and tested by ``blockwise``.
+    """
     deg = poly.degree
     cap = max_degree(scale)
     if deg < 1:
@@ -197,8 +200,9 @@ def band_fraction(scale: ScaleParams, poly: Poly4, samples: int, seed: int,
         raise ConfigError(f"degree {deg} exceeds the cap {cap} at lam={scale.lam}")
     beta = band_width(scale, deg)
     rng = keyed_rng(seed, "shell-fraction", tag, repr(scale.lam), deg)
-    pts = rng.uniform(-0.5, 0.5, size=(samples, 4))
-    hits = int(np.count_nonzero(band_membership(poly, pts, beta)))
+    (member,) = blockwise(lambda p: (band_membership(poly, p, beta),),
+                          rng.uniform(-0.5, 0.5, size=(samples, 4)))
+    hits = int(np.count_nonzero(member))
     frac = hits / samples
     stderr = math.sqrt(max(frac * (1.0 - frac), 0.0) / samples)
     return BandFraction(lam=scale.lam, D=scale.D, degree=deg, beta=beta,

@@ -30,7 +30,7 @@ import numpy as np
 
 from .caps import CapFamily, conflict_degrees, pair_counts_within
 from .errors import ConfigError, DensityError
-from .geometry import BLOCK_ROWS, norm
+from .geometry import blockwise, norm
 from .overlap import PROFILE_RTOL, overlap_profile
 from .rng import keyed_rng
 from .scale import ScaleParams
@@ -135,22 +135,21 @@ def _envelope_hits(tubes: tuple[Tube, ...], samples: int,
 
     The stream is read whole, in one order: the times, a normal (n, 3)
     draw, then n uniforms for the radii.  The draws are then placed and
-    tested BLOCK_ROWS rows at a time, and |x| is taken once for all tubes;
+    tested by ``blockwise``, and |x| is taken once for all tubes;
     every step acts row by row, so the hits do not depend on the block.
     """
     s, axis = tubes[0].scale, tubes[0].xi
+
+    def inside(t, v, u):
+        x = 2.0 * t[:, np.newaxis] * axis + s.rho * _in_ball(v, u)
+        r_x = norm(x)
+        return (np.logical_and.reduce([_covers(tube, t, x, r_x)
+                                       for tube in tubes]),)
+
     t = rng.uniform(-s.t_half, s.t_half, size=samples)
     v = rng.normal(size=(samples, 3))
-    u = rng.random(samples)
-    hits = 0
-    for lo in range(0, samples, BLOCK_ROWS):
-        rows = slice(lo, lo + BLOCK_ROWS)
-        x = 2.0 * t[rows, np.newaxis] * axis + s.rho * _in_ball(v[rows],
-                                                                u[rows])
-        r_x = norm(x)
-        hits += int(np.count_nonzero(np.logical_and.reduce(
-            [_covers(tube, t[rows], x, r_x) for tube in tubes])))
-    return hits
+    (hit,) = blockwise(inside, t, v, rng.random(samples))
+    return int(np.count_nonzero(hit))
 
 
 def mc_volume(tube: Tube, samples: int, seed: int) -> MCEstimate:
@@ -318,12 +317,16 @@ def boundary_layer_mc(scale: ScaleParams, samples: int, seed: int) -> MCEstimate
     if samples < MIN_SAMPLES:
         raise ConfigError(f"need >= {MIN_SAMPLES} samples, got {samples}")
     rng = keyed_rng(seed, "boundary-layer", repr(scale.lam))
+    # the stream read whole, as in _ball: the times, a normal (n, 3) draw,
+    # then n uniforms; tested by blockwise
     t = rng.uniform(-scale.t_half, scale.t_half, size=samples)
-    x = scale.x_half * _ball(rng, samples)
-    layer = (np.abs(t) <= scale.lam ** (-1.5) / 16.0) \
-        & (norm(x) <= 2.0 * scale.rho)
-    hits = int(np.count_nonzero(layer))
-    return _binomial_estimate(hits, samples, 1.0)
+    v = rng.normal(size=(samples, 3))
+    (layer,) = blockwise(
+        lambda t, v, u: ((np.abs(t) <= scale.lam ** (-1.5) / 16.0)
+                         & (norm(scale.x_half * _in_ball(v, u))
+                            <= 2.0 * scale.rho),),
+        t, v, rng.random(samples))
+    return _binomial_estimate(int(np.count_nonzero(layer)), samples, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,137 @@
+"""Whole-array oracles for the blocked sampled experiments.
+
+The geometry-audit bodies of ``lab`` and ``shell.band_fraction`` draw each
+keyed stream whole and then compute ``geometry.blockwise``, BLOCK_ROWS rows
+at a time.  These are the same computations with every row formed at once,
+and with the draws normalized, scaled and shifted into fresh arrays rather
+than in place.  Each body's oracle returns the report's results and the
+outcome of the verdicts that rest on per-row checks; tests compare the two
+with ``==``.  Nothing outside tests uses them.
+"""
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from decolab import geometry, shell
+from decolab.rng import keyed_rng
+
+
+def _unit_vectors(gen, n, dim=3):
+    v = gen.normal(size=(n, dim))
+    return v / geometry.norm(v)[:, np.newaxis]
+
+
+def _jittered_stack(gen, n, k, spread):
+    base = _unit_vectors(gen, n)
+    jitter = gen.normal(size=(k, n, 3)).transpose(1, 0, 2)
+    return base[:, np.newaxis, :] + spread * jitter
+
+
+def geometry_residual(run) -> tuple[dict, dict]:
+    lam = run.lam
+    res = geometry.normal_residual(lam * _unit_vectors(run.rng(), run.samples))
+    u = 1.0 / (4.0 * lam * lam)
+    closed = u / (math.sqrt(1.0 + u) + 1.0)
+    return {
+        "mean_residual": float(np.mean(res)),
+        "closed_form": closed,
+        "mean_over_closed": float(np.mean(res) / closed),
+        "spread_over_closed": float((res.max() - res.min()) / closed),
+        "times_eight_lam_sq": closed * 8.0 * lam * lam,
+    }, {}
+
+
+def bilipschitz(run) -> tuple[dict, dict]:
+    lam, samples = run.lam, run.samples
+    rng = run.rng()
+    u = _unit_vectors(rng, samples)
+    v = _unit_vectors(rng, samples)
+    fixed = geometry.bilipschitz_ratio(lam * u, lam * v)
+    r1 = rng.uniform(0.5 * lam, 2.0 * lam, size=samples)
+    r2 = rng.uniform(0.5 * lam, 2.0 * lam, size=samples)
+    band = geometry.bilipschitz_ratio(r1[:, None] * u, r2[:, None] * v)
+    violations = int(np.count_nonzero((fixed < 0.5) | (fixed > 2.0)))
+    return {
+        "min_ratio_fixed": float(np.min(fixed)),
+        "max_ratio_fixed": float(np.max(fixed)),
+        "violations_fixed": violations,
+        "min_ratio_band": float(np.min(band)),
+        "max_ratio_band": float(np.max(band)),
+    }, {"fixed_radius_in_band": violations == 0}
+
+
+def gram_identity(run) -> tuple[dict, dict]:
+    lam, samples = run.lam, run.samples
+    rng = run.rng()
+    v = _unit_vectors(rng, 3 * samples, 4).reshape(samples, 3, 4)
+    closed = geometry.gram_det3(v[:, 0], v[:, 1], v[:, 2])
+    brute = np.linalg.det(v @ np.transpose(v, (0, 2, 1)))
+    d = _jittered_stack(rng, samples, 3, run.scale.r)
+    n = geometry.normal(lam * d / geometry.norm(d)[..., np.newaxis])
+    closed_c = geometry.gram_det3(n[:, 0], n[:, 1], n[:, 2])
+    brute_c = np.linalg.det(n @ np.transpose(n, (0, 2, 1)))
+    results = {
+        "max_abs_diff_generic": float(np.max(np.abs(closed - brute))),
+        "max_abs_diff_clustered": float(np.max(np.abs(closed_c - brute_c))),
+        "min_gram_clustered": float(np.min(closed_c)),
+    }
+    worst = max(results["max_abs_diff_generic"],
+                results["max_abs_diff_clustered"])
+    return results, {"cosine_form_equals_det": worst <= 1e-12}
+
+
+def broad3_identity(run) -> tuple[dict, dict]:
+    rng = run.rng()
+    mags = np.exp(rng.normal(size=(run.samples, 6)))
+    mt = geometry.min_triple(mags)
+    geo = np.prod(mags, axis=1) ** (1.0 / 6.0)
+    check = min(200, run.samples)
+    dirs = _unit_vectors(rng, 6 * check, 4).reshape(check, 6, 4)
+    vals = geometry.broad3(mags[:check], dirs)
+    return {
+        "min_margin": float(np.min(geo / mt)),
+        "n_functional_checks": check,
+        "functional_min": float(np.min(vals)),
+        "functional_max": float(np.max(vals)),
+    }, {"min_triple_leq_geometric_mean": bool(np.all(
+        mt <= geo * (1.0 + 1e-12)))}
+
+
+def mixed_minor(run) -> tuple[dict, dict]:
+    lam = run.lam
+    d = _jittered_stack(run.rng(), run.samples, 4, run.scale.r)
+    dirs = d / geometry.norm(d)[..., np.newaxis]
+    a1, a2, a3 = (geometry.asymptotic_normal(lam * dirs[:, m])
+                  for m in range(3))
+    xi4 = lam * dirs[:, 3]
+    rho4 = geometry.normal_defect(xi4)
+    det = geometry.mixed_minor4(a1, a2, a3, rho4)
+    stacked = np.stack([a1, a2, a3], axis=1)
+    gram = stacked @ np.transpose(stacked, (0, 2, 1))
+    wedge = np.sqrt(np.clip(np.linalg.det(gram), 0.0, None))
+    bound = wedge * geometry.norm(rho4)
+    anti = math.pi - geometry.angle_between(
+        rho4, geometry.asymptotic_normal(xi4))
+    return {
+        "max_abs_det": float(np.max(det)),
+        "mean_abs_det": float(np.mean(det)),
+        "max_det_over_bound": float(np.max((det + 1e-18) / (bound + 1e-18))),
+        "max_antiparallel_dev": float(np.max(np.abs(anti))),
+        "det_times_lam_10_3": float(np.max(det) * lam ** (10.0 / 3.0)),
+    }, {"hadamard_inequality": bool(np.all(
+        det <= bound * (1.0 + 1e-6) + 1e-18))}
+
+
+def band_fraction(scale, poly, samples, seed, tag="band") -> shell.BandFraction:
+    deg = poly.degree
+    beta = shell.band_width(scale, deg)
+    rng = keyed_rng(seed, "shell-fraction", tag, repr(scale.lam), deg)
+    pts = rng.uniform(-0.5, 0.5, size=(samples, 4))
+    frac = int(np.count_nonzero(shell.band_membership(poly, pts, beta))) \
+        / samples
+    return shell.BandFraction(
+        lam=scale.lam, D=scale.D, degree=deg, beta=beta, fraction=frac,
+        stderr=math.sqrt(max(frac * (1.0 - frac), 0.0) / samples),
+        samples=samples, degenerate=(shell.max_degree(scale) == 1))

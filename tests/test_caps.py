@@ -119,7 +119,7 @@ def test_spiral_nearest_chord_equals_the_kd_query(lam):
 @given(st.integers(min_value=1, max_value=30_000))
 def test_spiral_nearest_chord_equals_the_kd_query_at_any_size(n):
     spiral = caps.fibonacci_sphere(n)
-    assert caps.spiral_nearest_chord(spiral) == _kd_nearest_chord(spiral)
+    assert caps.spiral_nearest_chord(n) == _kd_nearest_chord(spiral)
 
 
 def test_every_supported_spiral_is_past_chord_r():
@@ -131,8 +131,7 @@ def test_every_supported_spiral_is_past_chord_r():
     close = []
     for lam in sorted(lams):
         s = scale.derive(lam)
-        spiral = caps.fibonacci_sphere(caps.spiral_size(s))
-        if not caps.spiral_nearest_chord(spiral) > caps.chord(s.r):
+        if not caps.spiral_nearest_chord(caps.spiral_size(s)) > caps.chord(s.r):
             close.append(lam)
     assert close == []
 
@@ -169,7 +168,7 @@ def test_spiral_covering_equals_the_kd_query(lam):
     assert fam.is_spiral
     for name, probes in _probe_sets(fam.centers, int(lam), 20_000).items():
         kd = _kd_covering_chord(fam.centers, probes)
-        assert caps.spiral_covering_chord(fam.centers, probes) == kd, name
+        assert caps.spiral_covering_chord(len(fam), probes) == kd, name
         assert (caps.covering_probe(fam, probes)
                 == 2.0 * math.asin(min(1.0, 0.5 * kd))), name
 
@@ -179,22 +178,50 @@ def test_spiral_covering_equals_the_kd_query(lam):
 def test_spiral_covering_equals_the_kd_query_at_any_size(n):
     spiral = caps.fibonacci_sphere(n)
     for name, probes in _probe_sets(spiral, n, 2000).items():
-        assert (caps.spiral_covering_chord(spiral, probes)
+        assert (caps.spiral_covering_chord(n, probes)
                 == _kd_covering_chord(spiral, probes)), name
 
 
-@pytest.mark.parametrize("lam", sorted({*lab.PROBE_LAMS, *lab.LADDER_LAMS,
-                                        8192.0}))
+@pytest.mark.parametrize("lam", sorted({2.0, 3.0, *lab.PROBE_LAMS,
+                                        *lab.LADDER_LAMS, 8192.0}))
 def test_blocked_spiral_scans_equal_the_whole_array_oracles(lam):
-    # every probe and cap-lattice rung and lam 8192; the probes fill two
-    # blocks and one row of a third
-    spiral = caps.fibonacci_sphere(caps.spiral_size(scale.derive(lam)))
-    assert (caps.spiral_nearest_chord(spiral)
-            == spiral_oracle.nearest_chord(spiral))
+    # the index-only scans against the array-taking oracles on the stored
+    # spiral: lam 2 and 3, every probe and cap-lattice rung and lam 8192;
+    # the probes fill two blocks and one row of a third
+    n = caps.spiral_size(scale.derive(lam))
+    spiral = caps.fibonacci_sphere(n)
+    assert caps.spiral_nearest_chord(n) == spiral_oracle.nearest_chord(spiral)
     probes = unit_vectors(keyed_rng(int(lam), "block-oracle"),
                           2 * BLOCK_ROWS + 1)
-    assert (caps.spiral_covering_chord(spiral, probes)
+    assert (caps.spiral_covering_chord(n, probes)
             == spiral_oracle.covering_chord(spiral, probes))
+
+
+@pytest.mark.parametrize("n", [1, 2, 16, 35, 4097, 524_288])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_the_closed_form_height_search_equals_the_stored_search(n, side):
+    # at every stored height and at both its float neighbours, and past
+    # both poles
+    y = caps.fibonacci_sphere(n)[:, 1]
+    v = np.concatenate([y, np.nextafter(y, -np.inf), np.nextafter(y, np.inf),
+                        [-2.0, -1.0, 0.0, 1.0, 2.0]])
+    assert np.array_equal(caps._spiral_count(v, n, side),
+                          np.searchsorted(y, v, side=side))
+
+
+def test_a_lattice_lays_down_its_coordinates_only_when_read(monkeypatch):
+    s = scale.derive(4096.0)
+    n = caps.spiral_size(s)
+    real = caps.fibonacci_sphere
+    monkeypatch.setattr(caps, "fibonacci_sphere", _forbidden)
+    fam = caps.build_lattice(s)
+    assert len(fam) == n and fam.is_spiral
+    assert caps.min_separation(fam) >= s.r
+    probes = unit_vectors(keyed_rng(7, "lazy-centers"), 100)
+    assert caps.covering_probe(fam, probes) <= 2.0 * s.r
+    monkeypatch.setattr(caps, "fibonacci_sphere", real)
+    assert fam.centers.tobytes() == real(n).tobytes()
+    assert fam.centers is fam.centers
 
 
 @pytest.mark.parametrize("pick", ["spiral-start", "random"])
@@ -211,7 +238,7 @@ def test_spiral_covering_is_exact_from_any_candidates(monkeypatch, pick):
         return gen.integers(0, n, size=(len(probes), 4))
 
     monkeypatch.setattr(caps, "_spiral_candidates", loose)
-    assert (caps.spiral_covering_chord(spiral, probes)
+    assert (caps.spiral_covering_chord(len(spiral), probes)
             == _kd_covering_chord(spiral, probes))
 
 

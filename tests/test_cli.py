@@ -208,6 +208,29 @@ def test_samples_below_the_evidence_floor_are_usage_errors(group, samples,
     assert "needs samples >=" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["geometry-audit", "--lambda", "64"],
+                                  ["ladder", "bilipschitz"]],
+                         ids=["group", "ladder"])
+def test_samples_past_the_memory_ceiling_are_usage_errors(argv, monkeypatch,
+                                                          capsys):
+    # 200M directions would be a 4.5 GiB draw; nothing may be drawn
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew before the samples check")
+    for name in ("keyed_rng", "unit_vectors", "jittered_stack"):
+        monkeypatch.setattr(lab, name, no_draw)
+    monkeypatch.setattr(lab.Run, "rng", no_draw)
+    assert cli.main(argv + ["--samples", "200000000"]) == 2
+    err = capsys.readouterr().err
+    assert f"samples <= {lab.MAX_SAMPLES}" in err and "got 200000000" in err
+
+
+def test_the_samples_ceiling_admits_itself():
+    exp = lab.REGISTRY["bilipschitz"]
+    assert lab._checked_samples(exp, lab.MAX_SAMPLES) == lab.MAX_SAMPLES
+    with pytest.raises(DecolabError, match="samples <="):
+        lab._checked_samples(exp, lab.MAX_SAMPLES + 1)
+
+
 @pytest.mark.parametrize("name", [
     "tube-volume", "nested-ball", "boundary-layer", "pair-overlap",
     "multiplicity",

@@ -47,6 +47,8 @@ SITES = {
     "cli-config-not-an-object": lambda: _load_config_of([64]),
     "cli-config-unknown-key": lambda: _load_config_of({"lam": 64}),
     "lab-no-ladder-metric": lambda: lab.run_ladder("nested-ball"),
+    "lab-samples-ceiling": lambda: lab.run_experiment(
+        "geometry-residual", 64.0, samples=lab.MAX_SAMPLES + 1),
     "ledger-negative-counts": lambda: ledger.kernel_derivation(n_t=-1),
     "ledger-no-cascade-step": lambda: ledger.narrow_derivation(0),
     "caps-radii-descending": lambda: caps.pair_counts_within(

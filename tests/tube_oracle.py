@@ -1,7 +1,8 @@
-"""Whole-array oracles for tubes.mc_volume and tubes.mc_pair_overlap.
+"""Whole-array oracles for tubes.mc_volume, tubes.mc_pair_overlap and
+tubes.boundary_layer_mc.
 
-These draw the cylinder envelope's samples, place every one, and test
-every one against each tube with ``tubes.membership``, all at once.  The
+These draw the samples, place every one, and test every one against each
+tube with ``tubes.membership`` (or against the layer), all at once.  The
 package reads the same keyed stream in the same order but places and
 tests the draws a block of rows at a time; tests compare the two with
 ``==``.  Nothing outside tests uses them.
@@ -11,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from decolab import tubes
+from decolab.geometry import norm
 from decolab.rng import keyed_rng, unit_vectors
 
 
@@ -40,3 +42,14 @@ def mc_pair_overlap(t1: tubes.Tube, t2: tubes.Tube, samples: int,
     both = tubes.membership(t1, t, x) & tubes.membership(t2, t, x)
     return tubes._binomial_estimate(int(np.count_nonzero(both)), samples,
                                     tubes.cylinder_volume(t1.scale))
+
+
+def boundary_layer_mc(scale, samples: int, seed: int) -> tubes.MCEstimate:
+    rng = keyed_rng(seed, "boundary-layer", repr(scale.lam))
+    t = rng.uniform(-scale.t_half, scale.t_half, size=samples)
+    ball = unit_vectors(rng, samples) * (rng.random(samples)
+                                         ** (1.0 / 3.0))[:, None]
+    layer = ((np.abs(t) <= scale.lam ** (-1.5) / 16.0)
+             & (norm(scale.x_half * ball) <= 2.0 * scale.rho))
+    return tubes._binomial_estimate(int(np.count_nonzero(layer)), samples,
+                                    1.0)
