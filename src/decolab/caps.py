@@ -3,10 +3,10 @@
 A cap family at scale r = lam**(-2/3) is a maximal r-separated set of unit
 vectors: pairwise angular separation >= r, covering radius <= 2r.  The
 lattice ``build_lattice`` returns is a deterministic Fibonacci spiral
-slightly denser than the target separation, returned whole, so it is
-reproducible bit for bit.  It is a SpiralLattice, known by its size: its
-coordinates are laid down only when its centers are read, and its
-separation and covering never read them.  The builder checks that the
+slightly denser than the target separation, so it is reproducible bit
+for bit.  It is a SpiralLattice, known by its size: its coordinates are
+laid down only when its centers are read, and its separation and
+covering never read them.  The builder checks that the
 spiral is r-separated from its nearest chord, which comes from the
 spiral's index structure, not from a nearest-neighbour search: point i
 sits at height (2i+1)/n - 1 and azimuth i*G, so a pair (i, i+k) has
@@ -30,10 +30,10 @@ Angular bookkeeping on a family:
 * greedy_color: first-fit colouring of the angle < alpha conflict graph,
 * select_separated: the four-out-of-six pigeonhole selector.
 
-min_separation and covering_probe answer only for a lattice that
-``build_lattice`` returned whole (``is_spiral``) and raise ConfigError on
-any other family.  The other neighbour questions, which ``restrict_to_cone``
-and hand-made families ask too, go to the exact pair scans
+min_separation and covering_probe answer only for a SpiralLattice, the type
+``build_lattice`` returns, and raise ConfigError on any other family.  The
+other neighbour questions, which ``restrict_to_cone`` and hand-made families
+ask too, go to the exact pair scans
 (``pairs_within``, ``pair_counts_within``), which take the pairs in row
 blocks of bounded memory.  Their squared chords are summed x, then y, then
 z, the order and the rule of a KD-tree (Bentley, CACM 18, 1975), so they
@@ -45,8 +45,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -354,9 +353,9 @@ def clustered_dirs(rng: np.random.Generator, axis: np.ndarray, n: int,
     return np.asarray(out)
 
 
-#: why min_separation, covering_probe and nearest_chord refuse a family
-_WHOLE_LATTICE_ONLY = ("separation and covering are known only for a "
-                       "lattice that build_lattice returned whole")
+#: why min_separation and covering_probe refuse a family
+_LATTICE_ONLY = ("separation and covering are known only for a lattice "
+                 "that build_lattice returned")
 
 
 @dataclass(frozen=True)
@@ -365,36 +364,9 @@ class CapFamily:
 
     scale: ScaleParams
     centers: np.ndarray                 # (N, 3), unit rows
-    colors: np.ndarray | None = None    # (N,) ints once coloured
 
     def __len__(self) -> int:
         return self.centers.shape[0]
-
-    @property
-    def n_colors(self) -> int:
-        if self.colors is None:
-            raise ConfigError("family is not coloured yet")
-        return int(self.colors.max(initial=-1)) + 1
-
-    @cached_property
-    def is_spiral(self) -> bool:
-        """Whether the centers are exactly ``fibonacci_sphere(len(self))``.
-
-        True only on a lattice that ``build_lattice`` returned whole, which
-        seeds it.  A ``replace``d, ``restrict_to_cone`` or hand-made family
-        is a new object and reads False.
-        """
-        return False
-
-    @cached_property
-    def nearest_chord(self) -> float:
-        """Smallest chord from a center to its nearest other center.
-
-        Known only for a lattice that ``build_lattice`` returned whole,
-        which seeds it with the spiral's value from ``spiral_nearest_chord``.
-        Any other family is a new object and raises ConfigError.
-        """
-        raise ConfigError(_WHOLE_LATTICE_ONLY)
 
     def xi(self) -> np.ndarray:
         """On-shell frequency centers lam * center, shape (N, 3)."""
@@ -411,14 +383,14 @@ class CapFamily:
     def restrict_to_cone(self, axis: np.ndarray, radius: float) -> "CapFamily":
         """Sub-family of caps within angular ``radius`` of ``axis``."""
         keep = angle_between(np.asarray(axis, float), self.centers) <= radius
-        colors = None if self.colors is None else self.colors[keep]
-        return CapFamily(self.scale, self.centers[keep], colors)
+        return CapFamily(self.scale, self.centers[keep])
 
 
 @dataclass(frozen=True)
 class SpiralLattice(CapFamily):
-    """The family ``build_lattice`` returns: the whole Fibonacci spiral of
-    ``size`` points.
+    """The family ``build_lattice`` returns: the Fibonacci spiral of
+    ``size`` points, with ``nearest_chord``, the smallest chord between two
+    of them, from ``spiral_nearest_chord``.
 
     Its length is its size, and its separation and covering come from the
     spiral's index, so it holds no coordinates until ``centers`` is first
@@ -427,6 +399,7 @@ class SpiralLattice(CapFamily):
 
     centers: np.ndarray = field(init=False, repr=False, compare=False)
     size: int = field(kw_only=True)
+    nearest_chord: float = field(kw_only=True)
 
     def __len__(self) -> int:
         return self.size
@@ -470,13 +443,13 @@ def spiral_size(scale: ScaleParams) -> int:
 
 
 def build_lattice(scale: ScaleParams) -> SpiralLattice:
-    """Deterministic maximal r-separated cap family for ``scale``: the whole
+    """Deterministic maximal r-separated cap family for ``scale``: the
     Fibonacci spiral of ``spiral_size(scale)`` points, as a SpiralLattice
     that lays down its coordinates on first use.
 
     ``spiral_nearest_chord`` checks, exactly, from the size alone and
     without a pair scan, that the spiral's nearest chord is strictly past
-    chord(r), and the family carries that value as its ``nearest_chord``.
+    chord(r), and the lattice carries that value as its ``nearest_chord``.
     At the real spiral density it is at least 1.09 chord(r) at every lam
     the builder supports.  A spiral that fails the check is no r-separated
     lattice and raises DegenerateScaleError.
@@ -486,38 +459,34 @@ def build_lattice(scale: ScaleParams) -> SpiralLattice:
     if not nearest > chord(scale.r):
         raise DegenerateScaleError(f"spiral at lam {scale.lam:g} is not "
                                    f"r-separated: nearest chord {nearest:.6g}")
-    lattice = SpiralLattice(scale=scale, size=n)
-    # seed the cached_properties: the family is exactly this spiral
-    lattice.__dict__["nearest_chord"] = nearest
-    lattice.__dict__["is_spiral"] = True
-    return lattice
+    return SpiralLattice(scale=scale, size=n, nearest_chord=nearest)
 
 
 def first_cap(scale: ScaleParams) -> np.ndarray:
     """Center of cap 0 of ``build_lattice(scale)``, without building it.
 
-    The lattice is the whole spiral, so cap 0 is spiral point 0, computed
+    The lattice is the spiral, so cap 0 is spiral point 0, computed
     alone by the spiral's own formulas.
     """
     return _spiral_rows(np.zeros(1), spiral_size(scale))[0]
 
 
-def min_separation(family: CapFamily) -> float:
-    """Smallest pairwise angle in the family, from its ``nearest_chord``.
+def min_separation(lattice: SpiralLattice) -> float:
+    """Smallest pairwise angle in the lattice, from its ``nearest_chord``.
 
-    Raises ConfigError on a family that ``build_lattice`` did not return
-    whole.
+    Raises ConfigError on a family that is not a SpiralLattice.
     """
-    return 2.0 * math.asin(min(1.0, 0.5 * family.nearest_chord))
+    if not isinstance(lattice, SpiralLattice):
+        raise ConfigError(_LATTICE_ONLY)
+    return 2.0 * math.asin(min(1.0, 0.5 * lattice.nearest_chord))
 
 
-def covering_probe(family: CapFamily, probes: np.ndarray) -> float:
-    """Largest angular distance from the probe directions to the family.
+def covering_probe(lattice: SpiralLattice, probes: np.ndarray) -> float:
+    """Largest angular distance from the probe directions to the lattice.
 
     Equal, bit for bit, to the largest nearest-neighbour distance of a
-    KD-tree k=1 query of the probes.  The family must be a lattice that
-    ``build_lattice`` returned whole (``is_spiral``), which needs no scan;
-    it bounds, then refines.
+    KD-tree k=1 query of the probes.  The family must be a SpiralLattice,
+    which needs no scan; it bounds, then refines.
 
     Each probe's four candidate indices (``_spiral_candidates``) give an
     upper bound b_p on its nearest squared chord d_p.  The probes are
@@ -538,18 +507,19 @@ def covering_probe(family: CapFamily, probes: np.ndarray) -> float:
     w = sqrt(b_p) by 2^-48 (w + |y_p| + 1), over six times all of that,
     keeps that point inside the window.
 
-    Raises ConfigError, before any work, on a family that is not a whole
-    lattice, and unless the probes are a non-empty, finite (m, 3) stack.
+    Raises ConfigError, before any work, on a family that is not a
+    SpiralLattice, and unless the probes are a non-empty, finite (m, 3)
+    stack.
     """
-    if not family.is_spiral:
-        raise ConfigError(_WHOLE_LATTICE_ONLY)
+    if not isinstance(lattice, SpiralLattice):
+        raise ConfigError(_LATTICE_ONLY)
     probes = np.asarray(probes, dtype=float)
     if probes.ndim != 2 or probes.shape[1] != 3 or not len(probes):
         raise ConfigError(f"need a non-empty (m, 3) stack of probe "
                           f"directions, got shape {probes.shape}")
     if not np.isfinite(probes).all():
         raise ConfigError("probe directions must be finite")
-    worst = spiral_covering_chord(len(family), probes)
+    worst = spiral_covering_chord(len(lattice), probes)
     return 2.0 * math.asin(min(1.0, 0.5 * worst))
 
 
@@ -599,8 +569,9 @@ def conflict_degrees(family: CapFamily) -> np.ndarray:
     return np.bincount(conflict_pairs(family).ravel(), minlength=len(family))
 
 
-def greedy_color(family: CapFamily) -> CapFamily:
-    """First-fit colouring of the conflict graph in ascending cap order.
+def greedy_color(family: CapFamily) -> np.ndarray:
+    """First-fit colour of each cap of the conflict graph, in ascending cap
+    order, shape (N,).
 
     Uses at most max_degree + 1 classes; caps sharing a class are >= alpha
     apart because every closer pair is an edge.
@@ -617,7 +588,7 @@ def greedy_color(family: CapFamily) -> CapFamily:
         while c in used:
             c += 1
         colors[v] = c
-    return replace(family, colors=colors)
+    return colors
 
 
 # ---------------------------------------------------------------------------

@@ -92,8 +92,7 @@ def _pick(flag_value, cfg: dict, key: str, default):
 
 def _render(reports: list[lab.ExperimentReport], fmt: str) -> str:
     if fmt == "json":
-        doc = {"reports": [r.to_dict() for r in reports]}
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        return lab.canonical_json({"reports": [r.to_dict() for r in reports]})
     if fmt == "csv":
         blocks = []
         for r in reports:

@@ -99,9 +99,14 @@ def _stat(name: str, estimate, stderr, target, side: str,
     return Verdict(name, PASS if ok else FAIL, detail, statistical=True)
 
 
-def _z(estimate: float, stderr: float, target: float) -> float:
-    """Standard errors from ``target`` to ``estimate``; inf at zero error."""
-    return (estimate - target) / stderr if stderr > 0 else math.inf
+def _z(estimate: float, stderr: float, target: float) -> float | None:
+    """Standard errors from ``target`` to ``estimate``; None (JSON null) at
+    zero error, where no finite number is right."""
+    return (estimate - target) / stderr if stderr > 0 else None
+
+
+def _z_detail(z: float | None) -> str:
+    return "z undefined at zero stderr" if z is None else f"z = {z:.3f}"
 
 
 def _jsonify(obj):
@@ -121,6 +126,12 @@ def _jsonify(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonify(v) for v in obj]
     raise TypeError(f"cannot serialize {type(obj)!r} into a report")
+
+
+def canonical_json(doc) -> str:
+    """``doc`` as sorted, indented JSON; a NaN or infinity raises, since
+    strict JSON has neither."""
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 @dataclass(frozen=True)
@@ -153,8 +164,7 @@ class ExperimentReport:
         }
 
     def canonical_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2,
-                          allow_nan=False) + "\n"
+        return canonical_json(self.to_dict())
 
     def text(self) -> str:
         lines = [f"experiment: {self.experiment}"]
@@ -639,24 +649,23 @@ def _exp_greedy_coloring(run):
     dirs = caps.clustered_dirs(rng, unit_vectors(rng, 1)[0], samples,
                                3.0 * s.alpha)
     fam = caps.CapFamily(scale=s, centers=dirs)
-    colored = caps.greedy_color(fam)
+    colors = caps.greedy_color(fam)
+    n_colors = int(colors.max(initial=-1)) + 1
     pairs = caps.conflict_pairs(fam)
     deg = caps.conflict_degrees(fam)
-    proper = all(
-        int(colored.colors[i]) != int(colored.colors[j]) for i, j in pairs
-    )
+    proper = all(int(colors[i]) != int(colors[j]) for i, j in pairs)
     max_deg = int(deg.max(initial=0))
     results = {
         "n_dirs": len(fam),
         "n_conflict_pairs": int(pairs.shape[0]),
         "max_degree": max_deg,
-        "n_colors": colored.n_colors,
+        "n_colors": n_colors,
     }
     verdicts = (
         _ok("proper_coloring", proper,
             f"{pairs.shape[0]} conflict edges checked"),
-        _ok("first_fit_bound", colored.n_colors <= max_deg + 1,
-            f"{colored.n_colors} colors vs degree bound {max_deg + 1}"),
+        _ok("first_fit_bound", n_colors <= max_deg + 1,
+            f"{n_colors} colors vs degree bound {max_deg + 1}"),
         _ok("nontrivial_graph", pairs.shape[0] > 0,
             "cluster produced conflict edges"),
     )
@@ -758,7 +767,7 @@ def _exp_nested_ball(run):
     }
     verdicts = (
         _stat("matches_closed_form", est.value, est.stderr, exact, "both",
-              f"z = {z:.3f}"),
+              _z_detail(z)),
     )
     return results, verdicts
 
@@ -779,7 +788,7 @@ def _exp_boundary_layer(run):
     }
     verdicts = (
         _stat("matches_exact_fraction", est.value, est.stderr, exact, "both",
-              f"z = {z:.3f}"),
+              _z_detail(z)),
     )
     return results, verdicts
 

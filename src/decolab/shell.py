@@ -176,14 +176,11 @@ def hyperplane_fraction_exact(beta: float, tau: float = 0.0) -> float:
 
 @dataclass(frozen=True)
 class BandFraction:
-    lam: float
-    D: float
     degree: int
     beta: float
     fraction: float
     stderr: float
     samples: int
-    degenerate: bool    # degree cap collapsed to 1
 
 
 def band_fraction(scale: ScaleParams, poly: Poly4, samples: int, seed: int,
@@ -205,9 +202,8 @@ def band_fraction(scale: ScaleParams, poly: Poly4, samples: int, seed: int,
     hits = int(np.count_nonzero(member))
     frac = hits / samples
     stderr = math.sqrt(max(frac * (1.0 - frac), 0.0) / samples)
-    return BandFraction(lam=scale.lam, D=scale.D, degree=deg, beta=beta,
-                        fraction=frac, stderr=stderr, samples=samples,
-                        degenerate=(cap == 1))
+    return BandFraction(degree=deg, beta=beta, fraction=frac, stderr=stderr,
+                        samples=samples)
 
 
 def ensemble_fractions(scale: ScaleParams, degree: int, n_polys: int,

@@ -132,6 +132,6 @@ def band_fraction(scale, poly, samples, seed, tag="band") -> shell.BandFraction:
     frac = int(np.count_nonzero(shell.band_membership(poly, pts, beta))) \
         / samples
     return shell.BandFraction(
-        lam=scale.lam, D=scale.D, degree=deg, beta=beta, fraction=frac,
+        degree=deg, beta=beta, fraction=frac,
         stderr=math.sqrt(max(frac * (1.0 - frac), 0.0) / samples),
-        samples=samples, degenerate=(shell.max_degree(scale) == 1))
+        samples=samples)

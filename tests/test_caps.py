@@ -165,7 +165,7 @@ def _probe_sets(spiral, seed, n_random):
 def test_spiral_covering_equals_the_kd_query(lam):
     # lam 2, every probe rung and every cap-lattice rung
     fam = caps.build_lattice(scale.derive(lam))
-    assert fam.is_spiral
+    assert isinstance(fam, caps.SpiralLattice)
     for name, probes in _probe_sets(fam.centers, int(lam), 20_000).items():
         kd = _kd_covering_chord(fam.centers, probes)
         assert caps.spiral_covering_chord(len(fam), probes) == kd, name
@@ -215,7 +215,7 @@ def test_a_lattice_lays_down_its_coordinates_only_when_read(monkeypatch):
     real = caps.fibonacci_sphere
     monkeypatch.setattr(caps, "fibonacci_sphere", _forbidden)
     fam = caps.build_lattice(s)
-    assert len(fam) == n and fam.is_spiral
+    assert len(fam) == n and isinstance(fam, caps.SpiralLattice)
     assert caps.min_separation(fam) >= s.r
     probes = unit_vectors(keyed_rng(7, "lazy-centers"), 100)
     assert caps.covering_probe(fam, probes) <= 2.0 * s.r
@@ -251,9 +251,8 @@ def test_covering_probe_rejects_bad_probes(family64, probes):
         caps.covering_probe(family64, probes)
 
 
-#: families that build_lattice did not return whole, made from its lam-64 one
-NOT_WHOLE = {
-    "replaced": lambda fam: replace(fam),
+#: families that are not lattices, made from the lam-64 one
+NOT_LATTICES = {
     "cone": lambda fam: fam.restrict_to_cone(fam.centers[5], 0.6),
     "hand-made": lambda fam: caps.CapFamily(scale=fam.scale,
                                             centers=fam.centers.copy()),
@@ -264,7 +263,6 @@ QUERIES = {
     "min_separation": caps.min_separation,
     "covering_probe": lambda fam: caps.covering_probe(
         fam, np.array([[0.0, 1.0, 0.0]])),
-    "nearest_chord": lambda fam: fam.nearest_chord,
 }
 
 
@@ -278,7 +276,8 @@ RAISES = {
     **{f"{kind}-{name}": (caps.ConfigError,
                           lambda mp, fam, make=make, query=query:
                           query(make(fam)))
-       for kind, make in NOT_WHOLE.items() for name, query in QUERIES.items()},
+       for kind, make in NOT_LATTICES.items()
+       for name, query in QUERIES.items()},
     "density-24-build_lattice": (caps.DegenerateScaleError, _denser_spiral),
 }
 
@@ -292,6 +291,17 @@ def test_only_a_whole_lattice_has_separation_and_covering(monkeypatch,
     monkeypatch.setattr(caps, "spiral_covering_chord", _forbidden)
     with pytest.raises(error):
         call(monkeypatch, family64)
+
+
+@pytest.mark.parametrize("query", sorted(QUERIES))
+def test_a_replaced_lattice_answers_like_the_lattice(monkeypatch, query):
+    # a replaced lattice keeps its size and nearest chord, so it is still a
+    # lattice, and lays down no coordinates to answer
+    fam = caps.build_lattice(scale.derive(64.0))
+    monkeypatch.setattr(caps, "fibonacci_sphere", _forbidden)
+    copy = replace(fam)
+    assert copy is not fam and isinstance(copy, caps.SpiralLattice)
+    assert QUERIES[query](copy).hex() == QUERIES[query](fam).hex()
 
 
 def _dense_chords(a, b):
@@ -372,10 +382,8 @@ def test_annulus_count_rejects_inner_ring(family64):
     lambda fam: caps.fibonacci_sphere(0),
     lambda fam: caps.annulus_count(fam, 0, 0),
     lambda fam: caps.annulus_count(fam, 0, -1),
-    lambda fam: fam.n_colors,
     lambda fam: caps.select_separated(np.zeros((5, 3)), 1e-3),
-], ids=["empty-spiral", "ring-0", "ring-negative", "uncoloured",
-        "bad-stack"])
+], ids=["empty-spiral", "ring-0", "ring-negative", "bad-stack"])
 def test_bad_input_raises_the_typed_config_error(family64, call):
     with pytest.raises(caps.ConfigError) as err:
         call(family64)
@@ -411,27 +419,33 @@ def test_conflict_degrees_count_each_pair_end():
 
 
 def test_greedy_color_proper_and_bounded():
-    fam = caps.greedy_color(_clustered_family())
+    fam = _clustered_family()
+    colors = caps.greedy_color(fam)
+    assert colors.shape == (len(fam),)
     deg = caps.conflict_degrees(fam)
-    assert fam.n_colors <= int(deg.max()) + 1
+    assert colors.max() + 1 <= int(deg.max()) + 1
     for i, j in caps.conflict_pairs(fam):
-        assert fam.colors[i] != fam.colors[j]
+        assert colors[i] != colors[j]
     # a complete graph needs exactly n colors
-    assert fam.n_colors == len(fam)
+    assert colors.max() + 1 == len(fam)
 
 
-def test_n_colors_requires_coloring(family64):
-    with pytest.raises(ValueError):
-        family64.n_colors
+def test_greedy_color_on_lattice_is_proper(monkeypatch):
+    # and the colouring and its checks lay the spiral down once
+    fam = caps.build_lattice(scale.derive(64.0))
+    real, laid = caps.fibonacci_sphere, []
 
+    def counting(n):
+        laid.append(n)
+        return real(n)
 
-def test_greedy_color_on_lattice_is_proper(family64):
-    colored = caps.greedy_color(family64)
-    pairs = caps.conflict_pairs(colored)
-    for i, j in pairs:
-        assert colored.colors[i] != colored.colors[j]
-    deg = caps.conflict_degrees(colored)
-    assert colored.n_colors <= int(deg.max(initial=0)) + 1
+    monkeypatch.setattr(caps, "fibonacci_sphere", counting)
+    colors = caps.greedy_color(fam)
+    for i, j in caps.conflict_pairs(fam):
+        assert colors[i] != colors[j]
+    deg = caps.conflict_degrees(fam)
+    assert colors.max(initial=-1) + 1 <= int(deg.max(initial=0)) + 1
+    assert laid == [len(fam)]
 
 
 def _dirs_from_angles(pairs):

@@ -259,3 +259,39 @@ def test_lattice_beyond_its_memory_guard_is_usage_error(capsys):
     code = cli.main(["caps", "--lambda", "262144"])
     assert code == 2
     assert "spiral" in capsys.readouterr().err
+
+
+def _strict_json(text):
+    """json.loads that refuses Infinity, -Infinity and NaN, as strict JSON
+    parsers do."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("name, lam", [
+    *((name, None) for name in lab.REGISTRY), ("hyperplane-shell", 1e60),
+], ids=[*lab.REGISTRY, "hyperplane-shell-lam-1e60"])
+def test_json_reports_at_the_sample_floor_are_strict_json(name, lam):
+    # at the floor a sampled estimate can have zero stderr, and no z
+    for seed in range(4):
+        report = lab.run_experiment(name, lam, seed,
+                                    lab.REGISTRY[name].min_samples)
+        _strict_json(report.canonical_json())
+        _strict_json(cli._render([report], "json"))
+
+
+def test_a_zero_stderr_z_is_null_and_its_detail_renders():
+    assert lab._z(0.0, 0.0, 0.125) is None
+    assert lab._z_detail(None) == "z undefined at zero stderr"
+    assert lab._z_detail(lab._z(0.5, 0.25, 0.0)) == "z = 2.000"
+
+
+def test_shell_json_at_one_sample_is_strict_json(capsys):
+    code = cli.main(["shell", "--lambda", "64", "--samples", "1",
+                     "--format", "json"])
+    assert code == 1          # one draw cannot match the exact fraction
+    doc = _strict_json(capsys.readouterr().out)
+    rows = [r for rep in doc["reports"] if rep["experiment"] ==
+            "hyperplane-shell" for r in rep["results"]["rows"]]
+    assert [r["z"] for r in rows] == [None, None, None]

@@ -4,7 +4,7 @@
 ``query_pairs`` and ``count_neighbors`` calls in ``conflict_pairs`` and
 ``tubes.band_cells``; both sides count a pair when its squared
 chord is at most r * r, so the results must be equal, ties included.
-The nearest chord and the covering are known only for a whole lattice,
+The nearest chord and the covering are known only for a SpiralLattice,
 and ``test_caps`` checks them against k=2 and k=1 queries.
 """
 import math

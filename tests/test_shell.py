@@ -159,8 +159,6 @@ def test_band_fraction_matches_exact_hyperplane():
     assert abs(res.fraction - exact) <= 3.0 * res.stderr
     assert res.degree == 1
     assert res.samples == 200_000
-    assert res.lam == S64.lam
-    assert not res.degenerate
 
 
 def test_band_fraction_rejects_out_of_range_degrees():
