@@ -10,10 +10,13 @@ covering never read them.  The builder checks that the
 spiral is r-separated from its nearest chord, which comes from the
 spiral's index structure, not from a nearest-neighbour search: point i
 sits at height (2i+1)/n - 1 and azimuth i*G, so a pair (i, i+k) has
-height gap 2k/n and azimuth step k*G, and only a few offsets k and two
-polar index ranges per offset can hold a chord under a known one
-(``spiral_nearest_chord``; Swinbank & Purser, QJRMS 132, 2006).  At the
-real spiral density the nearest chord sits about 9% past chord(r) at
+height gap 2k/n and azimuth step k*G.  A chord of at most c needs an
+offset k <= c n / 2 and one end in a polar index range found in closed
+form, so ``spiral_pairs_within`` lists every pair within any chord in one
+pass over the spiral's rows, each laid down once, and
+``spiral_nearest_chord`` is its smallest chord under a bound from the
+first rows (Swinbank & Purser, QJRMS 132, 2006).  At the real spiral
+density the nearest chord sits about 9% past chord(r) at
 every lam the builder supports, and a spiral that is not r-separated
 raises.  The same index structure answers a probe's nearest spiral point:
 the inverse spherical Fibonacci mapping (Keinert et al., ACM TOG 34(6),
@@ -197,6 +200,81 @@ def pair_counts_within(points: np.ndarray, radii) -> np.ndarray:
     return np.cumsum(counts[:-1])
 
 
+def spiral_pairs_within(n: int, c: float):
+    """Pairs (i < j) of ``fibonacci_sphere(n)`` within chord ``c``, and
+    their squared chords, from the spiral's size alone.
+
+    Yields (i, j, sq) blocks that each keep a pair, in no set order within
+    a block.  sq is ``_sq_chords`` of rows i and j, summed in
+    ``geometry.dot``'s order, and a pair is kept when sq <= c * c, the rule
+    and the sums of a KD-tree's ``query_pairs(c)``, so the blocks hold that
+    query's set bit for bit.
+
+    With y_i = (2i+1)/n - 1, rho = sqrt(1 - y^2) and G the golden angle, the
+    pair (i, i+k) has
+
+        chord^2 = (2k/n)^2 + (rho_i - rho_{i+k})^2
+                  + 4 rho_i rho_{i+k} sin^2(k G / 2).
+
+    A chord of at most U then needs k <= U n / 2, and min(rho_i,
+    rho_{i+k})^2 <= (U^2 - (2k/n)^2) / (4 sin^2(k G / 2)).  rho grows from
+    each pole to the equator, so for each offset that leaves one index
+    range at each pole, found by ``_spiral_count`` on y, and only those
+    pairs are measured.  The pass walks i in blocks of BLOCK_ROWS and keeps
+    a window of rows from the block's first i to its last j.  Each row is
+    laid down once, by ``_spiral_rows``, when the first pair needs it, so
+    the window holds at most BLOCK_ROWS + c n / 2 rows.  A block's pairs
+    come in runs, one offset each, and are measured whole runs at a time,
+    under 2 BLOCK_ROWS pairs, since the runs by the poles are many.  So no
+    array is as long as the spiral or the pair set while c n / 2 is under
+    n.
+
+    The filter holds for the ideal points; the stored ones differ.  Their
+    azimuths are fl(i G), within ulp(n G) / 2 <= 2^-53 n G of i G (about
+    2e-10 rad at lam 4096, 2e-9 at lam 16384), and their y and rho within
+    about 2^-51 sqrt(n) (rho >= 1/sqrt(n)), so a float chord is within
+    2^-52 (n G + 4 sqrt(n)) of the ideal one, plus a few ulps.  The filter
+    widens U = c, and the y cut-offs, by slack = 2^-46 (n G + sqrt(n)), at
+    least 16 times that, which also covers the rounding of the filter's
+    own arithmetic.  Raises ConfigError unless c >= 0.
+    """
+    if not c >= 0.0:
+        raise ConfigError(f"need a chord >= 0, got {c}")
+    slack = 2.0 ** -46 * (n * _GOLDEN_ANGLE + math.sqrt(n))
+    u = c + slack
+    ks = np.arange(1, int(min(n - 1, 0.5 * u * n)) + 1)
+    sin_half = np.sin(0.5 * _GOLDEN_ANGLE * ks)
+    rho2 = (u * u - (2.0 * ks / n) ** 2) / (4.0 * sin_half * sin_half)
+    h = np.sqrt(np.clip(1.0 - rho2, 0.0, None))   # rho <= sqrt(rho2): |y| >= h
+    # pairs (i, i+k): i in [0, south) and in [north, n - k)
+    south = np.minimum(_spiral_count(slack - h, n, "right"), n - ks)
+    north = np.clip(_spiral_count(h - slack, n, "left") - ks, south, n - ks)
+    steps = np.tile(ks, 2)
+    rows, base = np.empty((0, 3)), 0    # the window: rows base, base + 1, ...
+    for lo, hi in _blocks(n - 1):
+        # the block's runs of i, counted from lo, each at one offset
+        starts = np.concatenate([np.zeros_like(ks), np.maximum(north - lo, 0)])
+        lens = np.maximum(np.concatenate([np.minimum(south, hi), np.minimum(
+            n - ks, hi)]) - lo - starts, 0)
+        if not lens.any():
+            continue
+        rows = np.concatenate([rows[lo - base:], _spiral_rows(np.arange(
+            max(base + len(rows), lo),
+            lo + np.max((starts + lens + steps)[lens > 0]), dtype=float), n)])
+        base = lo
+        # whole runs, measured while they start in one span of BLOCK_ROWS pairs
+        cut = np.flatnonzero(np.diff((np.cumsum(lens) - lens) // BLOCK_ROWS))
+        for first, m, k in zip(*(np.split(x, cut + 1)
+                                 for x in (starts, lens, steps))):
+            i = np.repeat(first - np.cumsum(m) + m, m)
+            i += np.arange(len(i))
+            j = i + np.repeat(k, m)
+            sq = _sq_chords(rows, i, rows, j)
+            keep = sq <= c * c
+            if keep.any():
+                yield i[keep] + lo, j[keep] + lo, sq[keep]
+
+
 def spiral_nearest_chord(n: int) -> float:
     """Smallest chord between two points of ``fibonacci_sphere(n)``, from
     the spiral's size alone.
@@ -205,69 +283,24 @@ def spiral_nearest_chord(n: int) -> float:
     KD-tree k=2 query over ``fibonacci_sphere(n)``; inf for fewer than two
     points.
 
-    With y_i = (2i+1)/n - 1, rho = sqrt(1 - y^2) and G the golden angle, the
-    pair (i, i+k) has
-
-        chord^2 = (2k/n)^2 + (rho_i - rho_{i+k})^2
-                  + 4 rho_i rho_{i+k} sin^2(k G / 2).
-
-    Any pairs give an upper bound U on the nearest chord: here every pair
-    at the three offsets under 3 sqrt(n) with the smallest |sin(k G / 2)|.
-    A chord at most U then needs k <= U n / 2, and min(rho_i, rho_{i+k})^2
-    <= (U^2 - (2k/n)^2) / (4 sin^2(k G / 2)).  rho grows from each pole to
-    the equator, so for each offset that leaves one index range at each
-    pole, found by ``_spiral_count`` on y.  Only those pairs are measured,
-    in ``geometry.dot``'s summation order, and the smallest is exact.  The
-    rows are laid down by ``_spiral_rows`` as the scans need them: for the
-    seed offsets, rows [lo, hi + largest seed) of each block of BLOCK_ROWS,
-    which all three seeds share, and for the window pairs, both ends of
-    BLOCK_ROWS pairs at a time.  So no array is as long as the spiral.
-
-    The bound holds for the ideal points; the stored ones differ.  Their
-    azimuths are fl(i G), within ulp(n G) / 2 <= 2^-53 n G of i G (about
-    2e-10 rad at lam 4096, 2e-9 at lam 16384), and their y and rho within
-    about 2^-51 sqrt(n) (rho >= 1/sqrt(n)), so a float chord is within
-    2^-52 (n G + 4 sqrt(n)) of the ideal one, plus a few ulps.  The filter
-    widens U, and the y cut-offs, by slack = 2^-46 (n G + sqrt(n)), at
-    least 16 times that, which also covers the rounding of the bound.
+    The smallest squared chord b among the first 64 rows, by the south
+    pole, bounds the nearest chord; at the lattice sizes for lam 2 to 16384
+    it is within 2e-10 of it.  The smallest sq of ``spiral_pairs_within(n,
+    c)``, c = sqrt(b) (1 + 2^-50), is then exact, since every pair at most
+    as close as the bound pair is within c.  The bound pair itself stays
+    inside the cut sq <= c * c, though fl(sqrt(b))^2 can round below b:
+    fl(sqrt(b)) >= sqrt(b) (1 - 2^-53), and forming c and c * c rounds
+    twice more, so c * c >= b (1 - 2^-53)^4 (1 + 2^-50)^2 > b before its
+    rounding, which cannot take it below the float b.  So the pass is never
+    empty, and the search lays down at most n + 64 rows.
     """
     if n < 2:
         return math.inf
-    slack = 2.0 ** -46 * (n * _GOLDEN_ANGLE + math.sqrt(n))
-    short = np.arange(1, min(n, int(3.0 * math.sqrt(n)) + 1))
-    seeds = short[np.argsort(np.abs(np.sin(0.5 * _GOLDEN_ANGLE * short)),
-                             kind="stable")[:3]].tolist()
-    best = math.inf
-    for lo, hi in _blocks(n - min(seeds)):
-        rows = _spiral_rows(np.arange(lo, min(n, hi + max(seeds)),
-                                      dtype=float), n)
-        for k in seeds:
-            pairs = min(hi, n - k) - lo      # (i, i + k), i in [lo, lo + pairs)
-            if pairs > 0:
-                best = min(best, float(np.min(_sq_chords(
-                    rows, slice(0, pairs), rows, slice(k, k + pairs)))))
-    bound = math.sqrt(best) + slack
-    ks = np.arange(1, min(n - 1, int(0.5 * bound * n)) + 1)
-    ks = ks[~np.isin(ks, seeds)]
-    sin_half = np.sin(0.5 * _GOLDEN_ANGLE * ks)
-    rho2 = (bound * bound - (2.0 * ks / n) ** 2) / (4.0 * sin_half * sin_half)
-    h = np.sqrt(np.clip(1.0 - rho2, 0.0, None))   # rho <= sqrt(rho2): |y| >= h
-    south = np.minimum(_spiral_count(slack - h, n, "right"), n - ks)
-    north = np.clip(_spiral_count(h - slack, n, "left") - ks, south, n - ks)
-    # pairs (i, i+k): i in [0, south) and in [north, n - k), numbered in
-    # one range and measured a block of that range at a time
-    lens = np.concatenate([south, n - ks - north])
-    ends = np.cumsum(lens)
-    shift = np.concatenate([np.zeros_like(ks), north]) - (ends - lens)
-    step = np.concatenate([ks, ks])
-    for lo, hi in _blocks(int(lens.sum())):
-        i = np.arange(lo, hi)
-        run = np.searchsorted(ends, i, side="right")
-        i += shift[run]
-        best = min(best, float(np.min(_sq_chords(
-            _spiral_rows(i.astype(float), n), slice(None),
-            _spiral_rows((i + step[run]).astype(float), n), slice(None)))))
-    return math.sqrt(best)
+    head = _spiral_rows(np.arange(min(n, 64), dtype=float), n)
+    near = _sq_chords(head, (slice(None), None), head, slice(None))
+    c = math.sqrt(float(np.min(near[np.triu_indices(len(head), 1)])))
+    pairs = spiral_pairs_within(n, c * (1.0 + 2.0 ** -50))
+    return math.sqrt(min(float(np.min(sq)) for _, _, sq in pairs))
 
 
 def _spiral_candidates(probes: np.ndarray, n: int) -> np.ndarray:
@@ -569,25 +602,23 @@ def conflict_degrees(family: CapFamily) -> np.ndarray:
     return np.bincount(conflict_pairs(family).ravel(), minlength=len(family))
 
 
-def greedy_color(family: CapFamily) -> np.ndarray:
-    """First-fit colour of each cap of the conflict graph, in ascending cap
-    order, shape (N,).
+def greedy_color(pairs: np.ndarray, n: int) -> np.ndarray:
+    """First-fit colour of each of n caps, in ascending cap order, shape
+    (n,), for the graph whose edges are the (i < j) rows of ``pairs``,
+    usually ``conflict_pairs(family)``.
 
-    Uses at most max_degree + 1 classes; caps sharing a class are >= alpha
-    apart because every closer pair is an edge.
+    Cap v takes the smallest colour that none of its neighbours below it
+    holds.  Uses at most max_degree + 1 classes; on the conflict graph caps
+    sharing a class are >= alpha apart because every closer pair is an
+    edge.
     """
-    n = len(family)
-    adj: dict[int, list[int]] = {}
-    for i, j in conflict_pairs(family):
-        adj.setdefault(int(i), []).append(int(j))
-        adj.setdefault(int(j), []).append(int(i))
-    colors = np.full(n, -1, dtype=np.int64)
+    lower: list[list[int]] = [[] for _ in range(n)]   # neighbours below
+    for i, j in pairs.tolist():
+        lower[j].append(i)
+    colors = np.empty(n, dtype=np.int64)
     for v in range(n):
-        used = {colors[w] for w in adj.get(v, ()) if colors[w] >= 0}
-        c = 0
-        while c in used:
-            c += 1
-        colors[v] = c
+        used = {colors[w] for w in lower[v]}
+        colors[v] = min(set(range(len(used) + 1)) - used)
     return colors
 
 

@@ -649,10 +649,10 @@ def _exp_greedy_coloring(run):
     dirs = caps.clustered_dirs(rng, unit_vectors(rng, 1)[0], samples,
                                3.0 * s.alpha)
     fam = caps.CapFamily(scale=s, centers=dirs)
-    colors = caps.greedy_color(fam)
-    n_colors = int(colors.max(initial=-1)) + 1
     pairs = caps.conflict_pairs(fam)
-    deg = caps.conflict_degrees(fam)
+    colors = caps.greedy_color(pairs, len(fam))
+    n_colors = int(colors.max(initial=-1)) + 1
+    deg = np.bincount(pairs.ravel(), minlength=len(fam))
     proper = all(int(colors[i]) != int(colors[j]) for i, j in pairs)
     max_deg = int(deg.max(initial=0))
     results = {

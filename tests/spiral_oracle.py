@@ -1,10 +1,16 @@
 """Whole-array oracles for caps.spiral_nearest_chord and
-caps.spiral_covering_chord.
+caps.spiral_covering_chord, on the stored spiral.
 
-These are the two scans with every pair, and every probe's candidate
-bound, formed at once: arrays as long as the spiral, or as the probe set.
-The package takes the same pairs and probes a block at a time; tests
-compare the two bit for bit.  Nothing outside tests uses them.
+``nearest_chord`` is an independent two-pass search.  Its first pass
+measures every pair at the three offsets under 3 sqrt(n) with the smallest
+|sin(k G / 2)|, a bound from all over the spiral.  Its second pass measures
+the two polar index ranges of every other offset that the bound leaves, by
+``np.searchsorted`` on the stored heights.  The package takes one pass of
+``caps.spiral_pairs_within`` under a bound from the first rows, so the two
+reach the minimum by different pairs, offsets and bounds, and tests compare
+them bit for bit.  ``covering_chord`` is the package's covering scan with
+every probe's candidate bound formed at once.  Both form arrays as long as
+the spiral, or as the probe set.  Nothing outside tests uses them.
 """
 from __future__ import annotations
 

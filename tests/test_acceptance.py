@@ -205,11 +205,12 @@ def test_5_combinatorial_invariants():
         s = scale.derive(float(2 ** k))
         fam = caps.CapFamily(
             scale=s, centers=_cluster_dirs(s, 128, 3.0, f"acc-color-{k}"))
-        colors = caps.greedy_color(fam)
-        deg = caps.conflict_degrees(fam)
+        pairs = caps.conflict_pairs(fam)
+        colors = caps.greedy_color(pairs, len(fam))
+        deg = np.bincount(pairs.ravel(), minlength=len(fam))
         if colors.max() + 1 > int(deg.max(initial=0)) + 1:
             failures.append(f"coloring exceeded max degree + 1 at 2^{k}")
-        for i, j in caps.conflict_pairs(fam):
+        for i, j in pairs:
             if colors[i] == colors[j]:
                 failures.append(f"improper coloring at 2^{k}")
                 break

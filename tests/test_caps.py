@@ -420,11 +420,12 @@ def test_conflict_degrees_count_each_pair_end():
 
 def test_greedy_color_proper_and_bounded():
     fam = _clustered_family()
-    colors = caps.greedy_color(fam)
+    pairs = caps.conflict_pairs(fam)
+    colors = caps.greedy_color(pairs, len(fam))
     assert colors.shape == (len(fam),)
     deg = caps.conflict_degrees(fam)
     assert colors.max() + 1 <= int(deg.max()) + 1
-    for i, j in caps.conflict_pairs(fam):
+    for i, j in pairs:
         assert colors[i] != colors[j]
     # a complete graph needs exactly n colors
     assert colors.max() + 1 == len(fam)
@@ -440,8 +441,9 @@ def test_greedy_color_on_lattice_is_proper(monkeypatch):
         return real(n)
 
     monkeypatch.setattr(caps, "fibonacci_sphere", counting)
-    colors = caps.greedy_color(fam)
-    for i, j in caps.conflict_pairs(fam):
+    pairs = caps.conflict_pairs(fam)
+    colors = caps.greedy_color(pairs, len(fam))
+    for i, j in pairs:
         assert colors[i] != colors[j]
     deg = caps.conflict_degrees(fam)
     assert colors.max(initial=-1) + 1 <= int(deg.max(initial=0)) + 1

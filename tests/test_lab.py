@@ -263,6 +263,20 @@ def test_greedy_coloring_floor_draws_a_conflict_edge():
     assert fails == []
 
 
+def test_greedy_coloring_scans_its_conflict_pairs_once(monkeypatch):
+    # the colouring, its check and the degrees all read one pairs array
+    scans = []
+    real = caps.pairs_within
+
+    def counting(points, radius):
+        scans.append(len(points))
+        return real(points, radius)
+
+    monkeypatch.setattr(caps, "pairs_within", counting)
+    lab.run_experiment("greedy-coloring")
+    assert scans == [lab.REGISTRY["greedy-coloring"].default_samples]
+
+
 _NO_SCIPY_RUN = """
 import sys
 sys.modules["scipy"] = None             # any scipy import now raises
