@@ -3,7 +3,11 @@
 The surface is tau = |xi|^2 in R^3 x R.  Everything here is elementary but
 is the substrate for the transversality experiments: unit normals, their
 large-frequency asymptotics, angle bilipschitz control, Gram determinants of
-normal triples, and the broad three-wave functional.
+normal triples, and the broad three-wave functional.  The bilipschitz
+control is exact: on the sphere of one radius the normal angle is a function
+of the direction angle alone, ``bilipschitz_profile``, whose range over
+(0, pi] is closed form, and ``profile_bound`` says how far the sampled
+kernel ``bilipschitz_ratio`` may sit from it in floating point.
 
 Vector conventions: frequency points xi are (..., 3) arrays, normals are
 (..., 4) arrays with the time-like component last.  All angle computations
@@ -131,8 +135,11 @@ def bilipschitz_ratio(xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
 
     For coincident directions the ratio is 1 by the continuity convention
     when the normals also coincide, and +inf when they do not (parallel
-    frequencies at different radii have distinct normals).  The broadcast
-    rows go through ``blockwise``; a single pair gives a float.
+    frequencies at different radii have distinct normals, so across radii
+    the ratio has no upper bound).  At one radius lam the ratio is
+    ``bilipschitz_profile(lam, angle(xi, eta))`` up to ``profile_bound``.
+    The broadcast rows go through ``blockwise``; a single pair gives a
+    float.
     """
     xi, eta = np.broadcast_arrays(np.asarray(xi, dtype=float),
                                   np.asarray(eta, dtype=float))
@@ -148,9 +155,62 @@ def bilipschitz_ratio(xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
     (out,) = blockwise(ratio, xi.reshape(-1, xi.shape[-1]),
                        eta.reshape(-1, eta.shape[-1]))
     out = out.reshape(lead)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return float(out) if out.ndim == 0 else out
+
+
+def bilipschitz_profile(lam: float, theta) -> np.ndarray:
+    """The normal-map ratio at radius lam and direction angle theta, exact.
+
+    Normals at |xi| = |eta| = lam have n.m = (4 lam^2 cos theta + 1) /
+    (1 + 4 lam^2), so with s = theta/2 their chord is |n - m| =
+    2 k sin s, k = 2 lam / sqrt(1 + 4 lam^2) < 1, and |n + m| =
+    2 sqrt(1 + 4 lam^2 cos^2 s) / sqrt(1 + 4 lam^2).  The normal angle is
+    2 atan2(2 lam sin s, sqrt(1 + 4 lam^2 cos^2 s)) = 2 asin(k sin s), and
+    the ratio is asin(k sin s) / s for theta > 0 and its limit k at
+    theta = 0.  A scalar theta gives a 0-d array.
+
+    Range over (0, pi]: g(s) = asin(k sin s) has g' = k cos s /
+    sqrt(1 - k^2 sin^2 s) >= 0, and g'^2 = k^2 (1 - t) / (1 - k^2 t) with
+    t = sin^2 s falls as s grows, because k < 1.  So g is concave on
+    [0, pi/2] with g(0) = 0, and the ratio g(s)/s does not increase with
+    theta.  It falls from its supremum k (the limit theta -> 0) to its
+    value at pi, asin(k) / (pi/2) = 2 atan(2 lam) / pi.
+
+    The half-angle form is used because it is well conditioned everywhere:
+    its rounding is at most 11 u relative (u = eps/2; sin, cos and arctan2
+    within one ulp).  2 asin(k sin s) is not: near pi asin's slope is
+    about 2 lam.  Nor is arccos(n.m) / theta, which cancels at small theta
+    and loses every digit by theta = 1e-8.
+    """
+    theta = np.asarray(theta, dtype=float)
+    s = 0.5 * theta
+    phi = 2.0 * np.arctan2(2.0 * lam * np.sin(s),
+                           np.sqrt(1.0 + 4.0 * lam * lam * np.cos(s) ** 2))
+    limit = np.full(theta.shape, 2.0 * lam / np.sqrt(1.0 + 4.0 * lam * lam))
+    return np.divide(phi, theta, out=limit, where=theta != 0.0)
+
+
+def profile_bound(theta) -> np.ndarray:
+    """Most |bilipschitz_ratio - bilipschitz_profile| at the kernel's own
+    direction angle theta, for xi, eta of norm lam (1 +- 4.5 u), lam >= 2.
+
+    In units of u = eps/2, first order, sin, cos and arctan2 within one
+    ulp, and theta the exact angle of the float pair:
+    * angle_between on 3-vectors: each unit vector is off by at most
+      3.5 u, the sum and difference norms by 3.5 u relative plus 7 u, and
+      with |a - b|^2 + |a + b|^2 = 4 the angle by 9 u theta + 10 u;
+    * on the normals: n's components round once past their common scale
+      (2 u of direction), the 4-vector unit vectors are off by 6 u, and the
+      normal angle by 10 u phi + 17 u, plus 2.5 u because the radii are
+      off lam by 4.5 u lam and the normal's tilt atan(2 r) moves by
+      2 dr / (1 + 4 r^2);
+    * the normal angle's slope in theta is at most 1 and phi <= theta, so
+      the kernel's quotient, rounded once more, is off the exact profile
+      at its theta by 20 u + 30 u / theta, and the profile's own rounding
+      adds 11 u.
+    In all, 31 u + 30 u / theta <= 16 eps (1 + 1/theta).
+    """
+    return 16.0 * np.finfo(float).eps * (1.0 + 1.0 / np.asarray(theta))
 
 
 def gram_det3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:

@@ -46,20 +46,20 @@ def geometry_residual(run) -> tuple[dict, dict]:
 def bilipschitz(run) -> tuple[dict, dict]:
     lam, samples = run.lam, run.samples
     rng = run.rng()
-    u = _unit_vectors(rng, samples)
-    v = _unit_vectors(rng, samples)
-    fixed = geometry.bilipschitz_ratio(lam * u, lam * v)
-    r1 = rng.uniform(0.5 * lam, 2.0 * lam, size=samples)
-    r2 = rng.uniform(0.5 * lam, 2.0 * lam, size=samples)
-    band = geometry.bilipschitz_ratio(r1[:, None] * u, r2[:, None] * v)
-    violations = int(np.count_nonzero((fixed < 0.5) | (fixed > 2.0)))
+    xi = lam * _unit_vectors(rng, samples)
+    eta = lam * _unit_vectors(rng, samples)
+    theta = geometry.angle_between(xi, eta)
+    gap = np.abs(geometry.bilipschitz_ratio(xi, eta)
+                 - geometry.bilipschitz_profile(lam, theta))
+    lo = 2.0 * math.atan(2.0 * lam) / math.pi
+    hi = 2.0 * lam / math.sqrt(1.0 + 4.0 * lam * lam)
     return {
-        "min_ratio_fixed": float(np.min(fixed)),
-        "max_ratio_fixed": float(np.max(fixed)),
-        "violations_fixed": violations,
-        "min_ratio_band": float(np.min(band)),
-        "max_ratio_band": float(np.max(band)),
-    }, {"fixed_radius_in_band": violations == 0}
+        "min_ratio_fixed": lo,
+        "max_ratio_fixed": hi,
+        "max_ratio_band": None,
+    }, {"fixed_radius_in_band": 0.5 <= lo and hi <= 2.0,
+        "sampled_ratios_match_profile":
+            bool(np.all(gap <= geometry.profile_bound(theta)))}
 
 
 def gram_identity(run) -> tuple[dict, dict]:

@@ -49,7 +49,7 @@ def test_the_cap_lattice_experiment_holds_no_coordinates():
 
 #: (experiment, lam, its largest live draw in bytes at its default samples)
 SAMPLED = [
-    ("bilipschitz", 4096.0, 100_000 * (3 + 3 + 1 + 1) * 8),   # u, v, radii
+    ("bilipschitz", 4096.0, 4096 * (3 + 3) * 8),          # u and v
     ("gram-identity", 256.0, 50_000 * 3 * 4 * 8),          # the 4-vectors
     ("broad3-identity", 256.0, 50_000 * 6 * 8),             # magnitudes
     ("mixed-minor", 4096.0, 20_000 * (3 + 4 * 3) * 8),      # stack of four
