@@ -17,6 +17,8 @@ re-run cannot reproduce; the human-readable text format still shows it).
 """
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import json
 import math
 import textwrap
@@ -194,10 +196,8 @@ class ExperimentReport:
     def csv(self) -> str:
         rows = self.csv_rows()
         cols = list(rows[0].keys())
-        out = [",".join(cols)]
-        for r in rows:
-            out.append(",".join(_csv_cell(r.get(c)) for c in cols))
-        return "\n".join(out) + "\n"
+        out = [cols] + [[_csv_cell(r.get(c)) for c in cols] for r in rows]
+        return "".join(",".join(line) + "\n" for line in out)
 
     def write_json(self, path) -> None:
         with open(path, "w") as fh:
@@ -226,11 +226,7 @@ def _text_lines(key: str, value) -> list[str]:
 
 
 def _csv_cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+    return "" if v is None else str(v)    # str of a float is its repr
 
 
 # ---------------------------------------------------------------------------
@@ -1108,6 +1104,35 @@ def _exp_shell_ensemble(run):
 # the desk decoupling probe
 # ---------------------------------------------------------------------------
 
+#: OpenBLAS's thread-count calls, {prefix}{get,set}_num_threads{suffix}, as
+#: numpy 2's wheels, numpy 1's and a system OpenBLAS name them
+_OPENBLAS_NAMES = (("scipy_openblas_", "64_"), ("openblas_", "64_"),
+                   ("openblas_", ""))
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold OpenBLAS to one thread inside the block; no-op for other BLAS.
+
+    Each probe GEMM, (2 nx, n) by (n, _PROBE_BLOCK), is too small to gain
+    from threads, and a thread that waits for a busy core stalls it: on a
+    2-CPU host with the other core loaded, the lam-64 probe took 0.12 to
+    0.53 s threaded against 0.09 s on one thread.  Threads split the
+    output, not the sums, so the values do not change.
+    """
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    calls = [(getattr(lib, f"{pre}get_num_threads{suf}", None),
+              getattr(lib, f"{pre}set_num_threads{suf}", None))
+             for pre, suf in _OPENBLAS_NAMES]
+    get, put = next((c for c in calls if all(c)), (lambda: 1, lambda k: k))
+    was = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(was)
+
+
 @dataclass(frozen=True)
 class ProbeResult:
     lam: float
@@ -1180,12 +1205,13 @@ def decoupling_probe(scale: ScaleParams, seed: int,
     mask = sq[:, np.newaxis] + sq[j2] + sq[j3] <= 0.25     # (nx, ncol)
 
     p6 = np.empty((2 * n_axis, j2.size))
-    for lo in range(0, j2.size, _PROBE_BLOCK):
-        cols = slice(lo, lo + _PROBE_BLOCK)
-        block = e2[j2[cols]]
-        block *= e3[j3[cols]]                                # (blk, n)
-        field = left @ block.T                               # (2 nx, blk)
-        p6[:, cols] = (field.real ** 2 + field.imag ** 2) ** 3
+    with _one_blas_thread():
+        for lo in range(0, j2.size, _PROBE_BLOCK):
+            cols = slice(lo, lo + _PROBE_BLOCK)
+            block = e2[j2[cols]]
+            block *= e3[j3[cols]]                            # (blk, n)
+            field = left @ block.T                           # (2 nx, blk)
+            p6[:, cols] = (field.real ** 2 + field.imag ** 2) ** 3
     ratio_random, ratio_focusing = (
         float(np.mean(p[mask])) ** (1.0 / 6.0) / math.sqrt(n)
         for p in (p6[:n_axis], p6[n_axis:]))
@@ -1285,10 +1311,8 @@ def run_experiment(name: str, lam: float | None = None,
     """
     exp = _lookup(name)
     n = _checked_samples(exp, samples)
-    if exp.needs_lam:
-        lam = float(lam if lam is not None else exp.default_lam)
-    else:
-        lam = None
+    lam = (float(lam if lam is not None else exp.default_lam)
+           if exp.needs_lam else None)
     t0 = time.perf_counter()
     run = Run(name, lam, seed, n, None if lam is None else derive(lam))
     results, verdicts = exp.fn(run)
@@ -1318,14 +1342,13 @@ def run_ladder(name: str, lams=None, seed: int = DEFAULT_SEED,
     _checked_samples(exp, samples)
     t0 = time.perf_counter()
     values = []
-    rows = []
     failures = 0
     for lam in lams:
         rep = run_experiment(name, lam, seed, samples)
         failures += sum(1 for v in rep.verdicts if v.status == FAIL)
-        val = float(rep.results[exp.ladder_metric])
-        values.append(val)
-        rows.append({"lam": float(lam), exp.ladder_metric: val})
+        values.append(float(rep.results[exp.ladder_metric]))
+    rows = [{"lam": float(lam), exp.ladder_metric: val}
+            for lam, val in zip(lams, values)]
     fit = fit_slope(lams, values)
     results = {
         "metric": exp.ladder_metric,

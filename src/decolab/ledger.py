@@ -365,9 +365,6 @@ def checkpoint_table() -> tuple[CheckpointRow, ...]:
             effective_lambda_exponent(k66.lam_exp, k66.d_exp), None,
         ),
     }
-    rows = []
-    for name, (glam, gd) in GOLDEN.items():
-        dlam, dd = derived[name]
-        rows.append(CheckpointRow(name, dlam, dd, glam, gd))
-    return tuple(rows)
+    return tuple(CheckpointRow(name, *derived[name], glam, gd)
+                 for name, (glam, gd) in GOLDEN.items())
 

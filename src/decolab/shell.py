@@ -75,12 +75,9 @@ def jacobian(scale: ScaleParams) -> float:
 
 def monomials_up_to(degree: int) -> tuple[tuple[int, int, int, int], ...]:
     """All exponent 4-tuples of total degree <= degree, graded lexicographic."""
-    out = []
-    for total in range(degree + 1):
-        for e in itertools.product(range(total + 1), repeat=4):
-            if sum(e) == total:
-                out.append(e)
-    return tuple(out)
+    return tuple(e for total in range(degree + 1)
+                 for e in itertools.product(range(total + 1), repeat=4)
+                 if sum(e) == total)
 
 
 @dataclass
@@ -209,9 +206,6 @@ def band_fraction(scale: ScaleParams, poly: Poly4, samples: int, seed: int,
 def ensemble_fractions(scale: ScaleParams, degree: int, n_polys: int,
                        samples: int, seed: int) -> list[BandFraction]:
     """Band fractions for a seeded ensemble of random polynomials."""
-    rows = []
-    for index in range(n_polys):
-        poly = random_poly(scale, degree, seed, index)
-        rows.append(band_fraction(scale, poly, samples, seed,
-                                  tag=f"ensemble-{index}"))
-    return rows
+    return [band_fraction(scale, random_poly(scale, degree, seed, index),
+                          samples, seed, tag=f"ensemble-{index}")
+            for index in range(n_polys)]

@@ -1,3 +1,4 @@
+import ctypes
 import json
 import math
 import os
@@ -251,6 +252,38 @@ def test_probe_determinism():
     assert a == b
     assert a.ratio_random > 1.0
     assert a.ratio_focusing > a.ratio_random
+
+
+def _openblas_thread_count():
+    """numpy's OpenBLAS thread-count getter, or None under another BLAS."""
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    names = (f"{pre}get_num_threads{suf}" for pre, suf in lab._OPENBLAS_NAMES)
+    return next((getattr(lib, n) for n in names if hasattr(lib, n)), None)
+
+
+def test_probe_gemm_runs_on_one_blas_thread_and_restores_the_count():
+    get = _openblas_thread_count()
+    if get is None:
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    before = get()
+    with lab._one_blas_thread():
+        assert get() == 1
+    assert get() == before
+    with pytest.raises(ZeroDivisionError):
+        with lab._one_blas_thread():
+            1 / 0
+    assert get() == before
+
+
+def test_one_blas_thread_leaves_the_probe_gemm_bit_for_bit():
+    # threads split the GEMM's output, not its sums; probe shape at lam 64
+    rng = np.random.default_rng(5)
+    left, right = (rng.normal(size=(m, 2048, 2)).view(complex)[..., 0]
+                   for m in (96, 32))
+    threaded = left @ right.T
+    with lab._one_blas_thread():
+        single = left @ right.T
+    assert np.array_equal(threaded, single)
 
 
 def test_greedy_coloring_floor_draws_a_conflict_edge():
