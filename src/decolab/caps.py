@@ -28,8 +28,8 @@ Angular bookkeeping on a family:
 * covering_probe: the spiral's bound-then-refine covering of probe
   directions,
 * conflict_pairs: pairs under alpha by the exact scan of the pairs,
-* ring_histogram / annulus_count: occupancy of the thin rings
-  [k*alpha, (k+1)*alpha) around a chosen cap,
+* ring_histogram: occupancy of the thin rings [k*alpha, (k+1)*alpha)
+  around a chosen cap,
 * greedy_color: first-fit colouring of the angle < alpha conflict graph,
 * select_separated: the four-out-of-six pigeonhole selector.
 
@@ -572,16 +572,6 @@ def ring_histogram(family: CapFamily, center_index: int) -> np.ndarray:
     angles = np.delete(angles, center_index)
     rings = np.floor(angles / alpha).astype(np.int64)
     return np.bincount(rings)
-
-
-def annulus_count(family: CapFamily, center_index: int, k: int) -> int:
-    """Number of caps in the thin ring [k*alpha, (k+1)*alpha), k >= 1."""
-    if k < 1:
-        raise ConfigError(f"ring index must be >= 1, got {k}")
-    alpha = family.scale.alpha
-    angles = family.angles_from(center_index)
-    angles = np.delete(angles, center_index)
-    return int(np.count_nonzero((angles >= k * alpha) & (angles < (k + 1) * alpha)))
 
 
 # ---------------------------------------------------------------------------

@@ -239,10 +239,10 @@ def rn_classify(xi: np.ndarray, scale: ScaleParams,
 # samplers for the coverage experiments
 # ---------------------------------------------------------------------------
 
-def _shell_points(scale: ScaleParams, rng: np.random.Generator, n: int,
-                  lo: float = 0.5, hi: float = 2.0) -> np.ndarray:
+def _shell_points(scale: ScaleParams, rng: np.random.Generator,
+                  n: int) -> np.ndarray:
     v = unit_vectors(rng, n)
-    radii = rng.uniform(lo * scale.lam, hi * scale.lam, size=n)
+    radii = rng.uniform(0.5 * scale.lam, 2.0 * scale.lam, size=n)
     return v * radii[:, np.newaxis]
 
 

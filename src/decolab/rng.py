@@ -14,10 +14,16 @@ Two consequences the test suite relies on:
 
 The hash is SHA-256 over a canonical text form of the label, never Python's
 ``hash()`` (which is salted per process).
+
+A hit-or-miss count over the draws becomes an estimate in one place,
+``binomial_estimate``: the tube volumes and overlaps, the boundary layer
+and the band fractions all return through it.
 """
 from __future__ import annotations
 
 import hashlib
+import math
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -89,3 +95,19 @@ def jittered_stack(gen: np.random.Generator, n: int, k: int,
     jitter *= spread
     jitter += base
     return jitter.transpose(1, 0, 2)
+
+
+@dataclass(frozen=True)
+class MCEstimate:
+    value: float
+    stderr: float
+    samples: int
+
+
+def binomial_estimate(hits: int, n: int, volume: float) -> MCEstimate:
+    """``volume`` times the hit fraction of n draws, with its binomial
+    standard error."""
+    p = hits / n
+    return MCEstimate(value=p * volume,
+                      stderr=math.sqrt(p * (1.0 - p) / n) * volume,
+                      samples=n)

@@ -16,7 +16,7 @@ only when a concrete scale is instantiated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .errors import ConfigError
@@ -54,16 +54,7 @@ class ScaleParams:
 
     def snapshot(self) -> dict[str, float]:
         """Plain-dict copy for report headers."""
-        return {
-            "lam": self.lam,
-            "c0": self.c0,
-            "r": self.r,
-            "rho": self.rho,
-            "D": self.D,
-            "alpha": self.alpha,
-            "t_half": self.t_half,
-            "x_half": self.x_half,
-        }
+        return asdict(self)
 
 
 def derive(lam: float, c0: float = DEFAULT_C0) -> ScaleParams:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .geometry import blockwise, dot, norm
-from .rng import keyed_rng
+from .rng import MCEstimate, binomial_estimate, keyed_rng
 from .scale import ScaleParams
 
 #: the band half-width constant c of beta = c / (D * degree)
@@ -172,12 +172,11 @@ def hyperplane_fraction_exact(beta: float, tau: float = 0.0) -> float:
 
 
 @dataclass(frozen=True)
-class BandFraction:
+class BandFraction(MCEstimate):
+    """The box fraction of one band (``value``), with its polynomial's
+    degree and the band half-width beta."""
     degree: int
     beta: float
-    fraction: float
-    stderr: float
-    samples: int
 
 
 def band_fraction(scale: ScaleParams, poly: Poly4, samples: int, seed: int,
@@ -196,11 +195,8 @@ def band_fraction(scale: ScaleParams, poly: Poly4, samples: int, seed: int,
     rng = keyed_rng(seed, "shell-fraction", tag, repr(scale.lam), deg)
     (member,) = blockwise(lambda p: (band_membership(poly, p, beta),),
                           rng.uniform(-0.5, 0.5, size=(samples, 4)))
-    hits = int(np.count_nonzero(member))
-    frac = hits / samples
-    stderr = math.sqrt(max(frac * (1.0 - frac), 0.0) / samples)
-    return BandFraction(degree=deg, beta=beta, fraction=frac, stderr=stderr,
-                        samples=samples)
+    est = binomial_estimate(int(np.count_nonzero(member)), samples, 1.0)
+    return BandFraction(**vars(est), degree=deg, beta=beta)
 
 
 def ensemble_fractions(scale: ScaleParams, degree: int, n_polys: int,

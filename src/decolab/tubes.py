@@ -32,7 +32,7 @@ from .caps import CapFamily, conflict_degrees, pair_counts_within
 from .errors import ConfigError, DensityError
 from .geometry import blockwise, norm
 from .overlap import PROFILE_RTOL, overlap_profile
-from .rng import keyed_rng
+from .rng import MCEstimate, binomial_estimate, keyed_rng
 from .scale import ScaleParams
 
 
@@ -60,17 +60,9 @@ class Tube:
     cap_index: int = -1
 
 
-@dataclass(frozen=True)
-class MCEstimate:
-    value: float
-    stderr: float
-    samples: int
-
-
-def tube_for_cap(family: CapFamily, index: int, truncated: bool = False) -> Tube:
+def tube_for_cap(family: CapFamily, index: int) -> Tube:
     xi = family.scale.lam * family.centers[index]   # one row of family.xi()
-    return Tube(scale=family.scale, xi=xi, truncated=truncated,
-                cap_index=index)
+    return Tube(scale=family.scale, xi=xi, cap_index=index)
 
 
 def membership(tube: Tube, t: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -121,13 +113,6 @@ def _ball(rng: np.random.Generator, n: int) -> np.ndarray:
     return _in_ball(rng.normal(size=(n, 3)), rng.random(n))
 
 
-def _binomial_estimate(hits: int, n: int, volume: float) -> MCEstimate:
-    p = hits / n
-    return MCEstimate(value=p * volume,
-                      stderr=math.sqrt(p * (1.0 - p) / n) * volume,
-                      samples=n)
-
-
 def _envelope_hits(tubes: tuple[Tube, ...], samples: int,
                    rng: np.random.Generator) -> int:
     """How many of ``samples`` uniform draws over the first tube's cylinder
@@ -158,8 +143,8 @@ def mc_volume(tube: Tube, samples: int, seed: int) -> MCEstimate:
         raise ConfigError(f"need >= {MIN_SAMPLES} samples, got {samples}")
     rng = keyed_rng(seed, "tube-volume", repr(tube.scale.lam), tube.cap_index,
                     int(tube.truncated))
-    return _binomial_estimate(_envelope_hits((tube,), samples, rng),
-                              samples, cylinder_volume(tube.scale))
+    return binomial_estimate(_envelope_hits((tube,), samples, rng),
+                             samples, cylinder_volume(tube.scale))
 
 
 def pair_overlap_bound(scale: ScaleParams, delta: float) -> float:
@@ -186,8 +171,8 @@ def mc_pair_overlap(t1: Tube, t2: Tube, samples: int, seed: int) -> MCEstimate:
         raise ConfigError("tubes live at different scales")
     rng = keyed_rng(seed, "pair-overlap", repr(t1.scale.lam), t1.cap_index,
                     t2.cap_index)
-    return _binomial_estimate(_envelope_hits((t1, t2), samples, rng),
-                              samples, cylinder_volume(t1.scale))
+    return binomial_estimate(_envelope_hits((t1, t2), samples, rng),
+                             samples, cylinder_volume(t1.scale))
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +311,7 @@ def boundary_layer_mc(scale: ScaleParams, samples: int, seed: int) -> MCEstimate
                          & (norm(scale.x_half * _in_ball(v, u))
                             <= 2.0 * scale.rho),),
         t, v, rng.random(samples))
-    return _binomial_estimate(int(np.count_nonzero(layer)), samples, 1.0)
+    return binomial_estimate(int(np.count_nonzero(layer)), samples, 1.0)
 
 
 # ---------------------------------------------------------------------------

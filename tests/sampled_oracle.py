@@ -132,6 +132,6 @@ def band_fraction(scale, poly, samples, seed, tag="band") -> shell.BandFraction:
     frac = int(np.count_nonzero(shell.band_membership(poly, pts, beta))) \
         / samples
     return shell.BandFraction(
-        degree=deg, beta=beta, fraction=frac,
+        value=frac,
         stderr=math.sqrt(max(frac * (1.0 - frac), 0.0) / samples),
-        samples=samples)
+        samples=samples, degree=deg, beta=beta)

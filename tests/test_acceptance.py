@@ -138,7 +138,7 @@ def test_3_closed_form_oracles():
         bf = shell.band_fraction(S64, shell.hyperplane_poly(tau), 200_000,
                                  SEED, tag=f"acc-{tau}")
         exact = shell.hyperplane_fraction_exact(bf.beta, tau)
-        z = (bf.fraction - exact) / bf.stderr
+        z = (bf.value - exact) / bf.stderr
         checks.append((f"hyperplane band tau={tau}", abs(z) <= 3.0,
                        f"z={z:.2f}"))
 
@@ -163,8 +163,8 @@ def test_3_closed_form_oracles():
 
 
 def test_4_scaling_ladders():
-    vol = lab.run_ladder("tube-volume", slope_window=(-3.2, -2.8))
-    res = lab.run_ladder("geometry-residual", slope_window=(-2.2, -1.8))
+    vol = lab.run_ladder("tube-volume")
+    res = lab.run_ladder("geometry-residual")
     # the angle map's exact range at one radius, and its sampled audit
     ranges = {}
     for lam in (256.0, 1024.0, 4096.0):
@@ -173,6 +173,8 @@ def test_4_scaling_ladders():
                   rep.results["max_ratio_fixed"])
         ranges[int(lam)] = (lo, hi, not rep.has_fail)
     ok = (not vol.has_fail and not res.has_fail
+          and -3.2 <= vol.results["slope"] <= -2.8
+          and -2.2 <= res.results["slope"] <= -1.8
           and all(0.5 <= lo and hi <= 2.0 and clean
                   for lo, hi, clean in ranges.values()))
     _criterion(

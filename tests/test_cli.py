@@ -281,10 +281,23 @@ def test_json_reports_at_the_sample_floor_are_strict_json(name, lam):
         _strict_json(cli._render([report], "json"))
 
 
-def test_a_zero_stderr_z_is_null_and_its_detail_renders():
-    assert lab._z(0.0, 0.0, 0.125) is None
-    assert lab._z_detail(None) == "z undefined at zero stderr"
-    assert lab._z_detail(lab._z(0.5, 0.25, 0.0)) == "z = 2.000"
+def test_the_audit_gives_a_null_z_at_zero_stderr_and_a_two_sided_verdict():
+    # zero stderr: no z, and only an exact match passes
+    z, verdict = lab._audit("a", 0.125, 0.0, 0.125)
+    assert z is None and verdict.status == lab.PASS
+    assert verdict.detail == "z undefined at zero stderr"
+    z, verdict = lab._audit("a", 0.0, 0.0, 0.125)
+    assert z is None and verdict.status == lab.FAIL
+    assert verdict.detail == "z undefined at zero stderr"
+    # within Z_LIMIT = 3 standard errors passes, beyond it fails, either side
+    for sign in (1.0, -1.0):
+        z, verdict = lab._audit("a", sign * 0.5, 0.25, 0.0)
+        assert (z, verdict.status, verdict.detail) == (
+            sign * 2.0, lab.PASS, f"z = {sign * 2.0:.3f}")
+        z, verdict = lab._audit("a", sign * 1.0, 0.25, 0.0)
+        assert (z, verdict.status, verdict.detail) == (
+            sign * 4.0, lab.FAIL, f"z = {sign * 4.0:.3f}")
+    assert verdict.name == "a" and verdict.statistical
 
 
 def test_shell_json_at_one_sample_is_strict_json(capsys):

@@ -174,13 +174,13 @@ def test_a_ladder_of_one_repeated_rung_is_a_typed_error(monkeypatch):
 
 def test_run_ladder_report_shape():
     rep = lab.run_ladder("geometry-residual", lams=(64.0, 128.0, 256.0),
-                         samples=2000, slope_window=(-2.2, -1.8))
+                         samples=2000)
     assert rep.experiment == "ladder:geometry-residual"
     assert rep.results["metric"] == "mean_residual"
     assert len(rep.results["rows"]) == 3
     assert not rep.has_fail
     names = [v.name for v in rep.verdicts]
-    assert names == ["per_lam_experiments_clean", "slope_in_window"]
+    assert names == ["per_lam_experiments_clean", "fitted_slope"]
     assert -2.2 <= rep.results["slope"] <= -1.8
 
 

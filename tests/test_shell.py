@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from decolab import scale, shell
-from decolab.rng import keyed_rng
+from decolab.rng import MCEstimate, binomial_estimate, keyed_rng
 
 
 S64 = scale.derive(64.0)
@@ -156,9 +156,18 @@ def test_band_fraction_matches_exact_hyperplane():
     p = shell.hyperplane_poly(0.0)
     res = shell.band_fraction(S64, p, samples=200_000, seed=11)
     exact = shell.hyperplane_fraction_exact(res.beta)
-    assert abs(res.fraction - exact) <= 3.0 * res.stderr
+    assert abs(res.value - exact) <= 3.0 * res.stderr
     assert res.degree == 1
     assert res.samples == 200_000
+
+
+def test_a_band_fraction_is_the_binomial_estimate_of_its_hits():
+    res = shell.band_fraction(S64, shell.hyperplane_poly(0.3),
+                              samples=20_000, seed=11)
+    assert isinstance(res, MCEstimate)
+    hits = round(res.value * res.samples)
+    assert vars(res) == {**vars(binomial_estimate(hits, 20_000, 1.0)),
+                         "degree": 1, "beta": shell.band_width(S64, 1)}
 
 
 def test_band_fraction_rejects_out_of_range_degrees():
@@ -183,6 +192,6 @@ def test_ensemble_fractions_rows():
     assert len(rows) == 4
     for row in rows:
         assert row.degree == 2
-        assert 0.0 <= row.fraction <= 1.0
+        assert 0.0 <= row.value <= 1.0
         assert row.beta == pytest.approx(shell.band_width(S64, 2), rel=1e-15)
-    assert len({row.fraction for row in rows}) > 1
+    assert len({row.value for row in rows}) > 1

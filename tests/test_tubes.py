@@ -1,5 +1,6 @@
 import functools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import tube_oracle
 from decolab import caps, lab, overlap, scale, tubes
 from decolab.errors import ConfigError
 from decolab.geometry import BLOCK_ROWS
-from decolab.rng import keyed_rng
+from decolab.rng import MCEstimate, binomial_estimate, keyed_rng
 
 
 def _clustered_family(lam=256.0, n=24, spread=0.5, key="tubes-cluster"):
@@ -58,6 +59,17 @@ def test_volume_closed_forms():
         (4.0 / 3.0) * math.pi * s.rho ** 3 * s.lam ** -1.5, rel=1e-13)
     assert tubes.nested_ball_volume(s) == pytest.approx(
         tubes.cylinder_volume(s) / 8.0, rel=1e-13)
+
+
+@pytest.mark.parametrize("hits", [0, 250, 1000])
+def test_a_binomial_estimate_scales_the_hit_fraction_and_its_stderr(hits):
+    est = binomial_estimate(hits, 1000, 8.0)
+    assert est == MCEstimate(value=8.0 * hits / 1000,
+                             stderr=8.0 * math.sqrt(
+                                 hits * (1000 - hits) / 1000 ** 3),
+                             samples=1000)
+    # all in or all out: no spread, so zero stderr
+    assert (est.stderr == 0.0) == (hits in (0, 1000))
 
 
 def test_mc_volume_is_deterministic_and_guarded():
@@ -126,7 +138,7 @@ def test_blocked_monte_carlo_equals_the_whole_array_oracle(fam, samples,
                                                            truncated):
     # the draws are placed and tested a block of rows at a time; the last
     # block is short, full, one row, or a block and seven rows past it
-    t1, t2 = (tubes.tube_for_cap(fam, i, trunc)
+    t1, t2 = (replace(tubes.tube_for_cap(fam, i), truncated=trunc)
               for i, trunc in zip((0, 5), truncated))
     envelope = tubes.cylinder_volume(fam.scale)
     vol = tubes.mc_volume(t1, samples, seed=13)
@@ -145,9 +157,9 @@ def test_tube_for_cap_reads_one_row(monkeypatch):
         raise AssertionError("tube_for_cap built the whole xi array")
     monkeypatch.setattr(caps.CapFamily, "xi", whole_array)
     for i in (0, 1, len(family) // 2, len(family) - 1):
-        tube = tubes.tube_for_cap(family, i, truncated=True)
+        tube = tubes.tube_for_cap(family, i)
         assert tube.xi.tobytes() == rows[i].tobytes()    # bit for bit
-        assert (tube.cap_index, tube.truncated) == (i, True)
+        assert (tube.cap_index, tube.truncated) == (i, False)
 
 
 def test_mc_pair_overlap_rejects_mixed_scales():

@@ -13,7 +13,8 @@ import numpy as np
 
 from decolab import tubes
 from decolab.geometry import norm
-from decolab.rng import keyed_rng, unit_vectors
+from decolab.rng import (MCEstimate, binomial_estimate, keyed_rng,
+                         unit_vectors)
 
 
 def sample_cylinder(tube: tubes.Tube, n: int, rng: np.random.Generator
@@ -25,31 +26,29 @@ def sample_cylinder(tube: tubes.Tube, n: int, rng: np.random.Generator
     return t, 2.0 * t[:, None] * tube.xi + s.rho * ball
 
 
-def mc_volume(tube: tubes.Tube, samples: int, seed: int) -> tubes.MCEstimate:
+def mc_volume(tube: tubes.Tube, samples: int, seed: int) -> MCEstimate:
     rng = keyed_rng(seed, "tube-volume", repr(tube.scale.lam), tube.cap_index,
                     int(tube.truncated))
     t, x = sample_cylinder(tube, samples, rng)
     hits = int(np.count_nonzero(tubes.membership(tube, t, x)))
-    return tubes._binomial_estimate(hits, samples,
-                                    tubes.cylinder_volume(tube.scale))
+    return binomial_estimate(hits, samples, tubes.cylinder_volume(tube.scale))
 
 
 def mc_pair_overlap(t1: tubes.Tube, t2: tubes.Tube, samples: int,
-                    seed: int) -> tubes.MCEstimate:
+                    seed: int) -> MCEstimate:
     rng = keyed_rng(seed, "pair-overlap", repr(t1.scale.lam), t1.cap_index,
                     t2.cap_index)
     t, x = sample_cylinder(t1, samples, rng)
     both = tubes.membership(t1, t, x) & tubes.membership(t2, t, x)
-    return tubes._binomial_estimate(int(np.count_nonzero(both)), samples,
-                                    tubes.cylinder_volume(t1.scale))
+    return binomial_estimate(int(np.count_nonzero(both)), samples,
+                             tubes.cylinder_volume(t1.scale))
 
 
-def boundary_layer_mc(scale, samples: int, seed: int) -> tubes.MCEstimate:
+def boundary_layer_mc(scale, samples: int, seed: int) -> MCEstimate:
     rng = keyed_rng(seed, "boundary-layer", repr(scale.lam))
     t = rng.uniform(-scale.t_half, scale.t_half, size=samples)
     ball = unit_vectors(rng, samples) * (rng.random(samples)
                                          ** (1.0 / 3.0))[:, None]
     layer = ((np.abs(t) <= scale.lam ** (-1.5) / 16.0)
              & (norm(scale.x_half * ball) <= 2.0 * scale.rho))
-    return tubes._binomial_estimate(int(np.count_nonzero(layer)), samples,
-                                    1.0)
+    return binomial_estimate(int(np.count_nonzero(layer)), samples, 1.0)
