@@ -495,15 +495,6 @@ def build_lattice(scale: ScaleParams) -> SpiralLattice:
     return SpiralLattice(scale=scale, size=n, nearest_chord=nearest)
 
 
-def first_cap(scale: ScaleParams) -> np.ndarray:
-    """Center of cap 0 of ``build_lattice(scale)``, without building it.
-
-    The lattice is the spiral, so cap 0 is spiral point 0, computed
-    alone by the spiral's own formulas.
-    """
-    return _spiral_rows(np.zeros(1), spiral_size(scale))[0]
-
-
 def min_separation(lattice: SpiralLattice) -> float:
     """Smallest pairwise angle in the lattice, from its ``nearest_chord``.
 

@@ -14,7 +14,8 @@ registry, in registry order:
 * ladder NAME     one experiment across a frequency ladder, rate fit
 
 Flags can also be supplied through --config pointing at a flat JSON object
-with keys lambda / seed / samples / format / out; explicit flags win.  Exit
+with keys lambda / seed / samples / format / out, each value checked as its
+flag is; explicit flags win.  Exit
 status is 0 when no verdict failed, 1 on failures, 2 on usage errors.
 """
 from __future__ import annotations
@@ -27,6 +28,7 @@ from . import lab
 from .errors import ConfigError, DecolabError
 
 CONFIG_KEYS = ("lambda", "seed", "samples", "format", "out")
+FORMATS = ("text", "json", "csv")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -36,7 +38,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--out", default=None, help="write the output to a file")
     p.add_argument("--format", dest="fmt", default=None,
-                   choices=["text", "json", "csv"])
+                   choices=FORMATS)
     p.add_argument("--config", default=None,
                    help="JSON file of flat flag defaults; flags win")
 
@@ -63,9 +65,14 @@ def _load_config(path: str) -> dict:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a flat JSON object")
-    for key in cfg:
+    for key, value in cfg.items():
         if key not in CONFIG_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
+        # each value as argparse checks its flag; a bool is no int here
+        if ((key in ("seed", "samples") and type(value) is not int)
+                or (key == "format" and value not in FORMATS)
+                or (key == "out" and not isinstance(value, str))):
+            raise ConfigError(f"invalid {key} {value!r}")
     return cfg
 
 
@@ -122,10 +129,9 @@ def main(argv=None) -> int:
         print(f"decolab: bad config: {exc}", file=sys.stderr)
         return 2
 
-    seed = int(_pick(args.seed, cfg, "seed", lab.DEFAULT_SEED))
+    seed = _pick(args.seed, cfg, "seed", lab.DEFAULT_SEED)
     samples = _pick(args.samples, cfg, "samples", None)
-    samples = None if samples is None else int(samples)
-    fmt = str(_pick(args.fmt, cfg, "format", "text"))
+    fmt = _pick(args.fmt, cfg, "format", "text")
     out = _pick(args.out, cfg, "out", None)
     try:
         lams = _parse_lams(_pick(args.lam, cfg, "lambda", None))

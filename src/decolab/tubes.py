@@ -13,13 +13,15 @@ fraction below quantifies exactly that.
 In the lam-free cell x' = x/rho, t' = t/t_half every tube is the same set
 up to a rotation, so a pair overlap is lam**-3 times a function of the
 angle between the two caps alone: ``overlap.overlap_profile``, a
-deterministic quadrature.  The overlap sum ``l2_sum`` is exact from it
-and from exact pair counts, and draws nothing.  Only the estimators under
-audit sample: ``mc_volume`` and ``mc_pair_overlap`` (hit-or-miss Monte
-Carlo over the analytic cylinder envelope, which the tests z-test against
-the profile), the boundary layer, and the multiplicity statistics, which
-reweight their draws by 1/M.  Counter-based keyed streams make the
-results independent of evaluation order.
+deterministic quadrature.  The tube-volume experiment reports the profile
+at delta = 0 as the tube volume, and the overlap sum ``l2_sum`` is exact
+from the profile and from exact pair counts; neither rests on a draw.
+``mc_volume`` and ``mc_pair_overlap`` (hit-or-miss Monte Carlo over the
+analytic cylinder envelope) are audits of the tube sets against the
+profile: tube-volume reports their z, and the tests z-test them.  The
+boundary layer and the multiplicity statistics, which reweight their draws
+by 1/M, sample too.  Counter-based keyed streams make the results
+independent of evaluation order.
 """
 from __future__ import annotations
 

@@ -86,9 +86,8 @@ def test_build_lattice_beyond_the_guard_allocates_nothing(monkeypatch):
     monkeypatch.setattr(caps, "fibonacci_sphere", _forbidden)
     monkeypatch.setattr(caps, "_spiral_rows", _forbidden)
     monkeypatch.setattr(caps, "_upper_sq_chords", _forbidden)
-    for build in (caps.build_lattice, caps.first_cap):
-        with pytest.raises(caps.ConfigError, match="134217728 points"):
-            build(scale.derive(2.0 ** 18))
+    with pytest.raises(caps.ConfigError, match="134217728 points"):
+        caps.build_lattice(scale.derive(2.0 ** 18))
 
 
 def _kd_nearest_chord(points, bound=math.inf):
@@ -342,14 +341,6 @@ def test_cap_zero_is_spiral_point_zero(lam):
     s = scale.derive(lam)
     spiral0 = caps.fibonacci_sphere(caps.spiral_size(s))[0]
     assert caps.build_lattice(s).centers[0].tobytes() == spiral0.tobytes()
-    assert caps.first_cap(s).tobytes() == spiral0.tobytes()
-
-
-def test_first_cap_lays_down_no_spiral(monkeypatch):
-    s = scale.derive(4096.0)
-    spiral0 = caps.fibonacci_sphere(caps.spiral_size(s))[0]
-    monkeypatch.setattr(caps, "fibonacci_sphere", _forbidden)
-    assert caps.first_cap(s).tobytes() == spiral0.tobytes()
 
 
 def test_family_xi_lies_on_the_lam_sphere(family64):
@@ -381,6 +372,18 @@ def test_ring_histogram_partitions_everything(family64):
     # the thin inner rings, and the first rings that hold caps
     for k in (1, 2, 3, *np.flatnonzero(hist)[:3].tolist()):
         assert _ring_count(family64, 0, k) == int(hist[k])
+
+
+@pytest.mark.parametrize("lam", [64.0, 4096.0])
+def test_no_cap_lies_in_a_ring_inside_the_separation(lam):
+    # the lattice is separated, so every ring inside the separation is empty
+    s = scale.derive(lam)
+    fam = caps.build_lattice(s)
+    first = math.floor(caps.min_separation(fam) / s.alpha)
+    centers = lab.run_experiment("annulus-partition", lam).results[
+        "center_indices"]
+    for idx in centers:
+        assert np.flatnonzero(caps.ring_histogram(fam, idx))[0] >= first
 
 
 @pytest.mark.parametrize("call", [

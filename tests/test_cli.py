@@ -182,6 +182,17 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc", [{"seed": "abc"}, {"seed": None},
+                                 {"format": "xml"}, {"samples": 2.7}])
+def test_a_bad_config_value_is_a_usage_error(doc, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    code = cli.main(["shell", "--lambda", "64", "--config", str(cfg)])
+    assert code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "bad config: invalid" in out.err
+
+
 def test_config_missing_file_is_usage_error(tmp_path, capsys):
     code = cli.main(["shell", "--config", str(tmp_path / "nope.json")])
     assert code == 2
@@ -239,7 +250,6 @@ def test_tubes_floor_is_checked_before_any_lattice(name, monkeypatch):
     def no_lattice(*args):
         raise AssertionError("lattice built before the samples check")
     monkeypatch.setattr(caps, "build_lattice", no_lattice)
-    monkeypatch.setattr(caps, "first_cap", no_lattice)
     with pytest.raises(DecolabError, match=f"{name} needs samples >= "
                        f"{tubes.MIN_SAMPLES}"):
         lab.run_experiment(name, 64.0, samples=tubes.MIN_SAMPLES - 1)

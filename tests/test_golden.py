@@ -41,7 +41,7 @@ def test_golden_report(path):
     assert rep.canonical_json() == expected
 
 
-def test_a_registry_pass_has_five_statistical_verdicts():
+def test_a_registry_pass_has_four_statistical_verdicts():
     # one report per experiment, at its golden's inputs; these are the
     # verdicts that can FAIL by chance, which a false-FAIL budget counts
     docs = {}
@@ -59,5 +59,4 @@ def test_a_registry_pass_has_five_statistical_verdicts():
         ("hyperplane-shell", "matches_exact_fraction"),
         ("nested-ball", "matches_closed_form"),
         ("pair-overlap", "estimates_below_bound"),
-        ("tube-volume", "truncation_shrinks"),
     ]

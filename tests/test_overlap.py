@@ -3,6 +3,7 @@
 ``overlap.overlap_profile`` is lam^3 |T cap T'| as a function of the angle
 between the caps.  Its ends are pinned to the closed 1-D volumes, and
 ``tubes.mc_volume`` and ``tubes.mc_pair_overlap`` are z-tested against it.
+The tube-volume experiment reports the profile itself.
 """
 import functools
 import math
@@ -10,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from decolab import overlap, scale, tubes
+from decolab import caps, lab, overlap, scale, tubes
 from decolab.errors import ConfigError
 
 
@@ -65,3 +66,26 @@ def test_monte_carlo_estimators_match_the_profile():
     # a profile that ignores the truncation is caught
     ignores = _audit_z_scores(lambda d, truncated: overlap.overlap_profile(d))
     assert np.max(ignores) > 3.0
+
+
+@pytest.mark.parametrize("seed,samples", [(7, 1000), (11, 4096), (3, 30_000)])
+def test_tube_volume_reports_the_profile_whatever_it_draws(seed, samples):
+    for lam in lab.LADDER_LAMS:
+        rep = lab.run_experiment("tube-volume", lam, seed, samples)
+        assert rep.results["volume"] == overlap.overlap_profile(0.0) / lam ** 3
+        assert (rep.results["volume_truncated"]
+                == overlap.overlap_profile(0.0, True) / lam ** 3)
+        assert not rep.has_fail
+        assert not any(v.statistical for v in rep.verdicts)
+
+
+def test_the_tube_volume_ladder_is_an_identity_and_builds_no_lattice(
+        monkeypatch):
+    def no_lattice(*args):
+        raise AssertionError("tube-volume laid down the cap lattice")
+    monkeypatch.setattr(caps, "build_lattice", no_lattice)
+    monkeypatch.setattr(caps, "fibonacci_sphere", no_lattice)
+    rep = lab.run_ladder("tube-volume")
+    assert abs(rep.results["slope"] + 3.0) <= 1e-12
+    assert rep.results["max_log_residual"] < 1e-12
+    assert rep.results["per_lam_verdict_failures"] == 0

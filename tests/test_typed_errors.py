@@ -46,6 +46,12 @@ SITES = {
                                              [1.0, 2.0, 4.0]),
     "cli-config-not-an-object": lambda: _load_config_of([64]),
     "cli-config-unknown-key": lambda: _load_config_of({"lam": 64}),
+    "cli-config-seed-text": lambda: _load_config_of({"seed": "abc"}),
+    "cli-config-seed-null": lambda: _load_config_of({"seed": None}),
+    "cli-config-seed-bool": lambda: _load_config_of({"seed": True}),
+    "cli-config-samples-float": lambda: _load_config_of({"samples": 2.7}),
+    "cli-config-format-unknown": lambda: _load_config_of({"format": "xml"}),
+    "cli-config-out-not-text": lambda: _load_config_of({"out": 1}),
     "lab-no-ladder-metric": lambda: lab.run_ladder("nested-ball"),
     "lab-samples-ceiling": lambda: lab.run_experiment(
         "geometry-residual", 64.0, samples=lab.MAX_SAMPLES + 1),
