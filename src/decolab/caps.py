@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DegenerateScaleError
-from .geometry import BLOCK_ROWS, angle_between
+from .geometry import BLOCK_ROWS, angle_between, dot, norm
 from .scale import ScaleParams
 
 
@@ -379,8 +379,8 @@ def clustered_dirs(rng: np.random.Generator, axis: np.ndarray, n: int,
     out = [axis]
     for _ in range(n - 1):
         tang = rng.normal(size=3)
-        tang -= axis * float(np.dot(tang, axis))
-        tang /= np.linalg.norm(tang)
+        tang -= axis * float(dot(tang, axis))
+        tang /= norm(tang)
         ang = radius * rng.random()
         out.append(math.cos(ang) * axis + math.sin(ang) * tang)
     return np.asarray(out)

@@ -120,14 +120,18 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
+def _usage(message: str) -> int:
+    print(f"decolab: {message}", file=sys.stderr)
+    return 2
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         cfg = _load_config(args.config) if args.config else {}
     except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"decolab: bad config: {exc}", file=sys.stderr)
-        return 2
+        return _usage(f"bad config: {exc}")
 
     seed = _pick(args.seed, cfg, "seed", lab.DEFAULT_SEED)
     samples = _pick(args.samples, cfg, "samples", None)
@@ -136,8 +140,13 @@ def main(argv=None) -> int:
     try:
         lams = _parse_lams(_pick(args.lam, cfg, "lambda", None))
     except ValueError as exc:
-        print(f"decolab: bad --lambda: {exc}", file=sys.stderr)
-        return 2
+        return _usage(f"bad --lambda: {exc}")
+    try:
+        # fail before the run, not after it; "a" leaves a file's bytes alone
+        if out is not None:
+            open(out, "a").close()
+    except OSError as exc:
+        return _usage(f"cannot write {out}: {exc.strerror or exc}")
 
     try:
         if args.command == "ladder":
@@ -151,11 +160,9 @@ def main(argv=None) -> int:
                        if exp.group == args.command
                        for lam in (lams if lams and exp.needs_lam else [None])]
     except lab.UnknownExperimentError as exc:
-        print(f"decolab: unknown experiment {exc}", file=sys.stderr)
-        return 2
+        return _usage(f"unknown experiment {exc}")
     except (DecolabError, ValueError) as exc:
-        print(f"decolab: {exc}", file=sys.stderr)
-        return 2
+        return _usage(str(exc))
 
     _emit(_render(reports, fmt), out)
     return 1 if any(r.has_fail for r in reports) else 0

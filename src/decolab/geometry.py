@@ -217,8 +217,8 @@ def gram_det3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Gram determinant of three unit vectors via the pairwise-cosine form.
 
     det G = 1 - cab^2 - cac^2 - cbc^2 + 2 cab cac cbc, with cxy the cosine
-    of the angle between x and y.  Inputs are assumed unit; the identity is
-    cross-checked against the brute 3x3 determinant in the test suite.
+    of the angle between x and y.  Inputs are assumed unit; gram-identity
+    checks the identity against the minors of ``gram_det``.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -238,15 +238,49 @@ def wedge3_norm(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.sqrt(np.clip(gram_det3(a, b, c), 0.0, None))
 
 
+def _minor2(a: np.ndarray, b: np.ndarray, i: int, j: int) -> np.ndarray:
+    """2x2 minor a_i b_j - a_j b_i of two column vectors, rows i and j."""
+    return a[..., i] * b[..., j] - a[..., j] * b[..., i]
+
+
+def gram_det(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Gram determinant of three column vectors, |a ^ b ^ c|^2, any length.
+
+    Cauchy-Binet: the sum of squares of the 3x3 minors of [a b c], one per
+    row triple, each expanded along c in the 2x2 minors of a and b.  The
+    minors read the vectors' own entries, never a dot product: where the
+    Gram determinant is tiny, dot products round first and lose it, while
+    each minor here is off by a few eps times |a| |b| |c|, so the wedge
+    sqrt(gram_det) is too (``test_geometry`` holds it to an exact oracle).
+    Elementwise in a fixed order, so no BLAS kernel moves it.
+    """
+    a, b, c = (np.asarray(v, dtype=float) for v in (a, b, c))
+    out = 0.0
+    for i, j, k in itertools.combinations(range(a.shape[-1]), 3):
+        m = (_minor2(a, b, i, j) * c[..., k] - _minor2(a, b, i, k) * c[..., j]
+             + _minor2(a, b, j, k) * c[..., i])
+        out = out + m * m
+    return out
+
+
 def mixed_minor4(c1: np.ndarray, c2: np.ndarray, c3: np.ndarray,
                  c4: np.ndarray) -> np.ndarray:
-    """Absolute 4x4 determinant of four column 4-vectors."""
-    cols = np.stack(
-        [np.asarray(c, dtype=float) for c in (c1, c2, c3, c4)], axis=-1
-    )
-    if cols.shape[-2:] != (4, 4):
-        raise ConfigError(f"need four 4-vectors, got stacked shape {cols.shape}")
-    return np.abs(np.linalg.det(cols))
+    """Absolute 4x4 determinant of four column 4-vectors.
+
+    Laplace expansion along rows (0, 1): each 2x2 minor of those rows times
+    its complementary minor of rows (2, 3), signed, summed left to right.
+    Elementwise in a fixed order, so no BLAS kernel moves it.
+    """
+    c = [np.asarray(v, dtype=float) for v in (c1, c2, c3, c4)]
+    if any(v.shape[-1:] != (4,) for v in c):
+        raise ConfigError(f"need four 4-vectors, got shapes "
+                          f"{[v.shape for v in c]}")
+
+    def term(j, k, l, m):
+        return _minor2(c[j], c[k], 0, 1) * _minor2(c[l], c[m], 2, 3)
+
+    return np.abs(term(0, 1, 2, 3) - term(0, 2, 1, 3) + term(0, 3, 1, 2)
+                  + term(1, 2, 0, 3) - term(1, 3, 0, 2) + term(2, 3, 0, 1))
 
 
 def min_triple(values: np.ndarray) -> np.ndarray:

@@ -8,7 +8,7 @@ kinds of verdicts:
 * PASS / FAIL for exact identities and closed-form oracles,
 * PASS / FAIL marked ``statistical`` for Monte Carlo estimates held within
   Z_LIMIT standard errors of a target (``_stat``), which can fail by
-  chance; ``_audit`` gives one estimate's z and its two-sided verdict,
+  chance; ``_audit`` gives one estimate's z and the detail that names it,
 * OBSERVATIONAL for measured quantities compared against claimed rates,
   and for the z of a Monte Carlo audit of a value the report gives exactly.
 
@@ -102,14 +102,13 @@ def _stat(name: str, estimate, stderr, target, side: str,
     return Verdict(name, PASS if ok else FAIL, detail, statistical=True)
 
 
-def _audit(name: str, estimate: float, stderr: float,
-           target: float) -> tuple[float | None, Verdict]:
-    """Standard errors from ``target`` to ``estimate``, and their two-sided
-    ``_stat`` verdict.  The z is None (JSON null) at zero error, where no
-    finite number is right."""
+def _audit(estimate: float, stderr: float,
+           target: float) -> tuple[float | None, str]:
+    """Standard errors from ``target`` to ``estimate``, and a detail line
+    naming them.  The z is None (JSON null) at zero error, where no finite
+    number is right."""
     z = (estimate - target) / stderr if stderr > 0 else None
-    detail = "z undefined at zero stderr" if z is None else f"z = {z:.3f}"
-    return z, _stat(name, estimate, stderr, target, "both", detail)
+    return z, "z undefined at zero stderr" if z is None else f"z = {z:.3f}"
 
 
 def _jsonify(obj):
@@ -252,8 +251,12 @@ def fit_slope(lams, values) -> LadderFit:
                           "distinct lams")
     if np.any(y <= 0) or np.any(x <= 0):
         raise ConfigError("ladder fit needs positive scales and values")
-    slope, intercept = np.polyfit(np.log(x), np.log(y), 1)
-    resid = np.log(y) - (slope * np.log(x) + intercept)
+    # closed-form least squares over correctly rounded sums
+    lx, ly = np.log(x), np.log(y)
+    mx, my = math.fsum(lx) / len(lx), math.fsum(ly) / len(ly)
+    slope = math.fsum((lx - mx) * (ly - my)) / math.fsum((lx - mx) ** 2)
+    intercept = my - slope * mx
+    resid = ly - (slope * lx + intercept)
     return LadderFit(slope=float(slope), intercept=float(intercept),
                      n_points=int(x.shape[0]),
                      max_log_residual=float(np.max(np.abs(resid))))
@@ -464,7 +467,7 @@ def _exp_gram_identity(run):
 
     def gram_gap(v):
         closed = geometry.gram_det3(v[:, 0], v[:, 1], v[:, 2])
-        brute = np.linalg.det(v @ np.transpose(v, (0, 2, 1)))
+        brute = geometry.gram_det(v[:, 0], v[:, 1], v[:, 2])
         return np.abs(closed - brute), closed
 
     # generic unit 4-vectors, dropped before the clustered draw
@@ -535,17 +538,16 @@ def _exp_mixed_minor(run):
         a1, a2, a3 = (geometry.asymptotic_normal(lam * dirs[:, m])
                       for m in range(3))
         xi4 = lam * dirs[:, 3]
-        rho4 = geometry.normal_defect(xi4)
+        a4 = geometry.asymptotic_normal(xi4)
+        rho4 = geometry.normal(xi4) - a4
         det = geometry.mixed_minor4(a1, a2, a3, rho4)
-        # wedge via the brute Gram determinant: the cosine closed form
-        # assumes unit columns, and these carry norm sqrt(1 + 1/(4 lam^2))
-        stacked = np.stack([a1, a2, a3], axis=1)
-        gram = stacked @ np.transpose(stacked, (0, 2, 1))
-        wedge = np.sqrt(np.clip(np.linalg.det(gram), 0.0, None))
+        # wedge from the minors, not the cosine closed form, which assumes
+        # unit columns (these carry norm sqrt(1 + 1/(4 lam^2))), nor a Gram
+        # matrix of dot products, which loses the tiny clustered wedges
+        wedge = np.sqrt(geometry.gram_det(a1, a2, a3))
         bound = wedge * geometry.norm(rho4)
         # the defect points exactly against the large-frequency limit vector
-        anti = math.pi - geometry.angle_between(
-            rho4, geometry.asymptotic_normal(xi4))
+        anti = math.pi - geometry.angle_between(rho4, a4)
         return (det, det <= bound * (1.0 + 1e-6) + 1e-18, np.abs(anti),
                 (det + 1e-18) / (bound + 1e-18))
 
@@ -717,11 +719,11 @@ def _exp_tube_volume(run):
         exact = float(overlap.overlap_profile(0.0, truncated)) / lam ** 3
         est = tubes.mc_volume(tubes.Tube(s, axis, truncated), run.samples,
                               run.seed)
-        z, audit = _audit(key, est.value, est.stderr, exact)
+        z, detail = _audit(est.value, est.stderr, exact)
         results[key] = exact
         results[f"{key}_audit"] = {"estimate": est.value,
                                    "stderr": est.stderr, "z": z}
-        audits.append(_obs(f"{key}_audit", f"mc_volume {audit.detail}, "
+        audits.append(_obs(f"{key}_audit", f"mc_volume {detail}, "
                            f"{run.samples} draws"))
     volume, env = results["volume"], tubes.cylinder_volume(s)
     results.update(envelope_volume=env, hit_fraction=volume / env,
@@ -745,7 +747,7 @@ def _exp_nested_ball(run):
     tube = tubes.Tube(scale=s, xi=np.zeros(3))
     est = tubes.mc_volume(tube, samples, seed)
     exact = tubes.nested_ball_volume(s)
-    z, audit = _audit("matches_closed_form", est.value, est.stderr, exact)
+    z, detail = _audit(est.value, est.stderr, exact)
     results = {
         "estimate": est.value,
         "stderr": est.stderr,
@@ -753,7 +755,8 @@ def _exp_nested_ball(run):
         "z_score": z,
         "expected_hit_fraction": 0.125,
     }
-    return results, (audit,)
+    return results, (_stat("matches_closed_form", est.value, est.stderr,
+                           exact, "both", detail),)
 
 
 @experiment("boundary-layer", group="tubes", samples=200_000,
@@ -763,14 +766,15 @@ def _exp_boundary_layer(run):
     s, seed, samples = run.scale, run.seed, run.samples
     est = tubes.boundary_layer_mc(s, samples, seed)
     exact = tubes.BOUNDARY_LAYER_FRACTION
-    z, audit = _audit("matches_exact_fraction", est.value, est.stderr, exact)
+    z, detail = _audit(est.value, est.stderr, exact)
     results = {
         "estimate": est.value,
         "stderr": est.stderr,
         "exact": exact,
         "z_score": z,
     }
-    return results, (audit,)
+    return results, (_stat("matches_exact_fraction", est.value, est.stderr,
+                           exact, "both", detail),)
 
 
 @experiment("pair-overlap", group="tubes", samples=100_000,
@@ -1043,7 +1047,7 @@ def _exp_hyperplane_shell(run):
         poly = shell.hyperplane_poly(tau)
         bf = shell.band_fraction(s, poly, samples, seed, tag=f"hyper-{tau}")
         exact = shell.hyperplane_fraction_exact(bf.beta, tau)
-        z, _ = _audit("matches_exact_fraction", bf.value, bf.stderr, exact)
+        z, _ = _audit(bf.value, bf.stderr, exact)
         rows.append({**_band_row(run, bf), "tau": tau, "exact": exact,
                      "z": z})
     results = {"rows": rows}

@@ -273,7 +273,7 @@ def sample_sextuple(scale: ScaleParams, seed: int,
         pts = np.empty((n, 6, 3))
         for i, rng in enumerate(streams):
             base = _shell_points(scale, rng, 1)[0]
-            radius = np.linalg.norm(base)
+            radius = norm(base)
             near = clustered_dirs(rng, base / radius, 5, 0.2 * scale.alpha)
             pts[i, 0] = base
             pts[i, 1:5] = radius * near[1:]

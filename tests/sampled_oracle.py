@@ -67,11 +67,11 @@ def gram_identity(run) -> tuple[dict, dict]:
     rng = run.rng()
     v = _unit_vectors(rng, 3 * samples, 4).reshape(samples, 3, 4)
     closed = geometry.gram_det3(v[:, 0], v[:, 1], v[:, 2])
-    brute = np.linalg.det(v @ np.transpose(v, (0, 2, 1)))
+    brute = geometry.gram_det(v[:, 0], v[:, 1], v[:, 2])
     d = _jittered_stack(rng, samples, 3, run.scale.r)
     n = geometry.normal(lam * d / geometry.norm(d)[..., np.newaxis])
     closed_c = geometry.gram_det3(n[:, 0], n[:, 1], n[:, 2])
-    brute_c = np.linalg.det(n @ np.transpose(n, (0, 2, 1)))
+    brute_c = geometry.gram_det(n[:, 0], n[:, 1], n[:, 2])
     results = {
         "max_abs_diff_generic": float(np.max(np.abs(closed - brute))),
         "max_abs_diff_clustered": float(np.max(np.abs(closed_c - brute_c))),
@@ -108,9 +108,7 @@ def mixed_minor(run) -> tuple[dict, dict]:
     xi4 = lam * dirs[:, 3]
     rho4 = geometry.normal_defect(xi4)
     det = geometry.mixed_minor4(a1, a2, a3, rho4)
-    stacked = np.stack([a1, a2, a3], axis=1)
-    gram = stacked @ np.transpose(stacked, (0, 2, 1))
-    wedge = np.sqrt(np.clip(np.linalg.det(gram), 0.0, None))
+    wedge = np.sqrt(geometry.gram_det(a1, a2, a3))
     bound = wedge * geometry.norm(rho4)
     anti = math.pi - geometry.angle_between(
         rho4, geometry.asymptotic_normal(xi4))

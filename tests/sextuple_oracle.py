@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from decolab.caps import CapFamily, clustered_dirs, conflict_degrees
-from decolab.geometry import angle_between
+from decolab.geometry import angle_between, norm
 from decolab.rng import keyed_rng
 from decolab.scale import ScaleParams
 
@@ -234,7 +234,7 @@ def sample_sextuple(scale: ScaleParams, seed: int, replicate: int,
         pts = np.vstack([half, half + 0.3 * jitter])
     elif kind == "clustered5":
         base = _shell_points(scale, rng, 1)[0]
-        radius = np.linalg.norm(base)
+        radius = norm(base)
         near = clustered_dirs(rng, base / radius, 5, 0.2 * scale.alpha)[1:]
         pts = np.vstack([base, radius * near, _shell_points(scale, rng, 1)])
     else:

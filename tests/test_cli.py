@@ -87,6 +87,28 @@ def test_out_file_written(tmp_path, capsys):
     assert names == ["probe-single-cap", "probe-curve"]
 
 
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_an_unwritable_out_is_a_usage_error_before_any_run(via, tmp_path,
+                                                           monkeypatch,
+                                                           capsys):
+    def no_run(*args):
+        raise AssertionError("an experiment ran")
+    monkeypatch.setattr(lab, "run_experiment", no_run)
+    monkeypatch.setattr(lab, "run_ladder", no_run)
+    out = str(tmp_path / "missing" / "x.txt")
+    if via == "flag":
+        argv = ["ledger", "--out", out]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"out": out}))
+        argv = ["ladder", "mixed-minor", "--config", str(cfg)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"decolab: cannot write {out}: ")
+    assert "Traceback" not in captured.err
+
+
 def test_multiple_lambdas_fan_out(capsys):
     code = cli.main(["geometry-audit", "--lambda", "64,128",
                      "--samples", "2000", "--format", "json"])
@@ -142,7 +164,7 @@ def test_ladder_rungs_are_checked_before_any_runs(name, rungs, message,
 
 
 def test_a_ladder_of_one_repeated_rung_is_usage_error(capsys):
-    # refused before polyfit can warn about a fit to one distinct lam
+    # refused before the fit can divide by the spread of one distinct lam
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = cli.main(["ladder", "cap-lattice", "--lambda", "64,64,64"])
@@ -292,22 +314,28 @@ def test_json_reports_at_the_sample_floor_are_strict_json(name, lam):
 
 
 def test_the_audit_gives_a_null_z_at_zero_stderr_and_a_two_sided_verdict():
+    # the audit gives the z and its detail; nested-ball and boundary-layer
+    # pass them to _stat as a two-sided verdict
+    def verdict(estimate, stderr, target):
+        z, detail = lab._audit(estimate, stderr, target)
+        return z, lab._stat("a", estimate, stderr, target, "both", detail)
+
     # zero stderr: no z, and only an exact match passes
-    z, verdict = lab._audit("a", 0.125, 0.0, 0.125)
-    assert z is None and verdict.status == lab.PASS
-    assert verdict.detail == "z undefined at zero stderr"
-    z, verdict = lab._audit("a", 0.0, 0.0, 0.125)
-    assert z is None and verdict.status == lab.FAIL
-    assert verdict.detail == "z undefined at zero stderr"
+    z, v = verdict(0.125, 0.0, 0.125)
+    assert z is None and v.status == lab.PASS
+    assert v.detail == "z undefined at zero stderr"
+    z, v = verdict(0.0, 0.0, 0.125)
+    assert z is None and v.status == lab.FAIL
+    assert v.detail == "z undefined at zero stderr"
     # within Z_LIMIT = 3 standard errors passes, beyond it fails, either side
     for sign in (1.0, -1.0):
-        z, verdict = lab._audit("a", sign * 0.5, 0.25, 0.0)
-        assert (z, verdict.status, verdict.detail) == (
+        z, v = verdict(sign * 0.5, 0.25, 0.0)
+        assert (z, v.status, v.detail) == (
             sign * 2.0, lab.PASS, f"z = {sign * 2.0:.3f}")
-        z, verdict = lab._audit("a", sign * 1.0, 0.25, 0.0)
-        assert (z, verdict.status, verdict.detail) == (
+        z, v = verdict(sign * 1.0, 0.25, 0.0)
+        assert (z, v.status, v.detail) == (
             sign * 4.0, lab.FAIL, f"z = {sign * 4.0:.3f}")
-    assert verdict.name == "a" and verdict.statistical
+    assert v.name == "a" and v.statistical
 
 
 def test_shell_json_at_one_sample_is_strict_json(capsys):

@@ -1,13 +1,14 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from decolab import geometry
+from decolab import geometry, lab, scale
 from decolab.errors import DegenerateGeometryError
-from decolab.rng import keyed_rng, unit_vectors
+from decolab.rng import jittered_stack, keyed_rng, unit_vectors
 
 import geometry_oracle as oracle
 
@@ -192,6 +193,90 @@ def test_mixed_minor4_known_value_and_shape_check():
     assert geometry.mixed_minor4(eye[0], eye[0], eye[1], eye[2]) == 0.0
     with pytest.raises(ValueError):
         geometry.mixed_minor4(np.ones(3), np.ones(3), np.ones(3), np.ones(3))
+
+
+def _exact_det(rows):
+    """Determinant of a square matrix of floats or Fractions, exact."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for k in range(len(m)):
+        pivot = next((i for i in range(k, len(m)) if m[i][k]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            det = -det
+        det *= m[k][k]
+        for i in range(k + 1, len(m)):
+            f = m[i][k] / m[k][k]
+            m[i] = [x - f * y for x, y in zip(m[i], m[k])]
+    return det
+
+
+def _clustered_minor_columns(lam, seed, rows):
+    """mixed-minor's columns a1, a2, a3, rho4 at the given rows of its
+    default draw."""
+    s = scale.derive(lam)
+    d = jittered_stack(keyed_rng(seed, "mixed-minor", repr(lam)),
+                       lab.REGISTRY["mixed-minor"].default_samples, 4, s.r)
+    dirs = d[rows] / geometry.norm(d[rows])[..., np.newaxis]
+    cols = [geometry.asymptotic_normal(lam * dirs[:, m]) for m in range(3)]
+    return cols + [geometry.normal_defect(lam * dirs[:, 3])]
+
+
+# generic Gaussian rows, and clustered rows of mixed-minor at lam 512,
+# seed 2, where a Gram matrix of dot products rounds row 2407's wedge
+# (1.1217e-8) to zero
+_GENERIC = list(np.swapaxes(
+    keyed_rng(0, "geom-exact").normal(size=(40, 4, 4)), 0, 1))
+_CLUSTERED = _clustered_minor_columns(512.0, 2, [*range(2400, 2416)])
+
+
+@pytest.mark.parametrize("cols", [_GENERIC, _CLUSTERED],
+                         ids=["generic", "clustered-512-seed-2"])
+def test_kernels_match_exact_determinants_of_the_same_floats(cols):
+    eps = np.finfo(float).eps
+    det = geometry.mixed_minor4(*cols)
+    gram = geometry.gram_det(*cols[:3])
+    for r in range(len(det)):
+        c = [v[r] for v in cols]
+        size = [float(geometry.norm(v)) for v in c]
+        # Laplace: each 2x2 minor is off by 2u times its two products, a
+        # term by 5u and the sum by 5u of |terms|; the six terms together
+        # are at most 6 prod|c| (Cauchy-Schwarz per minor), so 30 eps
+        assert abs(Fraction(float(det[r])) - abs(_exact_det(c))) <= (
+            30 * eps * math.prod(size))
+        # Cauchy-Binet: the four 3x3 minors are off by at most 20 eps P in
+        # all (P = |a||b||c|, l1 <= 2 l2 in R^4), the sum of their squares
+        # adds 2 eps of itself, and sqrt(G) <= P: the wedge sqrt(gram) is
+        # within about 42 eps P of the exact one
+        p = math.prod(size[:3])
+        exact = _exact_det([[sum(Fraction(x) * Fraction(y)
+                                 for x, y in zip(u, v)) for v in c[:3]]
+                            for u in c[:3]])
+        assert abs(Fraction(float(gram[r])) - exact) <= (
+            42 * eps * p * (math.sqrt(exact) + 42 * eps * p))
+
+
+def test_the_mixed_minor_wedge_needs_the_minors_not_a_gram_matrix(
+        monkeypatch):
+    # the mutant: the wedge from a cofactor expansion of the Gram matrix
+    # of dot products, which loses row 2407's wedge at lam 512, seed 2
+    def cofactor_gram(a, b, c):
+        g = [[geometry.dot(x, y) for y in (a, b, c)] for x in (a, b, c)]
+        return np.clip(g[0][0] * (g[1][1] * g[2][2] - g[1][2] * g[2][1])
+                       - g[0][1] * (g[1][0] * g[2][2] - g[1][2] * g[2][0])
+                       + g[0][2] * (g[1][0] * g[2][1] - g[1][1] * g[2][0]),
+                       0.0, None)
+
+    def hadamard(seed):
+        rep = lab.run_experiment("mixed-minor", 512.0, seed)
+        (v,) = [v for v in rep.verdicts if v.name == "hadamard_inequality"]
+        return v.status
+
+    assert hadamard(2) == lab.PASS
+    monkeypatch.setattr(geometry, "gram_det", cofactor_gram)
+    assert hadamard(2) == lab.FAIL
 
 
 def test_min_triple_brute_force_agreement():

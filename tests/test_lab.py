@@ -13,6 +13,7 @@ import decolab
 import probe_oracle
 from decolab import caps, lab, scale
 from decolab.errors import ConfigError, DecolabError
+from decolab.rng import keyed_rng
 
 
 EXPECTED_NAMES = {
@@ -43,6 +44,19 @@ def test_fit_slope_recovers_exact_power_law():
     assert fit.intercept == pytest.approx(math.log(3.0), abs=1e-10)
     assert fit.max_log_residual < 1e-12
     assert fit.n_points == 4
+
+
+def test_fit_slope_matches_the_lapack_fit():
+    # np.polyfit stays here as a tests-only oracle; fit_slope's closed
+    # form over math.fsum rounds the same on every BLAS kernel
+    rng = keyed_rng(0, "fit-slope")
+    for k in range(3, 12):
+        lams = 2.0 ** np.sort(rng.choice(np.arange(1, 16), k, replace=False))
+        values = np.exp(rng.normal(size=k)) * lams ** rng.uniform(-4.0, 4.0)
+        fit = lab.fit_slope(lams, values)
+        slope, intercept = np.polyfit(np.log(lams), np.log(values), 1)
+        assert abs(fit.slope - slope) <= 1e-12
+        assert abs(fit.intercept - intercept) <= 1e-12
 
 
 def test_fit_slope_guards():
