@@ -219,8 +219,17 @@ def spiral_pairs_within(n: int, c: float):
     A chord of at most U then needs k <= U n / 2, and min(rho_i,
     rho_{i+k})^2 <= (U^2 - (2k/n)^2) / (4 sin^2(k G / 2)).  rho grows from
     each pole to the equator, so for each offset that leaves one index
-    range at each pole, found by ``_spiral_count`` on y, and only those
-    pairs are measured.  The pass walks i in blocks of BLOCK_ROWS and keeps
+    range at each pole, found by ``_spiral_count`` on y.  It also needs
+    |rho_i - rho_{i+k}| <= s, s^2 = U^2 - d^2 and d = 2k/n.  rho is concave
+    in y, so rho(y) - rho(y + d) rises with y, and that holds on the one
+    interval of y_i with ends
+
+        -d/2 -+ s sqrt(4 - d^2 - s^2) / (2 sqrt(d^2 + s^2))
+        = -d/2 -+ s sqrt(4 - U^2) / (2 U),
+
+    when s^2 < d (2 - d); past that the pole's own gap sqrt(d (2 - d)) is
+    under s and every i qualifies.  Only the polar pairs in that interval
+    are measured.  The pass walks i in blocks of BLOCK_ROWS and keeps
     a window of rows from the block's first i to its last j.  Each row is
     laid down once, by ``_spiral_rows``, when the first pair needs it, so
     the window holds at most BLOCK_ROWS + c n / 2 rows.  A block's pairs
@@ -244,18 +253,27 @@ def spiral_pairs_within(n: int, c: float):
     u = c + slack
     ks = np.arange(1, int(min(n - 1, 0.5 * u * n)) + 1)
     sin_half = np.sin(0.5 * _GOLDEN_ANGLE * ks)
-    rho2 = (u * u - (2.0 * ks / n) ** 2) / (4.0 * sin_half * sin_half)
+    d = 2.0 * ks / n
+    s2 = u * u - d * d
+    rho2 = s2 / (4.0 * sin_half * sin_half)
     h = np.sqrt(np.clip(1.0 - rho2, 0.0, None))   # rho <= sqrt(rho2): |y| >= h
     # pairs (i, i+k): i in [0, south) and in [north, n - k)
     south = np.minimum(_spiral_count(slack - h, n, "right"), n - ks)
     north = np.clip(_spiral_count(h - slack, n, "left") - ks, south, n - ks)
+    # and |rho_i - rho_{i+k}| <= s: one run of i about y = -d/2 (ends as in
+    # the docstring), unless the pole's own gap is under s
+    t = np.where(s2 < d * (2.0 - d), np.sqrt(np.clip(s2, 0.0, None) * max(
+        4.0 - u * u, 0.0)) / (2.0 * u), 2.0)      # t = 2: every i
+    near = _spiral_count(-0.5 * d - t - slack, n, "left")
+    far = _spiral_count(t - 0.5 * d + slack, n, "right")
+    run_lo = np.concatenate([near, np.maximum(north, near)])
+    run_hi = np.concatenate([np.minimum(south, far), np.minimum(n - ks, far)])
     steps = np.tile(ks, 2)
     rows, base = np.empty((0, 3)), 0    # the window: rows base, base + 1, ...
     for lo, hi in _blocks(n - 1):
         # the block's runs of i, counted from lo, each at one offset
-        starts = np.concatenate([np.zeros_like(ks), np.maximum(north - lo, 0)])
-        lens = np.maximum(np.concatenate([np.minimum(south, hi), np.minimum(
-            n - ks, hi)]) - lo - starts, 0)
+        starts = np.maximum(run_lo - lo, 0)
+        lens = np.maximum(np.minimum(run_hi, hi) - lo - starts, 0)
         if not lens.any():
             continue
         rows = np.concatenate([rows[lo - base:], _spiral_rows(np.arange(

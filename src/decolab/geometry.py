@@ -3,7 +3,8 @@
 The surface is tau = |xi|^2 in R^3 x R.  Everything here is elementary but
 is the substrate for the transversality experiments: unit normals, their
 large-frequency asymptotics, angle bilipschitz control, Gram determinants of
-normal triples, and the broad three-wave functional.  The bilipschitz
+normal triples, the orient3d predicate and the closed-form mixed minor it
+gives, and the broad three-wave functional.  The bilipschitz
 control is exact: on the sphere of one radius the normal angle is a function
 of the direction angle alone, ``bilipschitz_profile``, whose range over
 (0, pi] is closed form, and ``profile_bound`` says how far the sampled
@@ -281,6 +282,43 @@ def mixed_minor4(c1: np.ndarray, c2: np.ndarray, c3: np.ndarray,
 
     return np.abs(term(0, 1, 2, 3) - term(0, 2, 1, 3) + term(0, 3, 1, 2)
                   + term(1, 2, 0, 3) - term(1, 3, 0, 2) + term(2, 3, 0, 1))
+
+
+def orient3d(d1: np.ndarray, d2: np.ndarray, d3: np.ndarray,
+             d4: np.ndarray) -> np.ndarray:
+    """Shewchuk's orient3d: det[[d1 1]; [d2 1]; [d3 1]; [d4 1]], six times
+    the signed volume of the tetrahedron d1 d2 d3 d4 (DCG 18, 1997).
+
+    Formed as (d2 - d1) . ((d4 - d1) x (d3 - d1)), elementwise in a fixed
+    order, so its error is relative to the tetrahedron, not to |d_i|.  In
+    u = eps/2, first order: the differences round by u each, every 2x2
+    minor of the cross product by 2u of its two products, each product
+    with e = d2 - d1 by u more and the sum of three by 2u, so 8u in all
+    times the permanent of the three differences, which is at most
+    3 sqrt(3) |d2 - d1| |d3 - d1| |d4 - d1|: the result is within
+    21 eps |d2 - d1| |d3 - d1| |d4 - d1| of the exact determinant of the
+    float inputs.
+    """
+    e, f, g = (np.subtract(d, d1, dtype=float) for d in (d2, d3, d4))
+    return (e[..., 0] * _minor2(g, f, 1, 2) - e[..., 1] * _minor2(g, f, 0, 2)
+            + e[..., 2] * _minor2(g, f, 0, 1))
+
+
+def defect_minor(lam: float, d1: np.ndarray, d2: np.ndarray, d3: np.ndarray,
+                 d4: np.ndarray) -> np.ndarray:
+    """|det(a1, a2, a3, rho4)| in closed form, for directions d_i at radius
+    lam: a_i = ``asymptotic_normal(lam d_i)`` and rho4 =
+    ``normal_defect(lam d4)``.
+
+    normal(xi) = k asymptotic_normal(xi) exactly, k = 2 lam / q with
+    q = sqrt(1 + 4 lam^2), so rho4 = (k - 1) a4, and a_i = (-d_i, 1/(2 lam))
+    makes det(a1, a2, a3, a4) = -orient3d(d1, d2, d3, d4) / (2 lam).  So the
+    minor is (1 - k) / (2 lam) |orient3d|, with 1 - k = 1 / (q (q + 2 lam))
+    free of cancellation; the scale rounds by at most 6u and the product by
+    one more.
+    """
+    q = np.sqrt(1.0 + 4.0 * lam * lam)
+    return np.abs(orient3d(d1, d2, d3, d4)) / (2.0 * lam * q * (q + 2.0 * lam))
 
 
 def min_triple(values: np.ndarray) -> np.ndarray:

@@ -6,6 +6,8 @@ that number by a deterministic quadrature; ``tubes`` holds the tube sets,
 the Monte Carlo estimators audited against it, and the overlap sum built
 on it.
 """
+import functools
+
 import numpy as np
 
 from .errors import ConfigError
@@ -18,11 +20,13 @@ _PROFILE_NODES = (16, 24)
 PROFILE_RTOL = 1e-7
 
 
+@functools.cache
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1].
 
     Newton's method on the three-term Legendre recurrence, from the
     guesses cos(pi (k - 1/4) / (n + 1/2)); eight steps reach rounding.
+    Computed once per process on first use; the arrays are read-only.
     """
     x = np.cos(np.pi * (np.arange(n) + 0.75) / (n + 0.5))
     for _ in range(8):
@@ -31,7 +35,9 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
             p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
         dp = n * (x * p1 - p0) / (x * x - 1.0)
         x = x - p1 / dp
-    return x, 2.0 / ((1.0 - x * x) * dp * dp)
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def _cap_pair(delta: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -100,3 +106,10 @@ def overlap_profile(delta, truncated: bool = False) -> np.ndarray:
         inner = np.sum(0.5 * width * wm * g, axis=(-2, -1))
         total = total + w * big_r * big_r * (1.0 - big_r * inner)
     return 4.0 * np.pi * 0.5 * (0.5 - r0) * total
+
+
+@functools.cache
+def cell_volume(truncated: bool = False) -> float:
+    """lam^3 |T|, the lam-free volume of one tube: ``overlap_profile(0)``,
+    computed once per process on first use."""
+    return float(overlap_profile(0.0, truncated))

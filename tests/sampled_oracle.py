@@ -15,6 +15,7 @@ import math
 import numpy as np
 
 from decolab import geometry, shell
+from decolab.geometry import BLOCK_ROWS
 from decolab.rng import keyed_rng
 
 
@@ -34,13 +35,12 @@ def geometry_residual(run) -> tuple[dict, dict]:
     res = geometry.normal_residual(lam * _unit_vectors(run.rng(), run.samples))
     u = 1.0 / (4.0 * lam * lam)
     closed = u / (math.sqrt(1.0 + u) + 1.0)
+    gap = np.abs(res - closed) / (5.0 * np.finfo(float).eps)
     return {
-        "mean_residual": float(np.mean(res)),
-        "closed_form": closed,
-        "mean_over_closed": float(np.mean(res) / closed),
-        "spread_over_closed": float((res.max() - res.min()) / closed),
+        "mean_residual": closed,
+        "max_gap_over_bound": float(np.max(gap)),
         "times_eight_lam_sq": closed * 8.0 * lam * lam,
-    }, {}
+    }, {"matches_closed_form": bool(np.all(gap <= 1.0))}
 
 
 def bilipschitz(run) -> tuple[dict, dict]:
@@ -100,26 +100,33 @@ def broad3_identity(run) -> tuple[dict, dict]:
 
 
 def mixed_minor(run) -> tuple[dict, dict]:
-    lam = run.lam
+    lam, eps = run.lam, np.finfo(float).eps
     d = _jittered_stack(run.rng(), run.samples, 4, run.scale.r)
     dirs = d / geometry.norm(d)[..., np.newaxis]
-    a1, a2, a3 = (geometry.asymptotic_normal(lam * dirs[:, m])
-                  for m in range(3))
-    xi4 = lam * dirs[:, 3]
-    rho4 = geometry.normal_defect(xi4)
-    det = geometry.mixed_minor4(a1, a2, a3, rho4)
+    det = geometry.defect_minor(lam, *(dirs[:, m] for m in range(4)))
+    audit = dirs[:BLOCK_ROWS]
+    a1, a2, a3, a4 = (geometry.asymptotic_normal(lam * audit[:, m])
+                      for m in range(4))
+    rho4 = geometry.normal_defect(lam * audit[:, 3])
+    kernel = geometry.mixed_minor4(a1, a2, a3, rho4)
     wedge = np.sqrt(geometry.gram_det(a1, a2, a3))
-    bound = wedge * geometry.norm(rho4)
-    anti = math.pi - geometry.angle_between(
-        rho4, geometry.asymptotic_normal(xi4))
+    p3 = geometry.norm(a1) * geometry.norm(a2) * geometry.norm(a3)
+    n4 = geometry.norm(rho4)
+    edges = math.prod(geometry.norm(audit[:, m] - audit[:, 0])
+                      for m in (1, 2, 3))
+    closed = det[:BLOCK_ROWS]
+    over = kernel / (wedge * n4 + 80.0 * eps * p3 * n4)
+    gap = np.abs(kernel - closed) / (eps * (
+        50.0 * p3 * n4 + 5.0 * geometry.norm(a4) * (wedge + 42.0 * eps * p3)
+        + 2.0 * edges / lam ** 3 + 4.0 * closed))
     return {
         "max_abs_det": float(np.max(det)),
         "mean_abs_det": float(np.mean(det)),
-        "max_det_over_bound": float(np.max((det + 1e-18) / (bound + 1e-18))),
-        "max_antiparallel_dev": float(np.max(np.abs(anti))),
+        "max_det_over_bound": float(np.max(over)),
+        "max_gap_over_bound": float(np.max(gap)),
         "det_times_lam_10_3": float(np.max(det) * lam ** (10.0 / 3.0)),
-    }, {"hadamard_inequality": bool(np.all(
-        det <= bound * (1.0 + 1e-6) + 1e-18))}
+    }, {"hadamard_inequality": bool(np.all(over <= 1.0)),
+        "kernel_matches_closed_form": bool(np.all(gap <= 1.0))}
 
 
 def band_fraction(scale, poly, samples, seed, tag="band") -> shell.BandFraction:

@@ -1,5 +1,9 @@
-"""Whole-array oracles for caps.spiral_nearest_chord and
-caps.spiral_covering_chord, on the stored spiral.
+"""Whole-array oracles for caps.spiral_pairs_within,
+caps.spiral_nearest_chord and caps.spiral_covering_chord, on the stored
+spiral.
+
+``pairs_within`` measures every pair, one offset at a time, and keeps those
+within the chord: no polar or radial cut.
 
 ``nearest_chord`` is an independent two-pass search.  Its first pass
 measures every pair at the three offsets under 3 sqrt(n) with the smallest
@@ -19,6 +23,21 @@ import math
 import numpy as np
 
 from decolab import caps
+
+
+def pairs_within(spiral: np.ndarray, c: float):
+    """Every pair (i < j) of rows within chord c, (m, 2) lexicographic,
+    and their squared chords, by ``caps._sq_chords``."""
+    n = spiral.shape[0]
+    found = []
+    for k in range(1, n):
+        sq = caps._sq_chords(spiral, slice(0, n - k), spiral, slice(k, n))
+        i = np.flatnonzero(sq <= c * c)
+        found.append((i, i + k, sq[i]))
+    i, j, sq = (np.concatenate(a) for a in zip(
+        (np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0)), *found))
+    order = np.lexsort((j, i))
+    return np.stack([i, j], axis=1)[order], sq[order]
 
 
 def nearest_chord(spiral: np.ndarray) -> float:

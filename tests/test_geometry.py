@@ -279,6 +279,74 @@ def test_the_mixed_minor_wedge_needs_the_minors_not_a_gram_matrix(
     assert hadamard(2) == lab.FAIL
 
 
+@pytest.mark.parametrize("lam", [64.0, 1024.0, 16384.0, 65536.0])
+def test_orient3d_matches_an_exact_determinant_of_the_same_floats(lam):
+    eps = np.finfo(float).eps
+    d = jittered_stack(keyed_rng(1, "orient3d", repr(lam)), 40, 4,
+                       scale.derive(lam).r)
+    d /= geometry.norm(d)[..., np.newaxis]
+    got = geometry.orient3d(*(d[:, m] for m in range(4)))
+    for r in range(len(d)):
+        exact = _exact_det([[*row, 1.0] for row in d[r]])
+        edges = math.prod(float(geometry.norm(d[r, m] - d[r, 0]))
+                          for m in (1, 2, 3))
+        # the docstring's bound: 8u times a permanent <= 3 sqrt(3) edges
+        assert abs(Fraction(float(got[r])) - exact) <= 21 * eps * edges
+        assert exact != 0
+
+
+def _kernel_verdict(lam=lab.DEFAULT_LAM, seed=lab.DEFAULT_SEED):
+    rep = lab.run_experiment("mixed-minor", lam, seed)
+    (v,) = [v for v in rep.verdicts if v.name == "kernel_matches_closed_form"]
+    return v.status
+
+
+def _minor_without_one_minus_k(lam, *d):
+    return np.abs(geometry.orient3d(*d)) / (2.0 * lam)
+
+
+def _minor_over_lam(lam, *d):
+    q = math.sqrt(1.0 + 4.0 * lam * lam)
+    return np.abs(geometry.orient3d(*d)) / (lam * q * (q + 2.0 * lam))
+
+
+def _laplace_with_one_sign_flipped(c1, c2, c3, c4):
+    c = [np.asarray(v, dtype=float) for v in (c1, c2, c3, c4)]
+
+    def term(j, k, l, m):
+        return (geometry._minor2(c[j], c[k], 0, 1)
+                * geometry._minor2(c[l], c[m], 2, 3))
+
+    return np.abs(term(0, 1, 2, 3) - term(0, 2, 1, 3) + term(0, 3, 1, 2)
+                  + term(1, 2, 0, 3) + term(1, 3, 0, 2) + term(2, 3, 0, 1))
+
+
+@pytest.mark.parametrize("target,mutant", [
+    ("defect_minor", _minor_without_one_minus_k),
+    ("defect_minor", _minor_over_lam),
+    ("mixed_minor4", _laplace_with_one_sign_flipped),
+], ids=["drops-one-minus-k", "one-over-lam", "laplace-sign"])
+def test_a_wrong_minor_fails_mixed_minor(monkeypatch, target, mutant):
+    assert _kernel_verdict() == lab.PASS
+    monkeypatch.setattr(geometry, target, mutant)
+    assert _kernel_verdict() == lab.FAIL
+
+
+def test_a_zero_wedge_fails_hadamard_at_every_default_rung(monkeypatch):
+    # the floor scales with the columns, so no rung passes a zero wedge
+    monkeypatch.setattr(geometry, "gram_det",
+                        lambda a, b, c: np.zeros(np.shape(a)[:-1]))
+    for lam in lab.LADDER_LAMS:
+        rep = lab.run_experiment("mixed-minor", lam)
+        (v,) = [v for v in rep.verdicts if v.name == "hadamard_inequality"]
+        assert v.status == lab.FAIL, lam
+
+
+def test_mixed_minor_does_not_fail_on_rounding_at_lam_65536():
+    for seed in range(10):
+        assert not lab.run_experiment("mixed-minor", 65536.0, seed).has_fail
+
+
 def test_min_triple_brute_force_agreement():
     rng = keyed_rng(3, "geom-mintriple")
     for _ in range(50):

@@ -6,7 +6,9 @@ between the caps.  Its ends are pinned to the closed 1-D volumes, and
 The tube-volume experiment reports the profile itself.
 """
 import functools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -89,3 +91,35 @@ def test_the_tube_volume_ladder_is_an_identity_and_builds_no_lattice(
     assert abs(rep.results["slope"] + 3.0) <= 1e-12
     assert rep.results["max_log_residual"] < 1e-12
     assert rep.results["per_lam_verdict_failures"] == 0
+
+
+@pytest.mark.parametrize("n", overlap._PROFILE_NODES)
+def test_the_cached_rules_are_read_only_and_a_fresh_computation(n):
+    x, w = overlap._gauss_legendre(n)
+    assert overlap._gauss_legendre(n)[0] is x
+    assert not (x.flags.writeable or w.flags.writeable)
+    fresh = overlap._gauss_legendre.__wrapped__(n)
+    assert np.array_equal(x, fresh[0]) and np.array_equal(w, fresh[1])
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+
+
+@pytest.mark.parametrize("truncated", [False, True])
+def test_the_cached_cell_volume_is_the_profile_at_zero(truncated):
+    overlap.cell_volume.cache_clear()
+    vol = overlap.cell_volume(truncated)
+    assert vol == float(overlap.overlap_profile(0.0, truncated))
+    assert type(vol) is float and overlap.cell_volume(truncated) is vol
+
+
+def test_a_ladder_then_a_run_in_one_process_give_the_golden_bytes():
+    # the ladder fills the caches; the run after it reads them
+    overlap.cell_volume.cache_clear()
+    overlap._gauss_legendre.cache_clear()
+    golden = (Path(__file__).parent / "golden" / "tube-volume.json").read_text()
+    doc = json.loads(golden)
+    assert not lab.run_ladder("tube-volume").has_fail
+    assert overlap.cell_volume.cache_info().currsize == 2
+    rep = lab.run_experiment("tube-volume", doc["lam"], doc["seed"],
+                             doc["params"]["samples"])
+    assert rep.canonical_json() == golden

@@ -1,5 +1,5 @@
-"""``caps.spiral_pairs_within`` against scipy's KD-tree, its test-only
-oracle.
+"""``caps.spiral_pairs_within`` against scipy's KD-tree and the brute
+``spiral_oracle.pairs_within``, its test-only oracles.
 
 Both sides keep a pair of ``fibonacci_sphere(n)`` when its squared chord,
 summed x, then y, then z, is at most c * c, so the pair sets must be equal,
@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+import spiral_oracle
 from decolab import caps, scale
 from decolab.geometry import BLOCK_ROWS
 
@@ -84,3 +85,42 @@ def test_the_nearest_chord_lays_each_row_down_once(monkeypatch):
     monkeypatch.setattr(caps, "_spiral_rows", counting)
     caps.spiral_nearest_chord(n)
     assert sum(laid) <= n + BLOCK_ROWS
+
+
+# chords c whose offsets k <= c n / 2 lie on both sides of the radial
+# cut's guard k = c^2 n / 4 (past it the cut applies; below it every i
+# qualifies), None standing for just past the nearest chord.  The cut
+# empties some offset's polar run at all of them but n 16 at None and
+# 1.99, n 100 at 1.99 and n 1000 at 0.02
+GUARD_CASES = [(16, None), (16, 0.5), (16, 1.99),
+               (100, None), (100, 0.2), (100, 1.0), (100, 1.99),
+               *((1000, c) for c in (None, 0.02, 0.1, 0.5, 1.0, 1.99)),
+               *((4103, c) for c in (None, 0.02, 0.05, 0.2))]
+
+
+@pytest.mark.parametrize("n,c", GUARD_CASES)
+def test_spiral_pairs_equal_the_brute_pairs_across_the_radial_guard(n, c):
+    if c is None:
+        c = caps.spiral_nearest_chord(n) * (1.0 + 2.0 ** -50)
+    pairs, sq = spiral_oracle.pairs_within(caps.fibonacci_sphere(n), c)
+    got, got_sq = _joined(n, c)
+    assert np.array_equal(got, pairs)
+    assert np.array_equal(got_sq, sq)
+
+
+def test_the_radial_cut_shortens_the_polar_runs(monkeypatch):
+    # just past the nearest chord at lam 4096 the polar runs alone measure
+    # 546,904 candidates to keep one pair; the radial cut leaves 197,754
+    n = caps.spiral_size(scale.derive(4096.0))
+    real, measured = caps._sq_chords, []
+
+    def counting(a, i, b, j):
+        out = real(a, i, b, j)
+        measured.append(out.size)
+        return out
+
+    c = caps.spiral_nearest_chord(n) * (1.0 + 2.0 ** -50)
+    monkeypatch.setattr(caps, "_sq_chords", counting)
+    blocks = list(caps.spiral_pairs_within(n, c))
+    assert sum(len(i) for i, _, _ in blocks) == 1
+    assert sum(measured) <= 200_000
