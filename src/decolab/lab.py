@@ -2,15 +2,14 @@
 
 Every experiment is declared once, by the @experiment decorator on its
 body: a deterministic function of (lam, seed, samples) whose results and
-verdicts the harness wraps in an ExperimentReport.  Reports carry three
+verdicts the harness wraps in an ExperimentReport.  Reports carry two
 kinds of verdicts:
 
-* PASS / FAIL for exact identities and closed-form oracles,
-* PASS / FAIL marked ``statistical`` for Monte Carlo estimates held within
-  Z_LIMIT standard errors of a target (``_stat``), which can fail by
-  chance; ``_audit`` gives one estimate's z and the detail that names it,
-* OBSERVATIONAL for measured quantities compared against claimed rates,
-  and for the z of a Monte Carlo audit of a value the report gives exactly.
+* PASS / FAIL (``_ok``) for exact identities, closed-form oracles and
+  deterministic grids, each decided on a value no draw can move,
+* OBSERVATIONAL (``_obs``) for measured quantities compared against claimed
+  rates, and for the z of a Monte Carlo audit of a value the report gives
+  exactly; ``_audit`` gives one estimate's z and the detail that names it.
 
 Canonical report JSON is byte-stable: keys are sorted, floats print by
 repr, and the measured wall time is nulled out (it is the one field a
@@ -67,9 +66,6 @@ MAX_SAMPLES = PROBE_MAX_BYTES // (24 * 8)
 #: text reports wrap result lines at this many characters
 TEXT_WIDTH = 120
 
-#: a Monte Carlo estimate passes within this many standard errors
-Z_LIMIT = 3.0
-
 PASS = "PASS"
 FAIL = "FAIL"
 OBSERVATIONAL = "OBSERVATIONAL"
@@ -80,7 +76,6 @@ class Verdict:
     name: str
     status: str
     detail: str = ""
-    statistical: bool = False     # a Monte Carlo test: it can fail by chance
 
 
 def _ok(name: str, cond: bool, detail: str = "") -> Verdict:
@@ -89,17 +84,6 @@ def _ok(name: str, cond: bool, detail: str = "") -> Verdict:
 
 def _obs(name: str, detail: str) -> Verdict:
     return Verdict(name, OBSERVATIONAL, detail)
-
-
-def _stat(name: str, estimate, stderr, target, side: str,
-          detail: str) -> Verdict:
-    """PASS when every estimate is within Z_LIMIT standard errors of its
-    target: on both sides, or only above it (``side`` "both" or "upper")."""
-    gap = np.subtract(estimate, target)
-    if side == "both":
-        gap = np.abs(gap)
-    ok = np.all(gap <= Z_LIMIT * np.asarray(stderr))
-    return Verdict(name, PASS if ok else FAIL, detail, statistical=True)
 
 
 def _audit(estimate: float, stderr: float,
@@ -446,8 +430,9 @@ def _exp_bilipschitz(run):
     results = {"min_ratio_fixed": float(lo), "max_ratio_fixed": float(hi),
                "max_ratio_band": None}
     verdicts = (
-        _ok("fixed_radius_in_band", 0.5 <= lo and hi <= 2.0,
-            f"exact range [{lo:.10f}, {hi:.10f}] inside [1/2, 2]"),
+        # [lo, hi] lies in [1/2, 1) for every lam >= 1/2, so this cannot fail
+        _obs("fixed_radius_in_band",
+             f"exact range [{lo:.10f}, {hi:.10f}] inside [1/2, 2]"),
         _ok("sampled_ratios_match_profile", worst <= 1.0,
             f"worst gap {worst:.3f} of its rounding bound, {run.samples} "
             "pairs"),
@@ -741,84 +726,117 @@ def _exp_tube_volume(run):
     return results, verdicts
 
 
-@experiment("nested-ball", group="tubes", samples=200_000,
+#: radii per ray of nested-ball's midpoint grid on [0, rho]
+NESTED_BALL_RADII = 512
+
+
+@experiment("nested-ball", group="tubes", samples=4096,
             min_samples=tubes.MIN_SAMPLES)
 def _exp_nested_ball(run):
     """static tube against its closed-form volume"""
-    s, seed, samples = run.scale, run.seed, run.samples
+    # decided on a midpoint grid: along the 26 directions to the neighbours
+    # of a cube, at 4 midpoint times in (-t_half, t_half), the static tube
+    # must hold a prefix of the radii, ending within one step h of x_half.
+    # An edge R within h of x_half gives a volume within
+    # (4/3) pi ((x_half + h)^3 - x_half^3) 2 t_half of the closed form.  The
+    # samples, one BLOCK_ROWS block by default, only audit mc_volume
+    s, n = run.scale, NESTED_BALL_RADII
     tube = tubes.Tube(scale=s, xi=np.zeros(3))
-    est = tubes.mc_volume(tube, samples, seed)
     exact = tubes.nested_ball_volume(s)
+    step = s.rho / n
+    dirs = np.array([d for d in np.ndindex(3, 3, 3) if d != (1, 1, 1)]) - 1.0
+    dirs /= geometry.norm(dirs)[:, np.newaxis]
+    times = ((np.arange(4) + 0.5) / 2.0 - 1.0) * s.t_half
+    radii = (np.arange(n) + 0.5) * step
+    x = np.tile(dirs, (len(times), 1))[:, np.newaxis, :] \
+        * radii[:, np.newaxis]
+    inside = tubes.membership(tube, np.repeat(times, len(dirs))[:, np.newaxis],
+                              x)
+    count = np.count_nonzero(inside, axis=1)
+    edge = count * step
+    volume = (4.0 / 3.0) * math.pi * edge ** 3 * (2.0 * s.t_half)
+    gap = float(np.max(np.abs(volume - exact)))
+    bound = ((4.0 / 3.0) * math.pi * ((s.x_half + step) ** 3 - s.x_half ** 3)
+             * (2.0 * s.t_half))
+    ok = (np.array_equal(inside, np.arange(n) < count[:, np.newaxis])
+          and float(np.max(np.abs(edge - s.x_half))) <= step
+          and gap <= bound)
+    est = tubes.mc_volume(tube, run.samples, run.seed)
     z, detail = _audit(est.value, est.stderr, exact)
-    results = {
-        "estimate": est.value,
-        "stderr": est.stderr,
-        "exact": exact,
-        "z_score": z,
-        "expected_hit_fraction": 0.125,
-    }
-    return results, (_stat("matches_closed_form", est.value, est.stderr,
-                           exact, "both", detail),)
+    results = {"exact": exact, "volume_gap": gap, "volume_bound": bound,
+               "grid_step": step, "rays": len(inside),
+               "audit": {"estimate": est.value, "stderr": est.stderr, "z": z},
+               "expected_hit_fraction": 0.125}
+    verdicts = (
+        _ok("matches_closed_form", ok,
+            f"{len(inside)} rays of {n} radii end within one step of x_half;"
+            f" volume gap {gap:.2e} <= {bound:.2e}"),
+        _obs("mc_volume_audit", f"mc_volume {detail}, {run.samples} draws"),
+    )
+    return results, verdicts
 
 
-@experiment("boundary-layer", group="tubes", samples=200_000,
-            min_samples=tubes.MIN_SAMPLES)
+@experiment("boundary-layer", group="tubes")
 def _exp_boundary_layer(run):
     """exact 1/8 time-layer fraction of the cell"""
-    s, seed, samples = run.scale, run.seed, run.samples
-    est = tubes.boundary_layer_mc(s, samples, seed)
+    # the layer |t| <= h, |x| <= 2 rho of the cell |t| <= t_half,
+    # |x| <= x_half takes h / t_half of its times and min(1, 2 rho /
+    # x_half)^3 of its ball; nothing is drawn.  Two pows, a quotient and a
+    # product, each within one rounding, bound the gap to 4 eps
+    s = run.scale
+    height = tubes.BOUNDARY_LAYER_HALF_HEIGHT * s.lam ** -1.5
+    spatial = min(1.0, 2.0 * s.rho / s.x_half) ** 3
+    fraction = height / s.t_half * spatial
     exact = tubes.BOUNDARY_LAYER_FRACTION
-    z, detail = _audit(est.value, est.stderr, exact)
-    results = {
-        "estimate": est.value,
-        "stderr": est.stderr,
-        "exact": exact,
-        "z_score": z,
-    }
-    return results, (_stat("matches_exact_fraction", est.value, est.stderr,
-                           exact, "both", detail),)
+    gap, bound = abs(fraction - exact), 4.0 * np.finfo(float).eps * exact
+    results = {"fraction": fraction, "exact": exact,
+               "layer_half_height": height, "spatial_fraction": spatial}
+    return results, (_ok("matches_exact_fraction", gap <= bound,
+                         f"gap {gap:.1e} <= 4 eps = {bound:.1e}"),)
 
 
-@experiment("pair-overlap", group="tubes", samples=100_000,
+@experiment("pair-overlap", group="tubes", samples=4096,
             min_samples=tubes.MIN_SAMPLES)
 def _exp_pair_overlap(run):
     """pairwise tube overlap against the analytic bound"""
-    s, lam, seed, samples = run.scale, run.lam, run.seed, run.samples
+    # each overlap is exact, overlap_profile(delta) / lam^3; the samples,
+    # one BLOCK_ROWS block per pair by default, only audit mc_pair_overlap
+    s, lam = run.scale, run.lam
     fam = caps.build_lattice(s)
     ang = fam.angles_from(0)
     ang[0] = math.inf                      # exclude the anchor itself
-    rows = []
-    target = s.r
+    picks, target = [], s.r
     while target < 2.0:
-        j = int(np.argmin(np.abs(ang - min(target, math.pi * 0.9))))
-        delta = float(ang[j])
-        est = tubes.mc_pair_overlap(tubes.tube_for_cap(fam, 0),
-                                    tubes.tube_for_cap(fam, j),
-                                    samples, seed)
-        bound = tubes.pair_overlap_bound(s, delta)
-        rows.append({
-            "lam": lam,
-            "pair": f"0-{j}",
-            "delta": delta,
-            "estimate": est.value,
-            "stderr": est.stderr,
-            "bound": bound,
-            "ratio": est.value / bound,
-        })
+        picks.append(int(np.argmin(np.abs(ang - target))))
         target *= 8.0
+    ang[0] = -math.inf
+    picks.append(int(np.argmax(ang)))      # the cap farthest from cap 0
+    deltas = ang[picks]
+    exact = overlap.overlap_profile(deltas) / lam ** 3
+    anchor = tubes.tube_for_cap(fam, 0)
+    rows, details = [], []
+    for j, delta, ex in zip(picks, deltas.tolist(), exact.tolist()):
+        est = tubes.mc_pair_overlap(anchor, tubes.tube_for_cap(fam, j),
+                                    run.samples, run.seed)
+        bound = tubes.pair_overlap_bound(s, delta)
+        z, detail = _audit(est.value, est.stderr, ex)
+        details.append(detail)
+        rows.append({"lam": lam, "pair": f"0-{j}", "delta": delta,
+                     "exact": ex, "bound": bound, "ratio": ex / bound,
+                     "estimate": est.value, "stderr": est.stderr, "z": z})
+    max_ratio = max(r["ratio"] for r in rows)
     b_delta = tubes.pair_overlap_bound(s, 1.0)
     b_time = s.rho ** 3 * s.lam ** -1.5
     branch_dev = abs(b_delta - b_time) / b_time
-    results = {
-        "rows": rows,
-        "branch_dev_at_delta_1": branch_dev,
-        "n_pairs": len(rows),
-    }
+    results = {"rows": rows, "max_ratio": max_ratio, "C": tubes.PAIR_OVERLAP_C,
+               "branch_dev_at_delta_1": branch_dev, "n_pairs": len(rows)}
     verdicts = (
-        _stat("estimates_below_bound", [r["estimate"] for r in rows],
-              [r["stderr"] for r in rows], [r["bound"] for r in rows],
-              "upper", f"{len(rows)} separations, all within {Z_LIMIT:g} "
-              "sigma of the bound"),
+        _ok("exact_within_bound", max_ratio <= tubes.PAIR_OVERLAP_C,
+            f"{len(rows)} separations up to delta {max(deltas):.4f}: max "
+            f"exact/bound {max_ratio:.4f}, C = pi f(0) = "
+            f"{tubes.PAIR_OVERLAP_C:.4f}"),
+        _obs("mc_pair_overlap_audit",
+             f"{'; '.join(details)}, {run.samples} draws per pair"),
         _ok("branch_continuity", branch_dev <= 1e-12,
             f"relative branch gap at delta=1: {branch_dev:.2e}"),
     )
@@ -1026,40 +1044,31 @@ def _exp_anisotropic_roundtrip(run):
     return results, verdicts
 
 
-def _band_row(run, bf: shell.BandFraction) -> dict:
-    """The report row of one band fraction, as both shell experiments
-    print it."""
-    return {
-        "lam": run.lam,
-        "D": run.scale.D,
-        "degree": bf.degree,
-        "beta": bf.beta,
-        "fraction": bf.value,
-        "stderr": bf.stderr,
-        "fraction_times_D": bf.value * run.scale.D,
-    }
-
-
-@experiment("hyperplane-shell", group="shell", samples=200_000)
+@experiment("hyperplane-shell", group="shell", samples=4096, min_samples=5)
 def _exp_hyperplane_shell(run):
     """band of a hyperplane against the exact fraction"""
-    s, seed, samples = run.scale, run.seed, run.samples
+    # P = t - tau ignores x, so its band is a slab in t, and n midpoints in
+    # t take its fraction to within 1/n; rounding at the two edges moves
+    # at most one more point, so 2/n bounds the gap.  Nothing is drawn.  The
+    # floor makes 2/n < 1/2 <= max(exact, 1 - exact), so the check can fail
+    n, beta = run.samples, shell.band_width(run.scale, 1)
+    pts = np.zeros((n, 4))
+    pts[:, 0] = (np.arange(n) + 0.5) / n - 0.5
     rows = []
     for tau in (0.0, 0.3, 0.45):
-        poly = shell.hyperplane_poly(tau)
-        bf = shell.band_fraction(s, poly, samples, seed, tag=f"hyper-{tau}")
-        exact = shell.hyperplane_fraction_exact(bf.beta, tau)
-        z, _ = _audit(bf.value, bf.stderr, exact)
-        rows.append({**_band_row(run, bf), "tau": tau, "exact": exact,
-                     "z": z})
-    results = {"rows": rows}
+        member = shell.band_membership(shell.hyperplane_poly(tau), pts, beta)
+        fraction = np.count_nonzero(member) / n
+        exact = shell.hyperplane_fraction_exact(beta, tau)
+        rows.append({"lam": run.lam, "D": run.scale.D, "degree": 1,
+                     "beta": beta, "tau": tau, "fraction": fraction,
+                     "exact": exact, "gap": abs(fraction - exact)})
+    worst = max(r["gap"] for r in rows)
     verdicts = (
-        _stat("matches_exact_fraction", [r["fraction"] for r in rows],
-              [r["stderr"] for r in rows], [r["exact"] for r in rows], "both",
-              f"{len(rows)} offsets, all within {Z_LIMIT:g} sigma of "
-              "min(1, 2 beta)"),
+        _ok("matches_exact_fraction", worst <= 2.0 / n,
+            f"{len(rows)} offsets, worst gap {worst:.2e} <= 2/n = "
+            f"{2.0 / n:.2e}, {n} midpoints in t"),
     )
-    return results, verdicts
+    return {"rows": rows}, verdicts
 
 
 @experiment("shell-ensemble", group="shell", samples=40_000)
@@ -1075,7 +1084,10 @@ def _exp_shell_ensemble(run):
                                                   for bf in ensemble]))
         for bf in ensemble:
             sane &= 0.0 <= bf.value <= 1.0
-            rows.append(_band_row(run, bf))
+            rows.append({"lam": run.lam, "D": run.scale.D,
+                         "degree": bf.degree, "beta": bf.beta,
+                         "fraction": bf.value, "stderr": bf.stderr,
+                         "fraction_times_D": bf.value * run.scale.D})
     results = {
         "rows": rows,
         "degree_cap": shell.max_degree(s),

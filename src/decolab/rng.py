@@ -16,8 +16,8 @@ The hash is SHA-256 over a canonical text form of the label, never Python's
 ``hash()`` (which is salted per process).
 
 A hit-or-miss count over the draws becomes an estimate in one place,
-``binomial_estimate``: the tube volumes and overlaps, the boundary layer
-and the band fractions all return through it.
+``binomial_estimate``: the tube volumes and overlaps and the band
+fractions all return through it.
 """
 from __future__ import annotations
 

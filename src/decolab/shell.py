@@ -9,8 +9,8 @@ measure the volume fraction of the band
 
 for polynomials P of low degree, with band half-width beta = c / (D * deg).
 The degree cap is ceil(D^{1/4}); at desk scales that is 2.  A centered
-hyperplane band has the exact fraction min(1, 2 * beta), which anchors the
-Monte Carlo estimates.
+hyperplane band has the exact fraction min(1, 2 * beta), which the
+hyperplane-shell experiment checks on a midpoint grid in t.
 """
 from __future__ import annotations
 

@@ -7,8 +7,8 @@ A cap with on-shell center xi (|xi| ~ lam) generates the tube
 inside the cell Q = {|t| <= t_half} x {|x| <= x_half}; the truncated variant
 additionally removes the axial core |x| <= rho/4.  Note the proportions: the
 cross-section radius rho equals twice the spatial half-width of the cell, so
-tubes here are fat slabs that all meet near t = 0.  The boundary-layer
-fraction below quantifies exactly that.
+tubes here are fat slabs that all meet near t = 0.  The boundary layer
+|t| <= lam**(-3/2)/16 below, an exact 1/8 of the cell, quantifies that.
 
 In the lam-free cell x' = x/rho, t' = t/t_half every tube is the same set
 up to a rotation, so a pair overlap is lam**-3 times a function of the
@@ -18,9 +18,9 @@ at delta = 0 as the tube volume, and the overlap sum ``l2_sum`` is exact
 from the profile and from exact pair counts; neither rests on a draw.
 ``mc_volume`` and ``mc_pair_overlap`` (hit-or-miss Monte Carlo over the
 analytic cylinder envelope) are audits of the tube sets against the
-profile: tube-volume reports their z, and the tests z-test them.  The
-boundary layer and the multiplicity statistics, which reweight their draws
-by 1/M, sample too.  Counter-based keyed streams make the results
+profile: tube-volume, nested-ball and pair-overlap report their z, and the
+tests z-test them.  The multiplicity statistics, which reweight their
+draws by 1/M, sample too.  Counter-based keyed streams make the results
 independent of evaluation order.
 """
 from __future__ import annotations
@@ -38,8 +38,18 @@ from .rng import MCEstimate, binomial_estimate, keyed_rng
 from .scale import ScaleParams
 
 
+#: half-height of the boundary layer, in units of lam**(-3/2)
+BOUNDARY_LAYER_HALF_HEIGHT = 1.0 / 16.0
+
 #: exact fraction of the cell taken by the layer |t| <= lam**(-3/2)/16
 BOUNDARY_LAYER_FRACTION = 0.125
+
+#: the universal constant C of |T cap T'| <= C * pair_overlap_bound.  The
+#: exact overlap is f(delta) / lam^3 with f = overlap.overlap_profile, and
+#: the bound is lam^-3 min(1, 1/delta), so the ratio is max(1, delta) f(delta)
+#: <= pi f(0): f does not increase with delta, and delta <= pi.  f(0) is
+#: overlap.cell_volume(), 0.4587220422766958 from its closed 1-D form
+PAIR_OVERLAP_C = math.pi * 0.4587220422766958
 
 MIN_SAMPLES = 1000
 
@@ -293,27 +303,6 @@ def pointwise_cs_check(scale: ScaleParams, xis: np.ndarray, truncated: bool,
     lhs = abs(s) ** 2
     rhs = m * float(np.sum(np.abs(amps[active]) ** 2))
     return CSCheck(lhs=lhs, rhs=rhs, multiplicity=m)
-
-
-def boundary_layer_mc(scale: ScaleParams, samples: int, seed: int) -> MCEstimate:
-    """MC fraction of the cell with |t| <= lam**(-3/2)/16 and |x| <= 2 rho.
-
-    The spatial condition is vacuous (2 rho = 4 x_half), so the exact value
-    is the time fraction 1/8; the estimator still tests both conditions.
-    """
-    if samples < MIN_SAMPLES:
-        raise ConfigError(f"need >= {MIN_SAMPLES} samples, got {samples}")
-    rng = keyed_rng(seed, "boundary-layer", repr(scale.lam))
-    # the stream read whole, as in _ball: the times, a normal (n, 3) draw,
-    # then n uniforms; tested by blockwise
-    t = rng.uniform(-scale.t_half, scale.t_half, size=samples)
-    v = rng.normal(size=(samples, 3))
-    (layer,) = blockwise(
-        lambda t, v, u: ((np.abs(t) <= scale.lam ** (-1.5) / 16.0)
-                         & (norm(scale.x_half * _in_ball(v, u))
-                            <= 2.0 * scale.rho),),
-        t, v, rng.random(samples))
-    return binomial_estimate(int(np.count_nonzero(layer)), samples, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -57,9 +57,8 @@ def bilipschitz(run) -> tuple[dict, dict]:
         "min_ratio_fixed": lo,
         "max_ratio_fixed": hi,
         "max_ratio_band": None,
-    }, {"fixed_radius_in_band": 0.5 <= lo and hi <= 2.0,
-        "sampled_ratios_match_profile":
-            bool(np.all(gap <= geometry.profile_bound(theta)))}
+    }, {"sampled_ratios_match_profile":
+        bool(np.all(gap <= geometry.profile_bound(theta)))}
 
 
 def gram_identity(run) -> tuple[dict, dict]:

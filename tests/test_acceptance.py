@@ -8,6 +8,7 @@ import time
 
 import numpy as np
 
+import tube_oracle
 from decolab import caps, geometry, lab, ledger, phase, scale, shell, tubes
 from decolab.rng import keyed_rng
 
@@ -142,7 +143,7 @@ def test_3_closed_form_oracles():
         checks.append((f"hyperplane band tau={tau}", abs(z) <= 3.0,
                        f"z={z:.2f}"))
 
-    layer = tubes.boundary_layer_mc(S256, 200_000, SEED)
+    layer = tube_oracle.boundary_layer_mc(S256, 200_000, SEED)
     sigma = math.sqrt(0.125 * 0.875 / 200_000)
     z_layer = (layer.value - 0.125) / sigma
     checks.append(("1/8 boundary layer", abs(z_layer) <= 3.0,

@@ -6,6 +6,7 @@ import pytest
 
 from decolab import caps, cli, lab, ledger, tubes
 from decolab.errors import DecolabError
+from decolab.rng import MCEstimate
 
 
 def test_ledger_subcommand_passes(capsys):
@@ -265,8 +266,7 @@ def test_the_samples_ceiling_admits_itself():
 
 
 @pytest.mark.parametrize("name", [
-    "tube-volume", "nested-ball", "boundary-layer", "pair-overlap",
-    "multiplicity",
+    "tube-volume", "nested-ball", "pair-overlap", "multiplicity",
 ])
 def test_tubes_floor_is_checked_before_any_lattice(name, monkeypatch):
     def no_lattice(*args):
@@ -313,36 +313,19 @@ def test_json_reports_at_the_sample_floor_are_strict_json(name, lam):
         _strict_json(cli._render([report], "json"))
 
 
-def test_the_audit_gives_a_null_z_at_zero_stderr_and_a_two_sided_verdict():
-    # the audit gives the z and its detail; nested-ball and boundary-layer
-    # pass them to _stat as a two-sided verdict
-    def verdict(estimate, stderr, target):
-        z, detail = lab._audit(estimate, stderr, target)
-        return z, lab._stat("a", estimate, stderr, target, "both", detail)
-
-    # zero stderr: no z, and only an exact match passes
-    z, v = verdict(0.125, 0.0, 0.125)
-    assert z is None and v.status == lab.PASS
-    assert v.detail == "z undefined at zero stderr"
-    z, v = verdict(0.0, 0.0, 0.125)
-    assert z is None and v.status == lab.FAIL
-    assert v.detail == "z undefined at zero stderr"
-    # within Z_LIMIT = 3 standard errors passes, beyond it fails, either side
-    for sign in (1.0, -1.0):
-        z, v = verdict(sign * 0.5, 0.25, 0.0)
-        assert (z, v.status, v.detail) == (
-            sign * 2.0, lab.PASS, f"z = {sign * 2.0:.3f}")
-        z, v = verdict(sign * 1.0, 0.25, 0.0)
-        assert (z, v.status, v.detail) == (
-            sign * 4.0, lab.FAIL, f"z = {sign * 4.0:.3f}")
-    assert v.name == "a" and v.statistical
-
-
-def test_shell_json_at_one_sample_is_strict_json(capsys):
-    code = cli.main(["shell", "--lambda", "64", "--samples", "1",
-                     "--format", "json"])
-    assert code == 1          # one draw cannot match the exact fraction
-    doc = _strict_json(capsys.readouterr().out)
-    rows = [r for rep in doc["reports"] if rep["experiment"] ==
-            "hyperplane-shell" for r in rep["results"]["rows"]]
-    assert [r["z"] for r in rows] == [None, None, None]
+def test_a_null_audit_z_is_strict_json(monkeypatch):
+    # an audit of zero hits has zero stderr and no z; the report says so in
+    # strict JSON, and the exact verdicts do not move
+    assert lab._audit(0.125, 0.0, 0.125) == (None, "z undefined at zero "
+                                                   "stderr")
+    assert lab._audit(0.5, 0.25, 0.0) == (2.0, "z = 2.000")
+    monkeypatch.setattr(tubes, "mc_pair_overlap",
+                        lambda *args: MCEstimate(0.0, 0.0, args[2]))
+    rep = lab.run_experiment("pair-overlap", 64.0, samples=tubes.MIN_SAMPLES)
+    doc = _strict_json(cli._render([rep], "json"))["reports"][0]
+    assert [r["z"] for r in doc["results"]["rows"]] == [None] * len(
+        doc["results"]["rows"])
+    assert [v["status"] for v in doc["verdicts"]] == [
+        lab.PASS, lab.OBSERVATIONAL, lab.PASS]
+    # below its midpoint floor hyperplane-shell is a usage error
+    assert cli.main(["shell", "--lambda", "64", "--samples", "4"]) == 2

@@ -41,22 +41,20 @@ def test_golden_report(path):
     assert rep.canonical_json() == expected
 
 
-def test_a_registry_pass_has_four_statistical_verdicts():
-    # one report per experiment, at its golden's inputs; these are the
-    # verdicts that can FAIL by chance, which a false-FAIL budget counts
-    docs = {}
-    for path in _golden_files():
-        doc = json.loads(path.read_text())
-        if not doc["experiment"].startswith(LADDER_PREFIX):
-            docs[doc["experiment"]] = doc
-    found = [(name, v.name)
-             for name, doc in sorted(docs.items())
-             for v in lab.run_experiment(name, doc["lam"], doc["seed"],
-                                         doc["params"]["samples"]).verdicts
-             if v.statistical]
-    assert found == [
-        ("boundary-layer", "matches_exact_fraction"),
-        ("hyperplane-shell", "matches_exact_fraction"),
-        ("nested-ball", "matches_closed_form"),
-        ("pair-overlap", "estimates_below_bound"),
-    ]
+#: the experiments whose verdicts were Monte Carlo z-tests; as z-tests,
+#: hyperplane-shell FAILed at seeds 11, 13 and 29, and nested-ball at 44
+ONCE_STATISTICAL = ("boundary-layer", "hyperplane-shell", "nested-ball",
+                    "pair-overlap")
+
+
+def test_the_once_statistical_verdicts_do_not_move_with_the_seed():
+    # each PASS/FAIL verdict is decided on an exact or deterministic value,
+    # so seeds 0-99 give one status per verdict, and none is FAIL
+    for name in ONCE_STATISTICAL:
+        runs = {seed: [(v.name, v.status)
+                       for v in lab.run_experiment(name, seed=seed).verdicts]
+                for seed in range(100)}
+        first = runs[0]
+        assert all(statuses == first for statuses in runs.values()), name
+        assert lab.FAIL not in {status for _, status in first}, name
+        assert all(runs[seed] == first for seed in (11, 13, 29, 44)), name

@@ -78,7 +78,8 @@ def test_tube_volume_reports_the_profile_whatever_it_draws(seed, samples):
         assert (rep.results["volume_truncated"]
                 == overlap.overlap_profile(0.0, True) / lam ** 3)
         assert not rep.has_fail
-        assert not any(v.statistical for v in rep.verdicts)
+        assert [v.status for v in rep.verdicts if v.name.endswith("_audit")
+                ] == [lab.OBSERVATIONAL, lab.OBSERVATIONAL]
 
 
 def test_the_tube_volume_ladder_is_an_identity_and_builds_no_lattice(
@@ -91,6 +92,18 @@ def test_the_tube_volume_ladder_is_an_identity_and_builds_no_lattice(
     assert abs(rep.results["slope"] + 3.0) <= 1e-12
     assert rep.results["max_log_residual"] < 1e-12
     assert rep.results["per_lam_verdict_failures"] == 0
+
+
+def test_the_pair_overlap_constant_is_pi_times_the_cell_volume():
+    # overlap / bound = max(1, delta) f(delta) <= pi f(0) for delta <= pi
+    assert tubes.PAIR_OVERLAP_C == pytest.approx(
+        math.pi * overlap.cell_volume(), rel=1e-14)
+    delta = np.linspace(0.0, math.pi, 2001)
+    ratio = np.maximum(1.0, delta) * overlap.overlap_profile(delta)
+    assert np.max(ratio) <= tubes.PAIR_OVERLAP_C
+    # the farthest caps exceed the bound without C, by the same factor at
+    # every lam: the profile at pi times pi
+    assert 1.24 <= ratio[-1] <= 1.26
 
 
 @pytest.mark.parametrize("n", overlap._PROFILE_NODES)

@@ -6,8 +6,7 @@ so a last block is short, one row long, or one of several.
 import pytest
 
 import sampled_oracle
-import tube_oracle
-from decolab import lab, scale, shell, tubes
+from decolab import lab, scale, shell
 from decolab.geometry import BLOCK_ROWS
 
 SAMPLES = [BLOCK_ROWS - 1, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 7]
@@ -31,13 +30,6 @@ def test_a_geometry_audit_body_equals_its_whole_array_version(name, samples):
     assert rep.results == results
     passed = {v.name: v.status == lab.PASS for v in rep.verdicts}
     assert {k: passed[k] for k in checks} == checks
-
-
-@pytest.mark.parametrize("samples", SAMPLES)
-def test_the_boundary_layer_equals_its_whole_array_version(samples):
-    s = scale.derive(256.0)
-    assert (tubes.boundary_layer_mc(s, samples, seed=5)
-            == tube_oracle.boundary_layer_mc(s, samples, seed=5))
 
 
 @pytest.mark.parametrize("samples", SAMPLES)

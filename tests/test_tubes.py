@@ -287,12 +287,13 @@ def test_every_coverage_path_is_membership(fam, which, truncated):
 
 
 def test_boundary_layer_fraction():
+    # the sampled layer that acceptance #3 z-tests against the exact 1/8
     s = scale.derive(256.0)
-    est = tubes.boundary_layer_mc(s, 100_000, seed=19)
+    est = tube_oracle.boundary_layer_mc(s, 100_000, seed=19)
     sigma = math.sqrt(0.125 * 0.875 / 100_000)
     assert abs(est.value - tubes.BOUNDARY_LAYER_FRACTION) <= 3.0 * sigma
-    with pytest.raises(tubes.ConfigError):
-        tubes.boundary_layer_mc(s, 10, seed=0)
+    assert lab.run_experiment("boundary-layer", 256.0).results["fraction"] \
+        == tubes.BOUNDARY_LAYER_FRACTION
 
 
 def test_l2_sum_guards():

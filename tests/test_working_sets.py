@@ -53,8 +53,8 @@ SAMPLED = [
     ("gram-identity", 256.0, 50_000 * 3 * 4 * 8),          # the 4-vectors
     ("broad3-identity", 256.0, 50_000 * 6 * 8),             # magnitudes
     ("mixed-minor", 4096.0, 20_000 * (3 + 4 * 3) * 8),      # stack of four
-    ("boundary-layer", 256.0, 200_000 * 5 * 8),       # t, normal, radii
-    ("hyperplane-shell", 256.0, 200_000 * 4 * 8),     # box points
+    ("boundary-layer", 256.0, 0),                     # draws nothing
+    ("hyperplane-shell", 256.0, 4096 * 4 * 8),        # midpoints in t
 ]
 
 

@@ -1,11 +1,13 @@
-"""Whole-array oracles for tubes.mc_volume, tubes.mc_pair_overlap and
-tubes.boundary_layer_mc.
+"""Whole-array oracles for tubes.mc_volume and tubes.mc_pair_overlap, and
+the sampled boundary layer.
 
 These draw the samples, place every one, and test every one against each
 tube with ``tubes.membership`` (or against the layer), all at once.  The
 package reads the same keyed stream in the same order but places and
 tests the draws a block of rows at a time; tests compare the two with
-``==``.  Nothing outside tests uses them.
+``==``.  The package computes the boundary-layer fraction exactly and
+samples nothing; ``boundary_layer_mc`` is the sampled check of that 1/8
+which acceptance #3 keeps.  Nothing outside tests uses them.
 """
 from __future__ import annotations
 
