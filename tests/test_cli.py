@@ -313,12 +313,20 @@ def test_json_reports_at_the_sample_floor_are_strict_json(name, lam):
         _strict_json(cli._render([report], "json"))
 
 
-def test_a_null_audit_z_is_strict_json(monkeypatch):
-    # an audit of zero hits has zero stderr and no z; the report says so in
-    # strict JSON, and the exact verdicts do not move
-    assert lab._audit(0.125, 0.0, 0.125) == (None, "z undefined at zero "
-                                                   "stderr")
-    assert lab._audit(0.5, 0.25, 0.0) == (2.0, "z = 2.000")
+def test_the_audit_gives_a_null_z_at_zero_stderr_and_a_two_sided_verdict(
+        monkeypatch):
+    # zero stderr: no z, whether or not the estimate is on target
+    for estimate in (0.125, 0.0):
+        assert lab._audit(estimate, 0.0, 0.125) == (
+            None, "z undefined at zero stderr")
+    # the z is signed, so the audit reads a gap on either side
+    for sign in (1.0, -1.0):
+        assert lab._audit(sign * 0.5, 0.25, 0.0) == (
+            sign * 2.0, f"z = {sign * 2.0:.3f}")
+        assert lab._audit(sign * 1.0, 0.25, 0.0) == (
+            sign * 4.0, f"z = {sign * 4.0:.3f}")
+    # an audit of zero hits has zero stderr: the report says so in strict
+    # JSON, and the exact verdicts do not move
     monkeypatch.setattr(tubes, "mc_pair_overlap",
                         lambda *args: MCEstimate(0.0, 0.0, args[2]))
     rep = lab.run_experiment("pair-overlap", 64.0, samples=tubes.MIN_SAMPLES)
@@ -327,5 +335,23 @@ def test_a_null_audit_z_is_strict_json(monkeypatch):
         doc["results"]["rows"])
     assert [v["status"] for v in doc["verdicts"]] == [
         lab.PASS, lab.OBSERVATIONAL, lab.PASS]
-    # below its midpoint floor hyperplane-shell is a usage error
+
+
+def test_shell_json_at_one_sample_is_strict_json(capsys):
+    # one midpoint is below hyperplane-shell's floor: a usage error that
+    # prints no partial report
+    code = cli.main(["shell", "--lambda", "64", "--samples", "1",
+                     "--format", "json"])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "samples >= 5" in err
     assert cli.main(["shell", "--lambda", "64", "--samples", "4"]) == 2
+    capsys.readouterr()
+    # at the floor the report is strict JSON, and its rows carry no z
+    code = cli.main(["shell", "--lambda", "64", "--samples", "5",
+                     "--format", "json"])
+    assert code == 0
+    doc = _strict_json(capsys.readouterr().out)
+    rows = [r for rep in doc["reports"] if rep["experiment"] ==
+            "hyperplane-shell" for r in rep["results"]["rows"]]
+    assert len(rows) == 3 and not any("z" in r for r in rows)
