@@ -50,9 +50,11 @@ PROBE_LAMS = (4.0, 8.0, 16.0, 32.0, 64.0)
 #: probe grid points per axis, per sqrt(lam)
 PROBE_GRID_FACTOR = 6
 
-#: grid columns per probe GEMM block: the working set is O(n_caps * block).
-#: The block could change the GEMM's rounding; under numpy 2.4's OpenBLAS
-#: 0.3.31 blocks of 32, 64 and 128 give the same ratios at lam 4 to 256
+#: grid columns per probe GEMM block, in order of radius: the working set is
+#: O(n_caps * block), and each block multiplies only the rows its columns'
+#: ball levels reach.  A multiple of 4, whole micro-tiles on the Haswell,
+#: SkylakeX, Sandybridge and Prescott zgemm kernels; blocks of 8 to 128
+#: give the same bits at lam 4 to 64
 _PROBE_BLOCK = 32
 
 #: largest probe working set decoupling_probe accepts, in bytes
@@ -1115,11 +1117,14 @@ _OPENBLAS_NAMES = (("scipy_openblas_", "64_"), ("openblas_", "64_"),
 def _one_blas_thread():
     """Hold OpenBLAS to one thread inside the block; no-op for other BLAS.
 
-    Each probe GEMM, (2 nx, n) by (n, _PROBE_BLOCK), is too small to gain
-    from threads, and a thread that waits for a busy core stalls it: on a
-    2-CPU host with the other core loaded, the lam-64 probe took 0.12 to
-    0.53 s threaded against 0.09 s on one thread.  Threads split the
-    output, not the sums, so the values do not change.
+    Each probe GEMM, at most about (1.5 nx, n) by (n, _PROBE_BLOCK), 72
+    rows by 32 columns at lam 64, is too small to gain from threads, and a
+    thread that waits for a busy core stalls it: on a 2-CPU host with the
+    other core loaded, the lam-64 probe took 0.12 to 0.53 s threaded
+    against 0.09 s on one thread.  Threads split the output, not the sums,
+    but a split inside a micro-tile moves rows onto an edge kernel that
+    rounds differently (Haswell's, at 78 rows), so one thread also keeps
+    the probe's whole tiles whole.
     """
     lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
     calls = [(getattr(lib, f"{pre}get_num_threads{suf}", None),
@@ -1159,11 +1164,17 @@ def decoupling_probe(scale: ScaleParams, seed: int,
     summand has constant modulus.
 
     The field is computed exactly, with no approximation: exp(i x.xi) is
-    the product of one exponential per axis per cap, only the (x2, x3)
-    columns inside the disk x2^2 + x3^2 <= 1/4 are formed, and both
-    amplitude sets share one GEMM per block of _PROBE_BLOCK (32) columns.
-    Each block gathers two (32, n_caps) complex factors, and the probe at
-    lam 64 peaks at about 11 MiB.
+    the product of one exponential per axis per cap, taken for x <= 0 and
+    conjugated for x > 0.  Only the (x2, x3) columns inside the disk
+    x2^2 + x3^2 <= 1/4 are formed, in order of radius, and both amplitude
+    sets share one GEMM per block of _PROBE_BLOCK (32) columns.  The left
+    factor has three rows per |x1| level, centre out: focusing at -x1,
+    random at -x1 and at +x1.  A block multiplies only the levels its
+    columns' ball reaches, and the focusing field at x1 > 0 is its x1 < 0
+    half mirrored, since F(-x) = conj F(x) when every amplitude is one:
+    about half the multiply-adds of the full cylinder, whose sums it
+    equals bit for bit.  Each block gathers two (32, n_caps) complex
+    factors, and the probe at lam 64 peaks at about 9 MiB.
     Refused, before the lattice is built, when the grid is at or under the
     field's Nyquist count lam/pi per axis, or when the working set would
     exceed PROBE_MAX_BYTES.
@@ -1176,8 +1187,8 @@ def decoupling_probe(scale: ScaleParams, seed: int,
             f"probe grid of {n_axis} points per axis is at or under the "
             f"Nyquist count lam/pi = {scale.lam / math.pi:.1f} at lam "
             f"{scale.lam:g}")
-    # working set in bytes.  Complex: the per-axis exponentials and the
-    # stacked left factor with its temporary (6 nx rows of n), one block of
+    # working set in bytes, an upper bound.  Complex: the per-axis
+    # exponentials and the left factor (under 6 nx rows of n), one block of
     # _PROBE_BLOCK columns and its two gathers (3 rows of n per block
     # column).  Real: |F|^6 on at most 2 nx^3 points
     n_bound = caps.spiral_size(scale) if family is None else len(family)
@@ -1191,28 +1202,60 @@ def decoupling_probe(scale: ScaleParams, seed: int,
     xis = family.xi()
     n = len(family)
     rng = keyed_rng(seed, "probe", repr(float(scale.lam)), n)
-    phases = rng.uniform(0.0, 2.0 * math.pi, size=n)
+    amps = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=n))
 
-    ax = (np.arange(n_axis) + 0.5) / n_axis - 0.5
-    e = 1j * (ax[:, np.newaxis] * xis.T[:, np.newaxis, :])
-    e1, e2, e3 = np.exp(e, out=e)                           # (3, nx, n)
-    left = np.concatenate((e1 * np.exp(1j * phases), e1))   # (2 nx, n)
+    # exactly rounded midpoints, so ax[::-1] == -ax and each x1 > 0 row of
+    # exp(i x.xi) is the conjugate of its mirror: half the exponentials
+    ax = (2 * np.arange(n_axis) + 1 - n_axis) / (2 * n_axis)
+    hn = (n_axis + 1) // 2                                  # x1 <= 0 rows
+    e1, e2, e3 = (np.zeros((n_axis, n), dtype=complex) for _ in range(3))
+    for e, xi in zip((e1, e2, e3), xis.T):
+        np.multiply(ax[:hn, np.newaxis], xi, out=e[:hn].imag)
+        np.exp(e[:hn], out=e[:hn])
+        np.conjugate(e[n_axis - 1 - hn::-1], out=e[hn:])
+
+    # the left factor by |x1| level, centre out, three rows a level:
+    # focusing at -x1, random at -x1 and at +x1; dest is each row's row of
+    # p6, random then focusing in grid order.  An odd grid's centre has its
+    # random row twice, and an odd count of levels ends with the outermost
+    # twice, so each GEMM below takes a multiple of 6 rows
+    lev = np.arange(hn - 1, -1 - hn % 2, -1).clip(0)
+    dest = np.stack((n_axis + lev, lev, n_axis - 1 - lev), axis=1).ravel()
+    left = e1[dest % n_axis]                               # (~1.5 nx, n)
+    del e1                                  # freed before the blocks
+    np.multiply(left, amps, out=left, where=(dest < n_axis)[:, np.newaxis])
 
     # no point of the ball |x| <= 1/2 lies outside the disk columns; the
     # mask sums (x1^2 + x2^2) + x3^2 as a full-grid mask does, and p6[mask]
-    # reads the ball in the same (x1, x2, x3) order, so np.mean is unchanged
+    # reads the ball in the same (x1, x2, x3) order, so np.mean is unchanged.
+    # Sorted by radius, a block of columns needs only the left factor's
+    # first rows: the levels of its most central column inside the ball
     sq = ax ** 2
     j2, j3 = np.nonzero(sq[:, np.newaxis] + sq <= 0.25)
     mask = sq[:, np.newaxis] + sq[j2] + sq[j3] <= 0.25     # (nx, ncol)
+    levels = np.count_nonzero(mask[:hn], axis=0)
+    order = np.argsort(sq[j2] + sq[j3], kind="stable")
 
-    p6 = np.empty((2 * n_axis, j2.size))
+    # each GEMM is a multiple of 6 rows by _PROBE_BLOCK columns (the last
+    # block overlaps the one before), whole micro-tiles on each of those
+    # kernels: an edge tile sums in another order, so a value would hang
+    # on where its row and column fall
+    ncol = j2.size
+    p6 = np.empty((2 * n_axis, ncol))
     with _one_blas_thread():
-        for lo in range(0, j2.size, _PROBE_BLOCK):
-            cols = slice(lo, lo + _PROBE_BLOCK)
+        for lo in range(0, ncol, _PROBE_BLOCK):
+            cols = order[max(0, min(lo, ncol - _PROBE_BLOCK)):
+                         lo + _PROBE_BLOCK]
+            k = 6 * ((levels[cols].max() + 1) // 2)
             block = e2[j2[cols]]
             block *= e3[j3[cols]]                            # (blk, n)
-            field = left @ block.T                           # (2 nx, blk)
-            p6[:, cols] = (field.real ** 2 + field.imag ** 2) ** 3
+            field = left[:k] @ block.T                       # (k, blk)
+            p6[dest[:k, np.newaxis], cols] = (
+                field.real ** 2 + field.imag ** 2) ** 3
+    # F(-x) = conj F(x) for the focusing field, and the ball columns in
+    # reverse are the same columns reflected through the x1 axis
+    focusing = p6[n_axis:]
+    focusing[hn:] = focusing[n_axis - 1 - hn::-1, ::-1]
     ratio_random, ratio_focusing = (
         float(np.mean(p[mask])) ** (1.0 / 6.0) / math.sqrt(n)
         for p in (p6[:n_axis], p6[n_axis:]))

@@ -1,9 +1,11 @@
 import ctypes
+import inspect
 import json
 import math
 import os
 import subprocess
 import sys
+import textwrap
 from fractions import Fraction
 
 import numpy as np
@@ -246,6 +248,97 @@ def test_probe_matches_the_dense_oracle(lam):
                                                    rel=1e-14, abs=0)
 
 
+def _ball_values(probe, s, seed, family, monkeypatch):
+    """probe's result and the |F|^6 arrays it hands np.mean, in order."""
+    seen, mean = [], np.mean
+
+    def spy(a, *args, **kwargs):
+        seen.append(np.array(a))
+        return mean(a, *args, **kwargs)
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "mean", spy)
+        return probe(s, seed, family=family), seen
+
+
+def _equals_the_full_cylinder_gemm(probe, lam, monkeypatch):
+    s = scale.derive(lam)
+    family = caps.build_lattice(s)
+    for seed in range(5):
+        got, got_p6 = _ball_values(probe, s, seed, family, monkeypatch)
+        want, want_p6 = _ball_values(probe_oracle.blocked_probe, s, seed,
+                                     family, monkeypatch)
+        if got != want or not all(
+                np.array_equal(a, b) for a, b in zip(got_p6, want_p6,
+                                                     strict=True)):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("lam", lab.PROBE_LAMS)
+def test_probe_equals_the_full_cylinder_gemm_bit_for_bit(lam, monkeypatch):
+    # ball-trimmed row prefixes, radius-sorted columns and the mirrored
+    # focusing field give the full-cylinder sums exactly: np.mean reads the
+    # same |F|^6 in the same (x1, x2, x3) order, so both ratios and n_points
+    # are equal, at even (lam 4, 16, 32, 64) and odd (lam 8) grids
+    assert _equals_the_full_cylinder_gemm(lab.decoupling_probe, lam,
+                                          monkeypatch)
+
+
+def _mirror_without_reversing_the_columns():
+    """decoupling_probe, its focusing mirror taken column for column."""
+    source = textwrap.dedent(inspect.getsource(lab.decoupling_probe))
+    mirror = "focusing[n_axis - 1 - hn::-1, ::-1]"
+    assert source.count(mirror) == 1
+    namespace = dict(vars(lab))
+    exec(source.replace(mirror, "focusing[n_axis - 1 - hn::-1]"), namespace)
+    return namespace["decoupling_probe"]
+
+
+def test_a_mirror_without_the_column_reversal_fails_the_gemm_check(
+        monkeypatch):
+    # the mutant hands np.mean the ball's focusing values in another order;
+    # being the same values, they move the ratio only by its rounding
+    monkeypatch.setattr(lab, "decoupling_probe",
+                        _mirror_without_reversing_the_columns())
+    assert not _equals_the_full_cylinder_gemm(lab.decoupling_probe, 4.0,
+                                              monkeypatch)
+
+
+def _ball_count(ax):
+    """Grid points with (x1^2 + x2^2) + x3^2 <= 1/4, summed as the probe.
+
+    The rounded sum grows with x3^2, so for each (x1, x2) the x3 inside
+    are a prefix of the sorted squares: its end is found by a search and
+    stepped to where the rounded test turns.
+    """
+    sq = ax ** 2
+    s12 = (sq[:, np.newaxis] + sq).ravel()
+    q = np.sort(sq)
+    c = np.searchsorted(q, 0.25 - s12, side="right")
+    while True:
+        up = (c < q.size) & (s12 + q[np.minimum(c, q.size - 1)] <= 0.25)
+        down = (c > 0) & (s12 + q[c - 1] > 0.25)
+        if not (up.any() or down.any()):
+            return int(c.sum())
+        c += up.astype(int) - down
+
+
+def test_the_ball_count_is_the_full_grid_mask():
+    for n_axis in (4, 5, 17, 24, 33):
+        ax = probe_oracle.probe_grid(n_axis)
+        sq = ax ** 2
+        full = sq[:, None, None] + sq[None, :, None] + sq[None, None, :]
+        assert _ball_count(ax) == np.count_nonzero(full <= 0.25)
+
+
+def test_the_probe_grid_is_mirrored_and_keeps_the_old_ball():
+    for n_axis in range(4, 401):
+        ax = probe_oracle.probe_grid(n_axis)
+        assert np.array_equal(ax[::-1], -ax), n_axis
+        old = (np.arange(n_axis) + 0.5) / n_axis - 0.5
+        assert _ball_count(ax) == _ball_count(old), n_axis
+
+
 @pytest.mark.parametrize("lam", [4.0, 16.0, 64.0, 128.0, 256.0])
 def test_probe_single_cap_is_exact_up_to_the_ceiling(lam):
     rep = lab.run_experiment("probe-single-cap", lam=lam)
@@ -290,10 +383,11 @@ def test_probe_gemm_runs_on_one_blas_thread_and_restores_the_count():
 
 
 def test_one_blas_thread_leaves_the_probe_gemm_bit_for_bit():
-    # threads split the GEMM's output, not its sums; probe shape at lam 64
+    # threads split the GEMM's output, not its sums; at the probe's largest
+    # lam-64 block, 72 rows by 32 columns, the split keeps whole micro-tiles
     rng = np.random.default_rng(5)
     left, right = (rng.normal(size=(m, 2048, 2)).view(complex)[..., 0]
-                   for m in (96, 32))
+                   for m in (72, 32))
     threaded = left @ right.T
     with lab._one_blas_thread():
         single = left @ right.T

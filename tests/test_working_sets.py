@@ -91,4 +91,4 @@ def test_the_lam_64_probe_holds_two_small_gathers():
     res, peak = _traced_peak(lambda: lab.decoupling_probe(scale.derive(64.0),
                                                           seed=7))
     assert res.n_caps == 2048
-    assert peak <= 13.5 * MiB
+    assert peak <= 11 * MiB
