@@ -6,7 +6,10 @@ verdicts the harness wraps in an ExperimentReport.  Reports carry two
 kinds of verdicts:
 
 * PASS / FAIL (``_ok``) for exact identities, closed-form oracles and
-  deterministic grids, each decided on a value no draw can move,
+  deterministic grids, each decided on a value no draw can move.  An
+  ``_ok`` verdict must be able to FAIL: ``tests/test_mutants.py`` names,
+  for each one, a plausible mutant of a package kernel or constant under
+  which it FAILs, and a check that nothing can fail is not a verdict,
 * OBSERVATIONAL (``_obs``) for measured quantities compared against claimed
   rates, and for the z of a Monte Carlo audit of a value the report gives
   exactly; ``_audit`` gives one estimate's z and the detail that names it.
@@ -481,8 +484,7 @@ def _exp_gram_identity(run):
 @experiment("broad3-identity", group="geometry-audit", samples=50_000)
 def _exp_broad3_identity(run):
     """geometric-mean bound for the minimal amplitude triple"""
-    rng = run.rng()
-    mags = rng.normal(size=(run.samples, 6))
+    mags = run.rng().normal(size=(run.samples, 6))
     np.exp(mags, out=mags)
 
     def bound(mags):
@@ -492,24 +494,11 @@ def _exp_broad3_identity(run):
 
     ok_rows, margins = blockwise(bound, mags)
     margin = float(np.min(margins))
-    # the functional stays finite and positive on random normal sextuples
-    check = min(200, run.samples)
-    dirs = unit_vectors(rng, 6 * check, 4).reshape(check, 6, 4)
-    vals = geometry.broad3(mags[:check], dirs)
-    finite = bool(np.all(np.isfinite(vals) & (vals > 0)))
-    results = {
-        "min_margin": margin,
-        "n_functional_checks": check,
-        "functional_min": float(np.min(vals)),
-        "functional_max": float(np.max(vals)),
-    }
     verdicts = (
         _ok("min_triple_leq_geometric_mean", bool(np.all(ok_rows)),
             f"min margin {margin:.6f} over {run.samples} draws"),
-        _ok("functional_finite_positive", finite,
-            f"{check} sextuples evaluated"),
     )
-    return results, verdicts
+    return {"min_margin": margin}, verdicts
 
 
 @experiment("mixed-minor", group="geometry-audit", samples=20_000,
@@ -527,23 +516,35 @@ def _exp_mixed_minor(run):
     a1, a2, a3, a4 = (geometry.asymptotic_normal(lam * v) for v in dirs)
     rho4 = geometry.normal_defect(lam * dirs[3])
     kernel, closed = geometry.mixed_minor4(a1, a2, a3, rho4), det[:len(a1)]
-    # wedge from the minors, not a Gram matrix of dot products, which
-    # loses the tiny clustered wedges
-    wedge = np.sqrt(geometry.gram_det(a1, a2, a3))
-    p3, n4 = math.prod(map(geometry.norm, (a1, a2, a3))), geometry.norm(rho4)
+
+    def sizes(c1, c2, c3, c4):
+        # wedge from the minors, not a Gram matrix of dot products, which
+        # loses the tiny clustered wedges; P3 and |c4|
+        return (np.sqrt(geometry.gram_det(c1, c2, c3)),
+                math.prod(map(geometry.norm, (c1, c2, c3))),
+                geometry.norm(c4))
     # Hadamard, |det| <= wedge |rho4|, up to the kernel's 30 eps P and the
     # wedge's 42 eps P3 (both derived in test_geometry), P = P3 |rho4|,
     # rounded up to 80 for the norms and the bound's own rounding
+    wedge, p3, n4 = sizes(a1, a2, a3, rho4)
     over_bound = float(np.max(kernel / (wedge * n4 + 80.0 * eps * p3 * n4)))
-    # the kernel against the closed form, in eps, first order: the Laplace
-    # kernel 30 P; a1..a3 off their ideal (-d_i, 1/(2 lam)) by 8u each and
-    # rho4 by 16u along a4, 20 P by Hadamard; rho4's subtraction rounds by
-    # 8.5u |a4| in any direction, which det weighs by the wedge (itself
-    # within 42 eps P3); orient3d's 21 eps of its edges times a scale under
-    # 1/(16 lam^3); the closed form's own 7u
+    # the kernel against the closed form, in eps, first order.  Each entry
+    # is off by a share of itself, so the columns are taken with their time
+    # row times 2 lam, which multiplies the determinant and every error in
+    # it by 2 lam: the time part of an error, 1/(2 lam) of its space part,
+    # is then weighed against its own cofactors.  In those columns: the
+    # Laplace kernel 30 P (its products scale with the rows); a1..a3 off
+    # their ideal (-d_i, 1/(2 lam)) by 8u each and rho4 by 16u along a4,
+    # 20 P by Hadamard; rho4's subtraction rounds by 8.5u of each entry of
+    # a4, which det weighs by the wedge (itself within 42 eps P3).  Then
+    # orient3d's 21 eps of its edges times a scale under 1/(16 lam^3), and
+    # the closed form's own 7u
+    rows = [1.0, 1.0, 1.0, 2.0 * lam]
+    wedge, p3, n4 = sizes(*(v * rows for v in (a1, a2, a3, rho4)))
     edges = math.prod(geometry.norm(v - dirs[0]) for v in dirs[1:])
     gap = float(np.max(np.abs(kernel - closed) / (eps * (
-        50.0 * p3 * n4 + 5.0 * geometry.norm(a4) * (wedge + 42.0 * eps * p3)
+        (50.0 * p3 * n4 + 5.0 * geometry.norm(a4 * rows)
+         * (wedge + 42.0 * eps * p3)) / (2.0 * lam)
         + 2.0 * edges / lam ** 3 + 4.0 * closed))))
     results = {
         "max_abs_det": float(np.max(det)),
@@ -640,8 +641,6 @@ def _exp_greedy_coloring(run):
     verdicts = (
         _ok("proper_coloring", proper,
             f"{pairs.shape[0]} conflict edges checked"),
-        _ok("first_fit_bound", n_colors <= max_deg + 1,
-            f"{n_colors} colors vs degree bound {max_deg + 1}"),
         _ok("nontrivial_graph", pairs.shape[0] > 0,
             "cluster produced conflict edges"),
     )
@@ -718,8 +717,6 @@ def _exp_tube_volume(run):
     results.update(envelope_volume=env, hit_fraction=volume / env,
                    volume_times_lam3=volume * lam ** 3)
     verdicts = (
-        _ok("inside_envelope", 0.0 < volume <= env,
-            f"hit fraction {volume / env:.4f}"),
         _ok("truncation_shrinks", results["volume_truncated"] <= volume,
             "core removal cannot grow the volume"),
         _obs("normalized_volume", f"volume * lam^3 = {volume * lam ** 3:.4f}"),
@@ -905,8 +902,6 @@ def _exp_multiplicity(run):
     x0 = np.asarray([0.35 * s.rho, 0.0, 0.0])
     m_center = int(tubes.multiplicity_counts(
         s, fam.xi(), True, np.asarray([0.0]), x0[np.newaxis, :])[0])
-    amps = rng.normal(size=n_caps) + 1j * rng.normal(size=n_caps)
-    cs = tubes.pointwise_cs_check(s, fam.xi(), True, amps, 0.0, x0)
     results = {
         "n_caps": n_caps,
         "threshold": res.threshold,
@@ -916,15 +911,10 @@ def _exp_multiplicity(run):
         "m_max": res.m_max,
         "m_mean_weighted": res.m_mean_weighted,
         "m_at_center": m_center,
-        "cs_lhs": cs.lhs,
-        "cs_rhs": cs.rhs,
-        "cs_multiplicity": cs.multiplicity,
     }
     verdicts = (
         _ok("center_multiplicity_full", m_center == n_caps,
             f"M(0, x0) = {m_center} of {n_caps}"),
-        _ok("pointwise_cauchy_schwarz", cs.ok,
-            f"lhs {cs.lhs:.6e} <= rhs {cs.rhs:.6e}"),
         _obs("sub_threshold_mass",
              f"fraction with M < {res.threshold:.3f}: {res.fraction_below}"),
         _obs("union_ratio", f"D * mean(1/M) = {res.union_ratio:.6f}"),
@@ -1079,13 +1069,11 @@ def _exp_shell_ensemble(run):
     s, seed, samples = run.scale, run.seed, run.samples
     rows = []
     mean_by_deg = {}
-    sane = True
     for degree in range(1, shell.max_degree(s) + 1):
         ensemble = shell.ensemble_fractions(s, degree, 6, samples, seed)
         mean_by_deg[str(degree)] = float(np.mean([bf.value
                                                   for bf in ensemble]))
         for bf in ensemble:
-            sane &= 0.0 <= bf.value <= 1.0
             rows.append({"lam": run.lam, "D": run.scale.D,
                          "degree": bf.degree, "beta": bf.beta,
                          "fraction": bf.value, "stderr": bf.stderr,
@@ -1095,11 +1083,8 @@ def _exp_shell_ensemble(run):
         "degree_cap": shell.max_degree(s),
         "mean_fraction_by_degree": mean_by_deg,
     }
-    verdicts = (
-        _ok("fractions_in_range", sane, f"{len(rows)} ensemble members"),
-        _obs("band_occupancy",
-             f"mean fraction by degree: {mean_by_deg}"),
-    )
+    verdicts = (_obs("band_occupancy",
+                     f"mean fraction by degree: {mean_by_deg}"),)
     return results, verdicts
 
 
@@ -1152,16 +1137,16 @@ class ProbeResult:
 
 
 def decoupling_probe(scale: ScaleParams, seed: int,
-                     grid_factor: int = PROBE_GRID_FACTOR,
                      family: caps.CapFamily | None = None) -> ProbeResult:
     """Sampled L6 size of a random superposition of on-shell waves.
 
     The field is F(t, x) = sum over caps of a_n exp(i(t |xi_n|^2 + x.xi_n)).
     Every cap has |xi_n| = lam, so t |xi_n|^2 is one phase shared by all
     caps and |F| does not depend on t: the probe samples t = 0 only, on a
-    midpoint grid over the unit spatial box (ball-masked).  The reference is
-    the flat count (sum |a_n|^2)^1/2, exact for a single cap since each
-    summand has constant modulus.
+    midpoint grid of PROBE_GRID_FACTOR sqrt(lam) points per axis over the
+    unit spatial box (ball-masked).  The reference is the flat count
+    (sum |a_n|^2)^1/2, exact for a single cap since each summand has
+    constant modulus.
 
     The field is computed exactly, with no approximation: exp(i x.xi) is
     the product of one exponential per axis per cap, taken for x <= 0 and
@@ -1179,9 +1164,7 @@ def decoupling_probe(scale: ScaleParams, seed: int,
     field's Nyquist count lam/pi per axis, or when the working set would
     exceed PROBE_MAX_BYTES.
     """
-    if grid_factor < 4:
-        raise ConfigError("grid factor below 4 undersamples the field")
-    n_axis = max(4, int(round(grid_factor * math.sqrt(scale.lam))))
+    n_axis = max(4, int(round(PROBE_GRID_FACTOR * math.sqrt(scale.lam))))
     if n_axis * math.pi <= scale.lam:
         raise ConfigError(
             f"probe grid of {n_axis} points per axis is at or under the "

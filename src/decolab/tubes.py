@@ -277,34 +277,6 @@ def multiplicity_experiment(family: CapFamily, samples: int,
     )
 
 
-@dataclass(frozen=True)
-class CSCheck:
-    lhs: float
-    rhs: float
-    multiplicity: int
-
-    @property
-    def ok(self) -> bool:
-        return self.lhs <= self.rhs
-
-
-def pointwise_cs_check(scale: ScaleParams, xis: np.ndarray, truncated: bool,
-                       amps: np.ndarray, t: float, x: np.ndarray) -> CSCheck:
-    """|sum over covering tubes of a|^2 <= M * sum |a|^2 at one point.
-
-    An instance of Cauchy-Schwarz, so the inequality is exact; the checker
-    compares the two float sides without tolerance.
-    """
-    active = membership(Tube(scale, xis, truncated), np.full((1, 1), t),
-                        np.reshape(x, (1, 1, 3)))[0]
-    amps = np.asarray(amps)
-    m = int(np.count_nonzero(active))
-    s = complex(np.sum(amps[active]))
-    lhs = abs(s) ** 2
-    rhs = m * float(np.sum(np.abs(amps[active]) ** 2))
-    return CSCheck(lhs=lhs, rhs=rhs, multiplicity=m)
-
-
 # ---------------------------------------------------------------------------
 # exact overlap sum over a family
 # ---------------------------------------------------------------------------

@@ -33,14 +33,14 @@ def probe_grid(n_axis: int) -> np.ndarray:
     return (2 * np.arange(n_axis) + 1 - n_axis) / (2 * n_axis)
 
 
-def _setup(scale, seed, grid_factor, family):
+def _setup(scale, seed, family):
     """The lattice, the random amplitudes, the grid size and its midpoints."""
     if family is None:
         family = caps.build_lattice(scale)
     n = len(family)
     rng = keyed_rng(seed, "probe", repr(float(scale.lam)), n)
     amps = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=n))
-    n_axis = max(4, int(round(grid_factor * math.sqrt(scale.lam))))
+    n_axis = max(4, int(round(PROBE_GRID_FACTOR * math.sqrt(scale.lam))))
     return family, amps, n_axis, probe_grid(n_axis)
 
 
@@ -55,10 +55,9 @@ def _result(scale, n, n_axis, mask, p_random, p_focusing):
 
 
 def dense_probe(scale: ScaleParams, seed: int,
-                grid_factor: int = PROBE_GRID_FACTOR,
                 family: caps.CapFamily | None = None) -> ProbeResult:
     """The probe's sampled L6 ratios from the dense field product."""
-    family, amps, n_axis, ax = _setup(scale, seed, grid_factor, family)
+    family, amps, n_axis, ax = _setup(scale, seed, family)
     xis = family.xi()
     n = len(family)
 
@@ -83,10 +82,9 @@ def dense_probe(scale: ScaleParams, seed: int,
 
 
 def blocked_probe(scale: ScaleParams, seed: int,
-                  grid_factor: int = PROBE_GRID_FACTOR,
                   family: caps.CapFamily | None = None) -> ProbeResult:
     """The probe's sampled L6 ratios from the full-cylinder blocked GEMM."""
-    family, amps, n_axis, ax = _setup(scale, seed, grid_factor, family)
+    family, amps, n_axis, ax = _setup(scale, seed, family)
     xis = family.xi()
     n = len(family)
 

@@ -212,8 +212,6 @@ def test_probe_guard_rejects_large_lam():
     # lam 512 at the default grid: 136 points per axis against lam/pi = 163
     with pytest.raises(ConfigError, match="Nyquist"):
         lab.decoupling_probe(scale.derive(512.0), seed=1)
-    with pytest.raises(ConfigError):
-        lab.decoupling_probe(scale.derive(16.0), seed=1, grid_factor=2)
 
 
 def test_probe_guards_fire_before_the_lattice(monkeypatch):
@@ -222,9 +220,12 @@ def test_probe_guards_fire_before_the_lattice(monkeypatch):
     monkeypatch.setattr(caps, "build_lattice", no_lattice)
     with pytest.raises(ConfigError, match="Nyquist"):
         lab.decoupling_probe(scale.derive(512.0), seed=1)
-    # a grid fine enough for Nyquist at lam 512 needs about 1.3 GiB
+    # at lam 256 (96 points per axis) each cap costs 16 (6 96 + 96) bytes,
+    # so 100,000 caps pass the 1 GiB PROBE_MAX_BYTES
+    s = scale.derive(256.0)
+    many = caps.CapFamily(s, np.broadcast_to([0.0, 0.0, 1.0], (100_000, 3)))
     with pytest.raises(ConfigError, match="MiB"):
-        lab.decoupling_probe(scale.derive(512.0), seed=1, grid_factor=12)
+        lab.decoupling_probe(s, seed=1, family=many)
 
 
 def test_probe_runs_at_lam_128():

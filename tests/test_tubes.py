@@ -226,24 +226,6 @@ def test_multiplicity_experiment_guards(fam):
         tubes.multiplicity_experiment(fam, samples=10, seed=0)
 
 
-def test_pointwise_cs_is_exact(fam):
-    s = fam.scale
-    xis = fam.xi()
-    rng = keyed_rng(17, "tubes-cs")
-    for _ in range(200):
-        amps = rng.normal(size=len(fam)) + 1j * rng.normal(size=len(fam))
-        t = float(rng.uniform(-s.t_half, s.t_half))
-        x = s.x_half * rng.uniform(-1.0, 1.0, size=3)
-        chk = tubes.pointwise_cs_check(s, xis, True, amps, t, x)
-        assert chk.ok
-        assert chk.multiplicity >= 0
-    # a point no tube contains gives the trivial 0 <= 0 instance
-    chk = tubes.pointwise_cs_check(s, xis, False, amps, 10.0 * s.t_half,
-                                   np.zeros(3))
-    assert chk.multiplicity == 0 and chk.lhs == 0.0 and chk.rhs == 0.0
-    assert chk.ok
-
-
 def _coverage_points(s, xis, key):
     """Random cell points, then as many placed on some tube's rho boundary.
 
@@ -280,10 +262,6 @@ def test_every_coverage_path_is_membership(fam, which, truncated):
     # the boundary points fall on both sides of their own tube's boundary
     own = tubes.membership(tubes.Tube(s, xis[k], truncated), t[n:], x[n:])
     assert 0 < np.count_nonzero(own) < n
-    amps = np.ones(len(xis), dtype=complex)
-    for k in range(0, len(t), 7):
-        chk = tubes.pointwise_cs_check(s, xis, truncated, amps, t[k], x[k])
-        assert chk.multiplicity == m[k]
 
 
 def test_boundary_layer_fraction():
